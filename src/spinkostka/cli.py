@@ -17,7 +17,7 @@ import json
 import sys
 from multiprocessing import Pool
 
-from .engine import SpinKostkaEngine, spin_kostka
+from .engine import CacheError, SpinKostkaEngine, spin_kostka
 from .goldens import KNOWN_DISCREPANCIES, published_tables
 from .oracle import oracle_spin_kostka, verify_relations
 from .partitions import (
@@ -329,7 +329,10 @@ def main(argv=None):
             parser.error("n must be >= 1")
         if args.threads < 1:
             parser.error("threads must be >= 1")
-        table = build_table(args.n, args.mode, args.threads, args.cache)
+        try:
+            table = build_table(args.n, args.mode, args.threads, args.cache)
+        except CacheError as exc:
+            parser.error(str(exc))
         text = render_table(table, args.n, args.format, args.mode)
         if args.out:
             with open(args.out, "w") as fh:

@@ -1,48 +1,60 @@
 """Iterative computation of spin Kostka polynomials.
 
 The engine implements the vertex-operator recurrence: peeling the largest
-part of mu produces, for each part xi_i >= mu_1, a sum over weak
-compositions tau of xi_i - mu_1 placed against the remaining parts of mu.
-Each term contributes t^(k-l(tau)) (1+t)^l(tau) times the straightening of
-the integer vector mu^(1) - tau, recursing on strictly smaller data.
+part mu_1 of mu pushes, for each part xi_i >= mu_1, the spin-h component
+h~_k (k = xi_i - mu_1) through H_{mu_2}...H_{mu_l} on the vacuum, and
+recurses on xi without xi_i against each partition of the result.
 
-Closed forms (one-row, two-part mu, matching leading parts) are used as
-fast paths; ``debug_check=True`` recomputes them via the recurrence and
-asserts agreement.
+``htilde_expand`` builds that expansion right to left.  Distributing the k
+cells of h~_k over the positions gives weight 1 to a position taking none
+and t^(c-1)(1+t) to a position taking c > 0, so the expansion is a product
+of one-position steps; after each step the suffix is straightened back to
+the partition basis and equal states merge.
+
+Closed forms (one-row xi, two-part mu, matching leading parts) are used as
+fast paths.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
-from .partitions import (
-    dominates,
-    is_partition,
-    is_strict_partition,
-    n_stat,
-    support_size,
-    weak_compositions,
-)
-from .polynomial import ONE, ZERO, LaurentPoly, T, t_binomial
+from .partitions import dominates, is_partition, is_strict_partition, n_stat
+from .polynomial import ONE, ZERO, LaurentPoly, t_binomial
 from .straighten import Straightener
 
 _ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
 
-def htilde_expand(k, mu):
-    """Terms (coefficient, mu - tau) of the degree-k spin-h component pushed
-    through H_mu on the vacuum: tau runs over weak compositions of k placed
-    in the positions of mu."""
+def htilde_expand(k, mu, straightener):
+    """{lam: coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1.
+
+    Equivalent to summing t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)
+    over the weak compositions tau of k in the positions of mu, but the
+    sum is built one position at a time from the right, over the states
+    (cells used, straightened suffix)."""
     if k < 0:
-        return []
-    out = []
-    for tau in weak_compositions(k, len(mu)):
-        l = support_size(tau)
-        coeff = _ONE_PLUS_T ** l
-        if k - l:
-            coeff = coeff.shift(k - l)
-        out.append((coeff, tuple(m - t for m, t in zip(mu, tau))))
-    return out
+        return {}
+    states = {(0, ()): ONE}
+    for j in range(len(mu) - 1, -1, -1):
+        merged = {}
+        for (used, suffix), coeff in states.items():
+            free = k - used
+            for take in range(free if j == 0 else 0, free + 1):
+                weight = coeff * _ONE_PLUS_T.shift(take - 1) if take else coeff
+                word = (mu[j] - take,) + suffix
+                for lam, b in straightener.straighten(word).items():
+                    key = (used + take, lam)
+                    acc = merged.get(key)
+                    acc = weight * b if acc is None else acc + weight * b
+                    if acc.is_zero():
+                        merged.pop(key, None)
+                    else:
+                        merged[key] = acc
+        states = merged
+    return {lam: coeff for (used, lam), coeff in states.items() if used == k}
 
 
 def spin_kostka_one_row(mu):
@@ -71,6 +83,9 @@ def spin_kostka_two_part(xi, mu):
 
 def kostka_hook(n, k, mu):
     """Kostka-Foulkes polynomial K_{(n-k,1^k),mu}(t) by the hook closed form."""
+    mu = tuple(mu)
+    if not is_partition(mu):
+        raise ValueError("mu must be a partition, got %r" % (mu,))
     if sum(mu) != n or not 0 <= k <= n - 1:
         raise ValueError("need |mu| = n and 0 <= k <= n-1")
     l = len(mu)
@@ -81,14 +96,15 @@ def kostka_hook(n, k, mu):
 
 
 class SpinKostkaEngine:
-    """Memoized recurrence engine.  Instances are cheap; the memo table is
-    per-instance, so concurrent use either shares one instance read-only
-    after warmup or gives each worker its own."""
+    """Memoized recurrence engine.  Instances are cheap; the memo tables
+    (values and h~_k expansions) are per-instance, so concurrent use either
+    shares one instance read-only after warmup or gives each worker its
+    own."""
 
-    def __init__(self, use_fast_paths=True, debug_check=False):
+    def __init__(self, use_fast_paths=True):
         self.use_fast_paths = use_fast_paths
-        self.debug_check = debug_check
         self._memo = {}
+        self._expansions = {}
         self._straightener = Straightener()
 
     def spin_kostka(self, xi, mu):
@@ -111,13 +127,6 @@ class SpinKostkaEngine:
         result = None
         if self.use_fast_paths:
             result = self._fast_path(xi, mu)
-            if result is not None and self.debug_check:
-                recur = self._recurrence(xi, mu)
-                if recur != result:
-                    raise AssertionError(
-                        "fast path disagrees with recurrence at xi=%r mu=%r: %s vs %s"
-                        % (xi, mu, result, recur)
-                    )
         if result is None:
             result = self._recurrence(xi, mu)
         self._memo[key] = result
@@ -132,40 +141,68 @@ class SpinKostkaEngine:
             return spin_kostka_two_part(xi, mu)
         return None
 
+    def _expansion(self, k, rest):
+        key = (k, rest)
+        hit = self._expansions.get(key)
+        if hit is None:
+            hit = self._expansions[key] = htilde_expand(k, rest, self._straightener)
+        return hit
+
     def _recurrence(self, xi, mu):
         mu1, rest = mu[0], mu[1:]
         total = ZERO
         for i, part in enumerate(xi):
             if part < mu1:
                 break
-            sign = -1 if i % 2 else 1
             xi_hat = xi[:i] + xi[i + 1:]
-            for coeff, vec in htilde_expand(part - mu1, rest):
-                for lam, b in self._straightener.straighten(vec).items():
-                    sub = self._compute(xi_hat, lam)
-                    if not sub.is_zero():
-                        term = coeff * b * sub
-                        total = total + (term if sign == 1 else -term)
+            term = ZERO
+            for lam, coeff in self._expansion(part - mu1, rest).items():
+                sub = self._compute(xi_hat, lam)
+                if not sub.is_zero():
+                    term = term + coeff * sub
+            total = total - term if i % 2 else total + term
         return 2 * total
 
     # -- memo persistence ------------------------------------------------
 
     def save_cache(self, path):
+        """Write the memo as JSON.  The data goes to a temporary file in the
+        same directory first, so an interrupted save leaves the old file."""
         data = {
             "%s|%s" % (",".join(map(str, xi)), ",".join(map(str, mu))): poly.to_json()
             for (xi, mu), poly in self._memo.items()
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(data, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load_cache(self, path):
+        """Merge a memo written by ``save_cache``.  A missing file raises
+        ``FileNotFoundError``; a truncated or malformed one raises
+        ``CacheError`` and leaves the memo as it was."""
         with open(path) as fh:
-            data = json.load(fh)
-        for key, poly in data.items():
-            xi_s, mu_s = key.split("|")
-            xi = tuple(int(x) for x in xi_s.split(",") if x)
-            mu = tuple(int(x) for x in mu_s.split(",") if x)
-            self._memo[(xi, mu)] = LaurentPoly.from_json(poly)
+            try:
+                entries = [
+                    (_parse_key(key), LaurentPoly.from_json(poly))
+                    for key, poly in json.load(fh).items()
+                ]
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise CacheError("malformed memo file %s: %s" % (path, exc)) from None
+        self._memo.update(entries)
+
+
+class CacheError(ValueError):
+    """A memo file that cannot be read back."""
+
+
+def _parse_key(key):
+    xi_s, mu_s = key.split("|")
+    return tuple(int(x) for x in xi_s.split(",") if x), tuple(int(x) for x in mu_s.split(",") if x)
 
 
 _default_engine = SpinKostkaEngine()

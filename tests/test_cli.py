@@ -129,6 +129,19 @@ def test_table_cache(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_table_malformed_cache_exits_2(tmp_path, capsys):
+    cache = tmp_path / "memo.json"
+    main(["table", "--n", "4", "--cache", str(cache)])
+    capsys.readouterr()
+    cache.write_text(cache.read_text()[:-7])  # truncated, as by an interrupted write
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "4", "--cache", str(cache)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(cache) in captured.err
+
+
 def test_table_out_file(tmp_path, capsys):
     path = tmp_path / "t4.csv"
     main(["table", "--n", "4", "--format", "csv", "--out", str(path)])

@@ -1,8 +1,12 @@
 """Spin Kostka recurrence engine and closed forms."""
 
+import os
+
 import pytest
 
+from spinkostka import engine as engine_module
 from spinkostka.engine import (
+    CacheError,
     SpinKostkaEngine,
     htilde_expand,
     kostka_hook,
@@ -10,8 +14,16 @@ from spinkostka.engine import (
     spin_kostka_one_row,
     spin_kostka_two_part,
 )
-from spinkostka.partitions import partitions, strict_partitions
+from spinkostka.partitions import (
+    dominates,
+    n_stat,
+    partitions,
+    strict_partitions,
+    support_size,
+    weak_compositions,
+)
 from spinkostka.polynomial import LaurentPoly, ONE, ZERO, t_int
+from spinkostka.straighten import Straightener
 
 
 def test_worked_examples():
@@ -60,22 +72,72 @@ def test_closed_forms_agree_with_recurrence():
                     assert plain.spin_kostka(xi, mu) == spin_kostka_two_part(xi, mu)
 
 
-def test_debug_check_fast_paths():
-    checked = SpinKostkaEngine(debug_check=True)
-    for n in range(1, 7):
+def test_fast_paths_match_plain_recurrence():
+    fast, plain = SpinKostkaEngine(), SpinKostkaEngine(use_fast_paths=False)
+    for n in range(1, 11):
         for xi in strict_partitions(n):
             for mu in partitions(n):
-                checked.spin_kostka(xi, mu)  # raises on any disagreement
+                assert fast.spin_kostka(xi, mu) == plain.spin_kostka(xi, mu), (xi, mu)
 
 
 def test_htilde_expand():
-    assert htilde_expand(-1, (2, 1)) == []
-    terms = htilde_expand(1, (1, 1))
-    assert sorted(vec for _, vec in terms) == [(0, 1), (1, 0)]
-    assert all(coeff == LaurentPoly({0: 1, 1: 1}) for coeff, _ in terms)
+    s = Straightener()
+    assert htilde_expand(-1, (2, 1), s) == {}
+    # tau in {(1,0), (0,1)}, each with weight 1+t; straightening (0,1) gives t*H_(1)
+    assert htilde_expand(1, (1, 1), s) == {(1,): LaurentPoly({0: 1, 1: 2, 2: 1})}
     # k = 2 over one position: tau = (2), coefficient t^(2-1)(1+t)
-    [(coeff, vec)] = htilde_expand(2, (3,))
-    assert vec == (1,) and coeff == LaurentPoly({1: 1, 2: 1})
+    assert htilde_expand(2, (3,), s) == {(1,): LaurentPoly({1: 1, 2: 1})}
+    assert htilde_expand(0, (), s) == {(): ONE}
+    assert htilde_expand(1, (), s) == {}
+
+
+def _htilde_by_weak_compositions(k, mu, straightener):
+    """The expansion as the plain sum over weak compositions tau of k:
+    t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)."""
+    out = {}
+    for tau in weak_compositions(k, len(mu)):
+        support = support_size(tau)
+        coeff = (LaurentPoly({0: 1, 1: 1}) ** support).shift(k - support)
+        word = tuple(m - c for m, c in zip(mu, tau))
+        for lam, b in straightener.straighten(word).items():
+            out[lam] = out.get(lam, ZERO) + coeff * b
+    return {lam: c for lam, c in out.items() if not c.is_zero()}
+
+
+def test_htilde_expand_matches_weak_composition_sum():
+    for n in range(9):
+        for mu in partitions(n):
+            for k in range(6):
+                want = _htilde_by_weak_compositions(k, mu, Straightener())
+                assert htilde_expand(k, mu, Straightener()) == want, (k, mu)
+
+
+def _check_invariants(value, xi, mu):
+    scale = 2 ** len(xi)
+    assert all(c % scale == 0 for c in value.coefficients()), (xi, mu)
+    assert value.eval_at(-1) == (scale if xi == mu else 0), (xi, mu)
+    if not dominates(xi, mu):
+        assert value.is_zero(), (xi, mu)
+    elif not value.is_zero():
+        assert value.degree() <= n_stat(mu), (xi, mu)
+
+
+def test_structural_invariants_at_weights_11_to_13():
+    """Divisibility by 2^l(xi), the value 2^l(xi) delta at t = -1, dominance,
+    deg <= n(mu) and the leading-block factor 2, on every cell of weights
+    11-13.  Values come from the recurrence without fast paths, so the
+    leading-block check is not the fast path checking itself."""
+    plain = SpinKostkaEngine(use_fast_paths=False)
+    hard = plain.spin_kostka((11, 1), (1,) * 12)
+    assert not hard.is_zero()
+    _check_invariants(hard, (11, 1), (1,) * 12)
+    for n in range(11, 14):
+        for xi in strict_partitions(n):
+            for mu in partitions(n):
+                value = plain.spin_kostka(xi, mu)
+                _check_invariants(value, xi, mu)
+                if xi[0] == mu[0]:
+                    assert value == 2 * plain.spin_kostka(xi[1:], mu[1:]), (xi, mu)
 
 
 def test_kostka_hook_values():
@@ -87,6 +149,11 @@ def test_kostka_hook_values():
     assert kostka_hook(4, 3, (2, 2)) == ZERO  # k > l-1
     with pytest.raises(ValueError):
         kostka_hook(4, 4, (2, 2))
+    # mu must be a partition, as in spin_kostka
+    with pytest.raises(ValueError, match="mu must be a partition"):
+        kostka_hook(4, 1, (1, 3))
+    with pytest.raises(ValueError, match="mu must be a partition"):
+        kostka_hook(4, 1, (5, -1))
 
 
 def test_kostka_hook_against_oracle():
@@ -108,6 +175,47 @@ def test_cache_roundtrip(tmp_path):
     b.load_cache(path)
     assert b._memo[((4, 2), (2, 2, 1, 1))] == value
     assert b.spin_kostka((4, 2), (2, 2, 1, 1)) == value
+
+
+def test_save_cache_replaces_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "memo.json"
+    a = SpinKostkaEngine()
+    a.spin_kostka((3, 1), (2, 2))
+    a.save_cache(str(path))
+    before = path.read_text()
+
+    def interrupted(data, fh):
+        fh.write('{"3,1|2,2": {"0"')
+        raise KeyboardInterrupt
+
+    a.spin_kostka((4, 2), (2, 2, 1, 1))
+    monkeypatch.setattr(engine_module.json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        a.save_cache(str(path))
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == ["memo.json"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"3,1|2,2": {"0": 4, "1"',  # truncated
+        "[1, 2]",
+        '{"3,1": {"0": 4}}',
+        '{"3,1|2,2": {"0": "four"}}',
+        '{"3,x|2,2": {"0": 4}}',
+        '{"3,1|2,2": [4]}',
+    ],
+)
+def test_load_cache_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "memo.json"
+    path.write_text(text)
+    eng = SpinKostkaEngine()
+    eng.spin_kostka((2, 1), (1, 1, 1))
+    memo = dict(eng._memo)
+    with pytest.raises(CacheError, match="memo.json"):
+        eng.load_cache(str(path))
+    assert eng._memo == memo
 
 
 def test_stability_and_leading_block():
