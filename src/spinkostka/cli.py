@@ -2,7 +2,7 @@
 
 Subcommands: ``compute`` (one spin Kostka polynomial), ``b`` (one
 Stembridge coefficient), ``g2`` (square-shape g-coefficient), ``table``
-(full table for a given weight, optionally parallel and cached) and
+(full table for a given weight, optionally with a persisted memo) and
 ``verify`` (the self-check suites).  Partitions are written as
 comma-separated parts, e.g. ``4,3,1``; ``-`` denotes the empty partition.
 
@@ -15,18 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from multiprocessing import Pool
 
 from .engine import CacheError, SpinKostkaEngine, spin_kostka
 from .goldens import KNOWN_DISCREPANCIES, published_tables
+from .invariants import failures
 from .oracle import oracle_spin_kostka, verify_relations
-from .partitions import (
-    dominates,
-    is_partition,
-    is_strict_partition,
-    partitions,
-    strict_partitions,
-)
+from .partitions import is_partition, is_strict_partition, partitions, strict_partitions
 from .polynomial import LaurentPoly
 from .schur import b_coeff, g_square, g_square_alternating_sum
 
@@ -50,49 +44,37 @@ def format_partition(lam):
 
 
 def poly_json(xi, mu, poly):
-    return {
-        "xi": list(xi),
-        "mu": list(mu),
-        "poly": {str(e): c for e, c in sorted(poly.terms.items())},
-    }
+    return {"xi": list(xi), "mu": list(mu), "poly": poly.to_json()}
 
 
 # -- table generation ----------------------------------------------------
 
 
-def _table_cell(args):
-    xi, mu, mode = args
-    if mode == "spin":
-        return (xi, mu, spin_kostka(xi, mu).to_json())
-    return (xi, mu, LaurentPoly.const(b_coeff(xi, mu)).to_json())
-
-
 def build_table(n, mode="spin", threads=1, cache=None):
-    """{mu: {xi: LaurentPoly}} for all row/column pairs of weight n."""
-    cols = strict_partitions(n)
-    rows = [mu for mu in partitions(n) if mu]
-    engine = None
-    if cache and mode == "spin":
+    """{mu: {xi: LaurentPoly}} for all row/column pairs of weight n.  With
+    ``cache`` (spin mode only) the memo is loaded from that file, if it
+    exists, and saved back to it."""
+    # threads remains only because perfbench/worker.py passes threads=1
+    if threads != 1:
+        raise ValueError("build_table runs serially; threads must be 1")
+    if cache and mode != "spin":
+        raise ValueError("a memo cache applies only to mode 'spin'")
+    compute = spin_kostka
+    if cache:
         engine = SpinKostkaEngine()
         try:
             engine.load_cache(cache)
         except FileNotFoundError:
             pass
-    jobs = [(xi, mu, mode) for mu in rows for xi in cols]
-    table = {mu: {} for mu in rows}
-    if threads > 1:
-        with Pool(threads) as pool:
-            results = pool.map(_table_cell, jobs)
-        for xi, mu, data in results:
-            table[mu][xi] = LaurentPoly.from_json(data)
-    else:
-        for xi, mu, _ in jobs:
-            if mode == "spin":
-                value = engine.spin_kostka(xi, mu) if engine else spin_kostka(xi, mu)
-            else:
-                value = LaurentPoly.const(b_coeff(xi, mu))
-            table[mu][xi] = value
-    if engine is not None and cache:
+        compute = engine.spin_kostka
+    table = {}
+    for mu in partitions(n):
+        if mu:
+            table[mu] = {
+                xi: compute(xi, mu) if mode == "spin" else LaurentPoly.const(b_coeff(xi, mu))
+                for xi in strict_partitions(n)
+            }
+    if cache:
         engine.save_cache(cache)
     return table
 
@@ -120,13 +102,7 @@ def render_table(table, n, fmt, mode="spin"):
             "mode": mode,
             "columns": [list(c) for c in cols],
             "rows": [
-                {
-                    "mu": list(mu),
-                    "cells": [
-                        {str(e): c for e, c in sorted(table[mu][xi].terms.items())}
-                        for xi in cols
-                    ],
-                }
+                {"mu": list(mu), "cells": [table[mu][xi].to_json() for xi in cols]}
                 for mu in rows
             ],
         }
@@ -183,44 +159,12 @@ def _suite_tables(args, out):
 
 def _suite_properties(args, out):
     """Structural corollaries of the spin Kostka recurrence, exhaustively."""
-    failures = []
-    for n in range(1, args.max_n + 1):
-        for xi in strict_partitions(n):
-            for mu in partitions(n):
-                poly = spin_kostka(xi, mu)
-                if not dominates(xi, mu):
-                    if not poly.is_zero():
-                        failures.append("nonzero without dominance: %r %r" % (xi, mu))
-                    continue
-                if xi == mu and poly != LaurentPoly.const(2 ** len(xi)):
-                    failures.append("diagonal: %r" % (xi,))
-                scale = 2 ** len(xi)
-                if any(c % scale for c in poly.coefficients()):
-                    failures.append("divisibility by 2^l: %r %r" % (xi, mu))
-                want = scale if xi == mu else 0
-                if not poly.is_zero() and poly.eval_at(-1) != want:
-                    failures.append("t=-1 evaluation: %r %r" % (xi, mu))
-                if xi and mu and xi[0] == mu[0]:
-                    tail = spin_kostka(xi[1:], mu[1:])
-                    if poly != 2 * tail:
-                        failures.append("leading-block factorization: %r %r" % (xi, mu))
-    # stability: growing the first part of both shapes preserves K- when
-    # mu_1 > xi_2
-    for n in range(1, max(1, args.max_n - 2)):
-        for xi in strict_partitions(n):
-            xi2 = xi[1] if len(xi) > 1 else 0
-            for mu in partitions(n):
-                if mu[0] <= xi2:
-                    continue
-                base = spin_kostka(xi, mu)
-                for r in (1, 2):
-                    grown = spin_kostka((xi[0] + r,) + xi[1:], (mu[0] + r,) + mu[1:])
-                    if grown != base:
-                        failures.append("stability r=%d: %r %r" % (r, xi, mu))
-    for f in failures:
+    weights, stable = range(1, args.max_n + 1), range(1, max(1, args.max_n - 2))
+    found = failures(spin_kostka, weights, stable, grow=(1, 2))
+    for f in found:
         out.write("FAIL %s\n" % f)
-    out.write("properties: %s\n" % ("PASS" if not failures else "FAIL"))
-    return not failures
+    out.write("properties: %s\n" % ("PASS" if not found else "FAIL"))
+    return not found
 
 
 def _suite_oracle(args, out):
@@ -272,7 +216,6 @@ def build_parser():
     p.add_argument("--mode", choices=("spin", "b"), default="spin")
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--cache", default=None)
 
     p = sub.add_parser("verify", help="run self-check suites")
@@ -327,10 +270,10 @@ def main(argv=None):
     if args.command == "table":
         if args.n < 1:
             parser.error("n must be >= 1")
-        if args.threads < 1:
-            parser.error("threads must be >= 1")
+        if args.cache and args.mode != "spin":
+            parser.error("--cache applies only to --mode spin")
         try:
-            table = build_table(args.n, args.mode, args.threads, args.cache)
+            table = build_table(args.n, args.mode, cache=args.cache)
         except CacheError as exc:
             parser.error(str(exc))
         text = render_table(table, args.n, args.format, args.mode)

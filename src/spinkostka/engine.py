@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 
+from .invariants import cell_failures
 from .partitions import dominates, is_partition, is_strict_partition, n_stat
 from .polynomial import ONE, ZERO, LaurentPoly, t_binomial
 from .straighten import Straightener
@@ -96,13 +97,10 @@ def kostka_hook(n, k, mu):
 
 
 class SpinKostkaEngine:
-    """Memoized recurrence engine.  Instances are cheap; the memo tables
-    (values and h~_k expansions) are per-instance, so concurrent use either
-    shares one instance read-only after warmup or gives each worker its
-    own."""
+    """Memoized recurrence engine.  Instances are cheap; each owns its memo
+    tables (values and h~_k expansions)."""
 
-    def __init__(self, use_fast_paths=True):
-        self.use_fast_paths = use_fast_paths
+    def __init__(self):
         self._memo = {}
         self._expansions = {}
         self._straightener = Straightener()
@@ -124,9 +122,7 @@ class SpinKostkaEngine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        result = None
-        if self.use_fast_paths:
-            result = self._fast_path(xi, mu)
+        result = self._fast_path(xi, mu)
         if result is None:
             result = self._recurrence(xi, mu)
         self._memo[key] = result
@@ -183,7 +179,8 @@ class SpinKostkaEngine:
 
     def load_cache(self, path):
         """Merge a memo written by ``save_cache``.  A missing file raises
-        ``FileNotFoundError``; a truncated or malformed one raises
+        ``FileNotFoundError``.  A truncated or malformed file, or one with a
+        key or value that ``invariants.cell_failures`` rejects, raises
         ``CacheError`` and leaves the memo as it was."""
         with open(path) as fh:
             try:
@@ -193,11 +190,18 @@ class SpinKostkaEngine:
                 ]
             except (ValueError, TypeError, AttributeError) as exc:
                 raise CacheError("malformed memo file %s: %s" % (path, exc)) from None
+        for (xi, mu), value in entries:
+            problems = cell_failures(xi, mu, value)
+            if problems:
+                raise CacheError(
+                    "memo file %s, cell xi=%r mu=%r: %s"
+                    % (path, xi, mu, "; ".join(problems))
+                )
         self._memo.update(entries)
 
 
 class CacheError(ValueError):
-    """A memo file that cannot be read back."""
+    """A memo file that cannot be read back, or that holds a wrong value."""
 
 
 def _parse_key(key):

@@ -229,7 +229,6 @@ H_STAR_SPEC = adjoint_spec(H_SPEC, "t")
 Q_STAR_SPEC = adjoint_spec(Q_SPEC, "t")
 HTILDE_STAR_SPEC = adjoint_spec(HTILDE_SPEC, "t")
 S_MINUS_SPEC = adjoint_spec(S_PLUS_SPEC, "zero")
-Q_MINUS_SPEC = adjoint_spec(Q_SPEC, "zero")
 E_MINUS_SPEC = adjoint_spec(E_PLUS_SPEC, "zero")
 
 
@@ -346,10 +345,6 @@ def op_S_minus(n, F):
     return apply_component(S_MINUS_SPEC, -n, F)
 
 
-def op_Q_minus(n, F):
-    return apply_component(Q_MINUS_SPEC, -n, F)
-
-
 def op_htilde(n, F):
     return apply_component(HTILDE_SPEC, n, F)
 
@@ -398,17 +393,6 @@ def schur_s(lam, max_degree):
 def htilde(n, max_degree):
     """The spin analogue of the complete homogeneous generator."""
     return op_htilde(n, PExpansion.vacuum(max_degree))
-
-
-def basis_vector(kind, index, max_degree=None):
-    if max_degree is None:
-        max_degree = index if isinstance(index, int) else sum(index)
-    builders = {"hl_Q": hl_Q, "schur_q": schur_q, "schur_s": schur_s, "htilde": htilde}
-    if kind not in builders:
-        raise ValueError("unknown basis vector kind %r" % kind)
-    if isinstance(index, int):
-        return builders[kind](index, max_degree)
-    return builders[kind](tuple(index), max_degree)
 
 
 # -- inner products -----------------------------------------------------

@@ -113,11 +113,6 @@ def u_stat(lam):
     return u
 
 
-def partition_stats(lam):
-    """(z, z_t, n_stat, eps, u) for a partition."""
-    return z_stat(lam), z_t(lam), n_stat(lam), eps(lam), u_stat(lam)
-
-
 # -- enumeration helpers ------------------------------------------------
 
 

@@ -65,9 +65,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self._terms
 
-    def is_polynomial(self):
-        return all(e >= 0 for e in self._terms)
-
     def degree(self):
         if not self._terms:
             raise ValueError("degree undefined on zero")
@@ -401,7 +398,6 @@ class QPoly:
 
 Q_ZERO = QPoly([])
 Q_ONE = QPoly([1])
-Q_T = QPoly([0, 1])
 
 
 def qpoly_gcd(a, b):

@@ -9,9 +9,10 @@ integer vector) into the basis {H_lam.1 : lam a partition}.  The rules:
   replaced by sum over a = 0..g//2 of a quadratic-relation coefficient
   times the pair (nu_{i+1} - a, nu_i + a).
 
-The statistic sum(i * nu_i) strictly decreases at every rewrite, so the
-procedure terminates; leftmost- and rightmost-ascent strategies agree
-(tested, not assumed).
+The leftmost ascent is rewritten first.  The statistic sum(i * nu_i)
+strictly decreases at every rewrite, so the procedure terminates.  The
+tests check the result against a separate reference straightener (other
+ascent order, primitive two-term relation) and the vertex-operator oracle.
 """
 
 from __future__ import annotations
@@ -43,29 +44,18 @@ def _normalize(nu):
     return nu[:i]
 
 
-def _find_ascent(nu, strategy):
-    indices = range(len(nu) - 1)
-    if strategy == "rightmost":
-        indices = reversed(indices)
-    for i in indices:
+def _leftmost_ascent(nu):
+    for i in range(len(nu) - 1):
         if nu[i] < nu[i + 1]:
             return i
     return None
 
 
 class Straightener:
-    """Memoizing straightener.  ``strategy`` picks which ascent to rewrite;
-    ``rule`` 'table' uses the closed-form move coefficients, 'primitive'
-    uses only the two-term quadratic relation (adjacent swap special-cased).
-    Both must produce identical results."""
+    """Memoizing straightener: leftmost ascent first, closed-form move
+    coefficients."""
 
-    def __init__(self, strategy="leftmost", rule="table"):
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError("unknown strategy %r" % strategy)
-        if rule not in ("table", "primitive"):
-            raise ValueError("unknown rule %r" % rule)
-        self.strategy = strategy
-        self.rule = rule
+    def __init__(self):
         self._memo = {}
 
     def straighten(self, nu):
@@ -83,12 +73,16 @@ class Straightener:
             return {}
         if stripped != nu:
             return self.straighten(stripped)
-        i = _find_ascent(nu, self.strategy)
+        i = _leftmost_ascent(nu)
         if i is None:
             # weakly decreasing; entries are positive after normalization
             return {nu: ONE}
+        lo, hi = nu[i], nu[i + 1]
+        gap = hi - lo
         out = {}
-        for coeff, child in self._rewrites(nu, i):
+        for a in range(gap // 2 + 1):
+            coeff = step_coeff(gap, a)
+            child = nu[:i] + (hi - a, lo + a) + nu[i + 2:]
             for lam, c in self.straighten(child).items():
                 acc = out.get(lam)
                 acc = coeff * c if acc is None else acc + coeff * c
@@ -98,22 +92,7 @@ class Straightener:
                     out[lam] = acc
         return out
 
-    def _rewrites(self, nu, i):
-        lo, hi = nu[i], nu[i + 1]
-        if self.rule == "table":
-            gap = hi - lo
-            for a in range(gap // 2 + 1):
-                yield step_coeff(gap, a), nu[:i] + (hi - a, lo + a) + nu[i + 2:]
-        else:
-            head, tail = nu[:i], nu[i + 2:]
-            if hi == lo + 1:
-                yield T, head + (hi, lo) + tail
-            else:
-                yield T, head + (hi, lo) + tail
-                yield T, head + (lo + 1, hi - 1) + tail
-                yield -ONE, head + (hi - 1, lo + 1) + tail
 
-
-def straighten_to_vacuum(nu, strategy="leftmost", rule="table"):
+def straighten_to_vacuum(nu):
     """One-shot convenience wrapper around :class:`Straightener`."""
-    return Straightener(strategy=strategy, rule=rule).straighten(nu)
+    return Straightener().straighten(nu)

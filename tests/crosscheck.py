@@ -1,0 +1,77 @@
+"""Reference paths that the library keeps only one of, for cross-checks.
+
+``ReferenceStraightener`` rewrites H_nu.1 into the partition basis like
+``spinkostka.straighten`` but shares no code with it.  It can rewrite the
+rightmost ascent first, and it can use the primitive two-term form of the
+quadratic relation instead of the closed-form move table.
+
+``PlainEngine`` is the K^- recurrence with the closed-form fast paths
+switched off.
+"""
+
+from spinkostka.engine import SpinKostkaEngine
+from spinkostka.polynomial import LaurentPoly
+
+_ZERO = LaurentPoly()
+_ONE = LaurentPoly({0: 1})
+_T = LaurentPoly({1: 1})
+
+
+def _table_moves(lo, hi):
+    """H_lo H_hi = sum over a = 0..g//2 of c_a H_{hi-a} H_{lo+a}, g = hi - lo:
+    c_0 = t, and c_a = t^(a-1) (t^2 - 1) for a >= 1, except
+    c_{g/2} = t^(g/2-1) (t - 1) for even g."""
+    gap = hi - lo
+    moves = [(_T, (hi, lo))]
+    for a in range(1, gap // 2 + 1):
+        last = 1 if gap % 2 == 0 and 2 * a == gap else 2
+        moves.append((LaurentPoly({a - 1 + last: 1, a - 1: -1}), (hi - a, lo + a)))
+    return moves
+
+
+def _primitive_moves(lo, hi):
+    """H_lo H_hi = t H_hi H_lo + t H_{lo+1} H_{hi-1} - H_{hi-1} H_{lo+1}; for
+    hi = lo + 1 the last two terms cancel."""
+    if hi == lo + 1:
+        return [(_T, (hi, lo))]
+    return [(_T, (hi, lo)), (_T, (lo + 1, hi - 1)), (-_ONE, (hi - 1, lo + 1))]
+
+
+class ReferenceStraightener:
+    """Memoizing straightener with a choice of ascent ('leftmost' or
+    'rightmost') and of rule ('table' or 'primitive')."""
+
+    def __init__(self, strategy, rule):
+        if strategy not in ("leftmost", "rightmost") or rule not in ("table", "primitive"):
+            raise ValueError("unknown strategy %r or rule %r" % (strategy, rule))
+        self._rightmost = strategy == "rightmost"
+        self._moves = _table_moves if rule == "table" else _primitive_moves
+        self._memo = {}
+
+    def straighten(self, nu):
+        nu = tuple(nu)
+        if nu not in self._memo:
+            self._memo[nu] = self._compute(nu)
+        return self._memo[nu]
+
+    def _compute(self, nu):
+        while nu and nu[-1] == 0:
+            nu = nu[:-1]
+        if nu and nu[-1] < 0:
+            return {}
+        ascents = [i for i in range(len(nu) - 1) if nu[i] < nu[i + 1]]
+        if not ascents:
+            return {nu: _ONE}
+        i = ascents[-1] if self._rightmost else ascents[0]
+        out = {}
+        for coeff, pair in self._moves(nu[i], nu[i + 1]):
+            for lam, c in self.straighten(nu[:i] + pair + nu[i + 2:]).items():
+                out[lam] = out.get(lam, _ZERO) + coeff * c
+        return {lam: c for lam, c in out.items() if not c.is_zero()}
+
+
+class PlainEngine(SpinKostkaEngine):
+    """The K^- recurrence without the closed-form fast paths."""
+
+    def _fast_path(self, xi, mu):
+        return None

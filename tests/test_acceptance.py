@@ -12,12 +12,12 @@ import random
 import time
 
 from spinkostka.engine import (
-    SpinKostkaEngine,
     spin_kostka,
     spin_kostka_one_row,
     spin_kostka_two_part,
 )
 from spinkostka.goldens import KNOWN_DISCREPANCIES, published_tables
+from spinkostka.invariants import failures
 from spinkostka.oracle import (
     inner,
     oracle_b,
@@ -28,7 +28,6 @@ from spinkostka.oracle import (
 )
 from spinkostka.partitions import (
     conjugate,
-    dominates,
     is_hook,
     n_stat,
     partitions,
@@ -43,6 +42,8 @@ from spinkostka.schur import (
     g_square_alternating_sum,
 )
 from spinkostka.straighten import Straightener, straighten_to_vacuum
+
+from crosscheck import PlainEngine, ReferenceStraightener
 
 
 def _report(criterion, ok, elapsed, detail=""):
@@ -115,7 +116,7 @@ def test_criterion_2_worked_examples():
 
 def test_criterion_3_closed_forms():
     t0 = time.perf_counter()
-    plain = SpinKostkaEngine(use_fast_paths=False)
+    plain = PlainEngine()
     bad = []
     for n in range(1, 9):
         for mu in partitions(n):
@@ -147,41 +148,13 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_corollaries():
+    """Vanishing unless xi dominates mu, divisibility by 2^l(xi), the value
+    at t = -1, the diagonal, deg <= n(mu) and the leading-block factor on
+    every cell of weight <= 7; stability for r = 1, 2, 3."""
     t0 = time.perf_counter()
-    bad = []
-    for n in range(1, 8):
-        for xi in strict_partitions(n):
-            for mu in partitions(n):
-                poly = spin_kostka(xi, mu)
-                if not dominates(xi, mu):
-                    if not poly.is_zero():
-                        bad.append(("vanishing", xi, mu))
-                    continue
-                scale = 2 ** len(xi)
-                if any(c % scale for c in poly.coefficients()):
-                    bad.append(("divisibility", xi, mu))
-                want = scale if xi == mu else 0
-                if (poly.eval_at(-1) if not poly.is_zero() else 0) != want:
-                    bad.append(("t=-1", xi, mu))
-                if xi == mu and poly != LaurentPoly.const(scale):
-                    bad.append(("diagonal", xi))
-                if xi and mu and xi[0] == mu[0]:
-                    if poly != 2 * spin_kostka(xi[1:], mu[1:]):
-                        bad.append(("leading-block", xi, mu))
-    for n in range(1, 8):
-        for xi in strict_partitions(n):
-            xi2 = xi[1] if len(xi) > 1 else 0
-            for mu in partitions(n):
-                if mu[0] <= xi2:
-                    continue
-                base = spin_kostka(xi, mu)
-                for r in (1, 2, 3):
-                    grown_xi = (xi[0] + r,) + xi[1:]
-                    grown_mu = (mu[0] + r,) + mu[1:]
-                    if spin_kostka(grown_xi, grown_mu) != base:
-                        bad.append(("stability", r, xi, mu))
+    bad = failures(spin_kostka, range(1, 8), range(1, 8), grow=(1, 2, 3))
     elapsed = time.perf_counter() - t0
-    _report(5, not bad, elapsed, "; ".join(map(str, bad)))
+    _report(5, not bad, elapsed, "; ".join(bad))
 
 
 def test_criterion_6_schur_suite():
@@ -267,9 +240,9 @@ def test_criterion_9_straightening():
         length = rng.randint(0, 4)
         samples.add(tuple(rng.randint(-2, 6) for _ in range(length)))
     for nu in sorted(samples):
-        left = Straightener(strategy="leftmost").straighten(nu)
-        right = Straightener(strategy="rightmost").straighten(nu)
-        primitive = Straightener(rule="primitive").straighten(nu)
+        left = Straightener().straighten(nu)
+        right = ReferenceStraightener("rightmost", "table").straighten(nu)
+        primitive = ReferenceStraightener("leftmost", "primitive").straighten(nu)
         if not (left == right == primitive):
             bad.append(("confluence", nu))
     from spinkostka.oracle import PExpansion, apply_word, hl_Q, op_H

@@ -14,7 +14,7 @@ from spinkostka.cli import (
     render_table,
 )
 from spinkostka.goldens import KNOWN_DISCREPANCIES, published_tables, verified_tables
-from spinkostka.partitions import partitions, strict_partitions
+from spinkostka.partitions import partitions
 from spinkostka.polynomial import LaurentPoly
 
 
@@ -113,20 +113,54 @@ def test_table_json_structure(capsys):
     assert rows[(2, 2)][1] == {"0": 4, "1": 4}
 
 
-def test_table_threads_deterministic(capsys):
-    main(["table", "--n", "5", "--format", "csv"])
-    serial = capsys.readouterr().out
-    main(["table", "--n", "5", "--format", "csv", "--threads", "2"])
-    assert capsys.readouterr().out == serial
+def test_table_serial_only(tmp_path):
+    """Tables are built by one serial loop: there is no --threads option,
+    and build_table accepts only threads=1."""
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "5", "--threads", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(ValueError, match="threads must be 1"):
+        build_table(5, threads=2)
+    assert build_table(5, threads=1) == build_table(5)
 
 
 def test_table_cache(tmp_path, capsys):
     cache = str(tmp_path / "memo.json")
     main(["table", "--n", "4", "--cache", cache])
     first = capsys.readouterr().out
-    assert (tmp_path / "memo.json").exists()
+    with open(cache) as fh:
+        memo = json.load(fh)
+    table = build_table(4)
+    for mu, row in table.items():
+        for xi, value in row.items():
+            key = "%s|%s" % (",".join(map(str, xi)), ",".join(map(str, mu)))
+            assert LaurentPoly.from_json(memo[key]) == value, key
     main(["table", "--n", "4", "--cache", cache])
     assert capsys.readouterr().out == first
+
+
+def test_table_cache_needs_spin_mode(tmp_path, capsys):
+    """A memo cache holds K- values only; asking for one with the b table is
+    a usage error, not a silently ignored option."""
+    cache = tmp_path / "memo.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "4", "--mode", "b", "--cache", str(cache)])
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
+    assert not cache.exists()
+    with pytest.raises(ValueError, match="mode 'spin'"):
+        build_table(4, "b", cache=str(cache))
+
+
+def test_table_poisoned_cache_exits_2(tmp_path, capsys):
+    cache = tmp_path / "memo.json"
+    cache.write_text('{"3,1|2,2": {"0": 999}}')
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "4", "--cache", str(cache)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(cache) in captured.err and "xi=(3, 1) mu=(2, 2)" in captured.err
 
 
 def test_table_malformed_cache_exits_2(tmp_path, capsys):

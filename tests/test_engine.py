@@ -14,9 +14,8 @@ from spinkostka.engine import (
     spin_kostka_one_row,
     spin_kostka_two_part,
 )
+from spinkostka.invariants import cell_failures, failures
 from spinkostka.partitions import (
-    dominates,
-    n_stat,
     partitions,
     strict_partitions,
     support_size,
@@ -24,6 +23,8 @@ from spinkostka.partitions import (
 )
 from spinkostka.polynomial import LaurentPoly, ONE, ZERO, t_int
 from spinkostka.straighten import Straightener
+
+from crosscheck import PlainEngine
 
 
 def test_worked_examples():
@@ -63,7 +64,7 @@ def test_two_part_closed_form():
 
 
 def test_closed_forms_agree_with_recurrence():
-    plain = SpinKostkaEngine(use_fast_paths=False)
+    plain = PlainEngine()
     for n in range(1, 9):
         for mu in partitions(n):
             assert plain.spin_kostka((n,), mu) == spin_kostka_one_row(mu), mu
@@ -73,7 +74,7 @@ def test_closed_forms_agree_with_recurrence():
 
 
 def test_fast_paths_match_plain_recurrence():
-    fast, plain = SpinKostkaEngine(), SpinKostkaEngine(use_fast_paths=False)
+    fast, plain = SpinKostkaEngine(), PlainEngine()
     for n in range(1, 11):
         for xi in strict_partitions(n):
             for mu in partitions(n):
@@ -112,32 +113,16 @@ def test_htilde_expand_matches_weak_composition_sum():
                 assert htilde_expand(k, mu, Straightener()) == want, (k, mu)
 
 
-def _check_invariants(value, xi, mu):
-    scale = 2 ** len(xi)
-    assert all(c % scale == 0 for c in value.coefficients()), (xi, mu)
-    assert value.eval_at(-1) == (scale if xi == mu else 0), (xi, mu)
-    if not dominates(xi, mu):
-        assert value.is_zero(), (xi, mu)
-    elif not value.is_zero():
-        assert value.degree() <= n_stat(mu), (xi, mu)
-
-
 def test_structural_invariants_at_weights_11_to_13():
     """Divisibility by 2^l(xi), the value 2^l(xi) delta at t = -1, dominance,
     deg <= n(mu) and the leading-block factor 2, on every cell of weights
     11-13.  Values come from the recurrence without fast paths, so the
     leading-block check is not the fast path checking itself."""
-    plain = SpinKostkaEngine(use_fast_paths=False)
+    plain = PlainEngine()
     hard = plain.spin_kostka((11, 1), (1,) * 12)
     assert not hard.is_zero()
-    _check_invariants(hard, (11, 1), (1,) * 12)
-    for n in range(11, 14):
-        for xi in strict_partitions(n):
-            for mu in partitions(n):
-                value = plain.spin_kostka(xi, mu)
-                _check_invariants(value, xi, mu)
-                if xi[0] == mu[0]:
-                    assert value == 2 * plain.spin_kostka(xi[1:], mu[1:]), (xi, mu)
+    assert cell_failures((11, 1), (1,) * 12, hard) == []
+    assert failures(plain.spin_kostka, range(11, 14)) == []
 
 
 def test_kostka_hook_values():
@@ -216,6 +201,32 @@ def test_load_cache_rejects_malformed_file(tmp_path, text):
     with pytest.raises(CacheError, match="memo.json"):
         eng.load_cache(str(path))
     assert eng._memo == memo
+
+
+@pytest.mark.parametrize(
+    "text, cell, problem",
+    [
+        ('{"3,1|2,2": {"0": 999}}', "xi=(3, 1) mu=(2, 2)", "divisibility"),
+        ('{"3,1|2,2": {"0": 4, "3": 4}}', "xi=(3, 1) mu=(2, 2)", "degree"),
+        ('{"2,1|3": {"0": 4, "1": 4}}', "xi=(2, 1) mu=(3,)", "vanishing"),
+        ('{"2,2|3,1": {"0": 4, "1": 4}}', "xi=(2, 2) mu=(3, 1)", "not a cell"),
+        ('{"3,1|1,3": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(1, 3)", "not a cell"),
+        ('{"3,1|2,1": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(2, 1)", "not a cell"),
+    ],
+    ids=["poison-999", "degree", "off-dominance", "xi-not-strict", "mu-not-partition", "weights"],
+)
+def test_load_cache_rejects_wrong_values(tmp_path, text, cell, problem):
+    """A memo value that breaks an invariant, or a key that is not a cell,
+    is refused before it can be served."""
+    path = tmp_path / "memo.json"
+    path.write_text(text)
+    eng = SpinKostkaEngine()
+    with pytest.raises(CacheError) as exc:
+        eng.load_cache(str(path))
+    message = str(exc.value)
+    assert "memo.json" in message and cell in message and problem in message
+    assert eng._memo == {}
+    assert eng.spin_kostka((3, 1), (2, 2)) == LaurentPoly({1: 4, 0: 4})
 
 
 def test_stability_and_leading_block():

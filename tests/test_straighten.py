@@ -8,6 +8,8 @@ from spinkostka.partitions import is_partition
 from spinkostka.polynomial import LaurentPoly, ONE, T
 from spinkostka.straighten import Straightener, step_coeff, straighten_to_vacuum
 
+from crosscheck import ReferenceStraightener
+
 vectors = st.lists(
     st.integers(min_value=-2, max_value=6), min_size=0, max_size=4
 ).map(tuple)
@@ -51,16 +53,19 @@ def test_results_are_partitions_of_same_weight(nu):
 @given(vectors)
 @settings(max_examples=150)
 def test_confluence_leftmost_rightmost(nu):
-    left = Straightener(strategy="leftmost").straighten(nu)
-    right = Straightener(strategy="rightmost").straighten(nu)
+    """The library rewrites the leftmost ascent first; the reference
+    straightener, rewriting the rightmost, reaches the same result."""
+    left = Straightener().straighten(nu)
+    right = ReferenceStraightener("rightmost", "table").straighten(nu)
     assert left == right
 
 
 @given(vectors)
 @settings(max_examples=150)
 def test_primitive_rule_equivalence(nu):
-    table = Straightener(rule="table").straighten(nu)
-    primitive = Straightener(rule="primitive").straighten(nu)
+    """The closed-form move table agrees with the primitive two-term rule."""
+    table = Straightener().straighten(nu)
+    primitive = ReferenceStraightener("leftmost", "primitive").straighten(nu)
     assert table == primitive
 
 
