@@ -161,6 +161,10 @@ class SpinKostkaEngine:
 
     # -- memo persistence ------------------------------------------------
 
+    def memo_size(self):
+        """Number of (xi, mu) values in the memo."""
+        return len(self._memo)
+
     def save_cache(self, path):
         """Write the memo as JSON.  The data goes to a temporary file in the
         same directory first, so an interrupted save leaves the old file."""

@@ -12,7 +12,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import groupby
 from math import factorial
 
 from .polynomial import Q_ONE, QPoly, RatFunc
@@ -134,16 +134,26 @@ def support_size(vec):
 
 def vertical_strip_subshapes(lam, k):
     """Partitions rho inside lam with lam/rho a vertical k-strip
-    (k cells removed, at most one per row)."""
+    (k cells removed, at most one per row).
+
+    A block of equal parts loses its cells from its last rows, and any
+    choice of j cells from each block, with the j summing to k, leaves a
+    partition.  So the blocks are filled in turn, and each subshape is
+    built exactly once."""
     if k < 0 or k > len(lam):
         return []
-    out = []
-    for rows in combinations(range(len(lam)), k):
-        removed = set(rows)
-        vec = tuple(part - (1 if i in removed else 0) for i, part in enumerate(lam))
-        if all(a >= b for a, b in zip(vec, vec[1:])):
-            out.append(tuple(p for p in vec if p > 0))
-    return out
+    states = [((), k)]  # (rows built so far, cells still to remove)
+    room = len(lam)  # rows in the blocks not yet filled
+    for part, block in groupby(lam):
+        size = len(tuple(block))
+        room -= size
+        low = (part - 1,) if part > 1 else ()  # a row of 1 removed is dropped
+        states = [
+            (head + (part,) * (size - j) + low * j, left - j)
+            for head, left in states
+            for j in range(max(0, left - room), min(size, left) + 1)
+        ]
+    return [head for head, _ in states]
 
 
 def is_hook(lam):

@@ -7,7 +7,12 @@ quadratic relation instead of the closed-form move table.
 
 ``PlainEngine`` is the K^- recurrence with the closed-form fast paths
 switched off.
+
+``row_subset_strips`` finds the vertical strips by trying every set of rows
+and keeping the sets whose removal leaves a partition.
 """
+
+from itertools import combinations
 
 from spinkostka.engine import SpinKostkaEngine
 from spinkostka.polynomial import LaurentPoly
@@ -75,3 +80,17 @@ class PlainEngine(SpinKostkaEngine):
 
     def _fast_path(self, xi, mu):
         return None
+
+
+def row_subset_strips(lam, k):
+    """Partitions rho inside lam with lam/rho a vertical k-strip: remove one
+    cell from each row of every k-subset of rows, keep what is still weakly
+    decreasing, and drop the zero rows."""
+    if k < 0 or k > len(lam):
+        return []
+    out = []
+    for rows in combinations(range(len(lam)), k):
+        vec = [part - 1 if i in rows else part for i, part in enumerate(lam)]
+        if all(a >= b for a, b in zip(vec, vec[1:])):
+            out.append(tuple(p for p in vec if p > 0))
+    return out

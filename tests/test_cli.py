@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spinkostka import cli
+from spinkostka import cli, schur
 from spinkostka.cli import (
     build_table,
     format_partition,
@@ -58,6 +58,21 @@ def test_b_and_g2(capsys):
     assert capsys.readouterr().out == "4\n"
     assert main(["g2", "--r", "2", "--lambda", "2,1,1"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_g2_prints_the_closed_form_only(capsys, monkeypatch):
+    """g2 prints g_square and does not run the alternating-sum cross-check,
+    which criterion 7 and the schur tests compare with it."""
+
+    def boom(r, lam):
+        raise AssertionError("g2 ran the alternating sum")
+
+    monkeypatch.setattr(cli, "g_square_alternating_sum", boom, raising=False)
+    monkeypatch.setattr(schur, "g_square_alternating_sum", boom)
+    assert main(["g2", "--r", "2", "--lambda", "2,1,1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert main(["g2", "--r", "3", "--lambda", "2,1,1,1,1"]) == 0
+    assert capsys.readouterr().out == "-1\n"
 
 
 def test_usage_errors_exit_2():
@@ -137,6 +152,26 @@ def test_table_cache(tmp_path, capsys):
             assert LaurentPoly.from_json(memo[key]) == value, key
     main(["table", "--n", "4", "--cache", cache])
     assert capsys.readouterr().out == first
+
+
+def test_table_cache_saves_only_new_cells(tmp_path, capsys):
+    """A run that computes nothing new leaves the memo file alone; a run
+    that adds cells rewrites it with every cell."""
+    cache = tmp_path / "memo.json"
+    main(["table", "--n", "4", "--cache", str(cache)])
+    before = cache.stat()
+    main(["table", "--n", "4", "--cache", str(cache)])
+    after = cache.stat()
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+    main(["table", "--n", "5", "--cache", str(cache)])
+    capsys.readouterr()
+    assert cache.stat().st_ino != before.st_ino
+    memo = json.loads(cache.read_text())
+    for n in (4, 5):
+        for mu, row in build_table(n).items():
+            for xi, value in row.items():
+                key = "%s|%s" % (format_partition(xi), format_partition(mu))
+                assert LaurentPoly.from_json(memo[key]) == value, key
 
 
 def test_table_cache_needs_spin_mode(tmp_path, capsys):

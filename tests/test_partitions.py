@@ -1,12 +1,12 @@
 """Partition combinatorics and statistics."""
 
-from fractions import Fraction
-from itertools import combinations
+from collections import Counter
 from math import comb
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crosscheck import row_subset_strips
 from spinkostka.partitions import (
     ShapeKind,
     classify_shape,
@@ -95,6 +95,16 @@ def test_vertical_strips_brute_force(lam, k):
             if all(0 <= a - b <= 1 for a, b in zip(lam, padded)):
                 want.add(rho)
     assert got == want
+
+
+def test_vertical_strips_match_row_subsets():
+    """The direct enumeration returns the same subshapes as the row-subset
+    filter, each once, for every lam of weight <= 12 and -1 <= k <= l+1."""
+    for n in range(13):
+        for lam in partitions(n):
+            for k in range(-1, len(lam) + 2):
+                got = Counter(vertical_strip_subshapes(lam, k))
+                assert got == Counter(row_subset_strips(lam, k)), (lam, k)
 
 
 def test_z_statistics():
