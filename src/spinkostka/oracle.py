@@ -9,7 +9,14 @@ coefficients in Q(t).  A single generic component-extraction routine
 realizes them all; named wrappers fix each operator's coefficient
 sequences and its z-power indexing convention.  Spin Kostka polynomials,
 Stembridge coefficients and Kostka-Foulkes polynomials then come out as
-inner products of basis vectors, independently of the recurrence engine.
+inner products of basis vectors, independently of the recurrence engine:
+of the package, this module imports only ``partitions`` and
+``polynomial``, and shares only the output type ``LaurentPoly`` with the
+engine.
+
+The coefficients are ``RatFunc`` values num / (den * prod (1 - t^n)^e_n).
+The only poles the operators and the Gram factors z_lam(t) bring are the
+factors 1 - t^n, so the arithmetic stays over the integers.
 """
 
 from __future__ import annotations
@@ -34,14 +41,7 @@ from .partitions import (
     z_stat,
     z_t,
 )
-from .polynomial import (
-    Q_ONE,
-    QPoly,
-    RF_ONE,
-    RF_ZERO,
-    RatFunc,
-    LaurentPoly,
-)
+from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc
 
 DEFAULT_MAX_DEGREE = 12
 
@@ -99,11 +99,11 @@ class PExpansion:
         return PExpansion(out, md)
 
     def __sub__(self, other):
-        return self + other.scale(RatFunc(QPoly([-1])))
+        return self + other.scale(-1)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = RatFunc(QPoly([Fraction(c)]))
+        if isinstance(c, int):
+            c = RatFunc(c)
         if c.is_zero():
             return PExpansion.zero(self.max_degree)
         return PExpansion({lam: v * c for lam, v in self.coeffs.items()}, self.max_degree)
@@ -145,35 +145,31 @@ class OperatorSpec:
     annihilation: object
 
 
-def _rf(num, den=Q_ONE):
-    return RatFunc(num, den)
-
-
 def _one_minus_tn(n):
-    return QPoly([1] + [0] * (n - 1) + [-1])
+    return LaurentPoly({0: 1, n: -1})
 
 
 def _spec_H():
     return OperatorSpec(
         "H",
-        lambda n: _rf(_one_minus_tn(n), QPoly([n])),
-        lambda n: _rf(QPoly([-1])),
+        lambda n: RatFunc(_one_minus_tn(n), n),
+        lambda n: RatFunc(-1),
     )
 
 
 def _spec_Q():
     return OperatorSpec(
         "Q",
-        lambda n: _rf(QPoly([Fraction(2, n)])) if n % 2 else RF_ZERO,
-        lambda n: _rf(QPoly([-1])),
+        lambda n: RatFunc(2, n) if n % 2 else RF_ZERO,
+        lambda n: RatFunc(-1),
     )
 
 
 def _spec_S_plus():
     return OperatorSpec(
         "S+",
-        lambda n: _rf(QPoly([Fraction(1, n)])),
-        lambda n: _rf(QPoly([-1])),
+        lambda n: RatFunc(1, n),
+        lambda n: RatFunc(-1),
     )
 
 
@@ -181,9 +177,7 @@ def _spec_htilde():
     # creation (t^n - (-1)^n)/n, pure multiplication
     return OperatorSpec(
         "htilde",
-        lambda n: _rf(
-            QPoly([-((-1) ** n)] + [0] * (n - 1) + [1]), QPoly([n])
-        ),
+        lambda n: RatFunc(LaurentPoly({0: -((-1) ** n), n: 1}), n),
         lambda n: RF_ZERO,
     )
 
@@ -191,7 +185,7 @@ def _spec_htilde():
 def _spec_e_plus():
     return OperatorSpec(
         "e+",
-        lambda n: _rf(QPoly([Fraction((-1) ** (n + 1), n)])),
+        lambda n: RatFunc((-1) ** (n + 1), n),
         lambda n: RF_ZERO,
     )
 
@@ -205,16 +199,16 @@ def adjoint_spec(spec, form):
     """
     if form == "t":
         def creation(n, spec=spec):
-            return spec.annihilation(n) * _rf(_one_minus_tn(n), QPoly([n]))
+            return spec.annihilation(n) * RatFunc(_one_minus_tn(n), n)
 
         def annihilation(n, spec=spec):
-            return spec.creation(n) * _rf(QPoly([n]), _one_minus_tn(n))
+            return spec.creation(n) * RatFunc(n, poles=(n,))
     elif form == "zero":
         def creation(n, spec=spec):
-            return spec.annihilation(n) * _rf(QPoly([Fraction(1, n)]))
+            return spec.annihilation(n) * RatFunc(1, n)
 
         def annihilation(n, spec=spec):
-            return spec.creation(n) * _rf(QPoly([n]))
+            return spec.creation(n) * n
     else:
         raise ValueError("unknown form %r" % form)
     return OperatorSpec(spec.name + "*", creation, annihilation)
@@ -247,7 +241,7 @@ def _creation_coeff(spec, rho):
                 break
         if not hit.is_zero():
             for m in Counter(rho).values():
-                hit = hit * _rf(QPoly([Fraction(1, factorial(m))]))
+                hit = hit * RatFunc(1, factorial(m))
         _coeff_cache[key] = hit
     return hit
 
@@ -265,7 +259,7 @@ def _annihilation_coeff(spec, sigma):
                 break
         if not hit.is_zero():
             for m in Counter(sigma).values():
-                hit = hit * _rf(QPoly([Fraction(1, factorial(m))]))
+                hit = hit * RatFunc(1, factorial(m))
         _coeff_cache[key] = hit
     return hit
 
@@ -405,7 +399,7 @@ def inner(F, G, form="t"):
         b = G.coeffs.get(lam)
         if b is None:
             continue
-        gram = z_t(lam) if form == "t" else RatFunc(QPoly([z_stat(lam)]))
+        gram = z_t(lam) if form == "t" else RatFunc(z_stat(lam))
         total = total + a * b * gram
     return total
 
@@ -467,11 +461,8 @@ def oracle_spin_via_bK(xi, mu):
 def hl_P(mu, max_degree):
     """Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t) with the standard
     normalization b_mu(t) = prod_i prod_{j<=m_i} (1 - t^j)."""
-    b = Q_ONE
-    for m in multiplicities(mu).values():
-        for j in range(1, m + 1):
-            b = b * _one_minus_tn(j)
-    return hl_Q(mu, max_degree).scale(RatFunc(Q_ONE, b))
+    poles = [j for m in multiplicities(mu).values() for j in range(1, m + 1)]
+    return hl_Q(mu, max_degree).scale(RatFunc(1, poles=poles))
 
 
 def g_general(mu, lam):
@@ -533,7 +524,7 @@ def _random_pexp(rng, degree, cap, odd_only=False):
     for lam in rng.sample(pool, min(4, len(pool))):
         c = rng.randint(-3, 3)
         if c:
-            coeffs[lam] = RatFunc(QPoly([c]))
+            coeffs[lam] = RatFunc(c)
     if not coeffs:
         coeffs[()] = RF_ONE
     return PExpansion(coeffs, cap)
@@ -554,7 +545,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     odd_vectors = [_random_pexp(rng, vector_degree, cap, odd_only=True) for _ in range(2)]
     vacuum = PExpansion.vacuum(cap)
     report = Report()
-    t_rf = RatFunc(QPoly([0, 1]))
+    t_rf = RatFunc(T)
     rng_idx = range(-max_degree, max_degree + 1)
 
     def check(name, fn):
@@ -599,7 +590,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                         n - 1, op_H(m - 1, v)
                     )
                     if m == n:
-                        one_minus_t = RatFunc(QPoly([1, -1]))
+                        one_minus_t = RatFunc(ONE - T)
                         rhs = rhs + v.scale(one_minus_t * one_minus_t)
                     if not diff_zero(lhs - rhs):
                         return "m=%d n=%d" % (m, n)
@@ -642,8 +633,8 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         return None
 
     def rel1():
-        tinv = RatFunc(Q_ONE, QPoly([0, 1]))
-        two_1_tinv = RatFunc(QPoly([-2, 0]), QPoly([0, 1])) + RatFunc(QPoly([2]))
+        tinv = RatFunc(LaurentPoly.term(1, -1))
+        two_1_tinv = RatFunc(LaurentPoly({0: 2, -1: -2}))
         for v in vectors:
             for n in rng_idx:
                 for m in rng_idx:
@@ -660,7 +651,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         return None
 
     def rel2():
-        one_plus_t = RatFunc(QPoly([1, 1]))
+        one_plus_t = RatFunc(ONE + T)
         for v in vectors:
             for m in range(0, max_degree + 1):
                 for n in rng_idx:
@@ -668,14 +659,14 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                     rhs = op_H(n, op_htilde_star(m, v))
                     for k in range(m):
                         term = op_H(n - m + k, op_htilde_star(k, v)).scale(one_plus_t)
-                        shift = RatFunc(QPoly.monomial(1, m - k - 1))
+                        shift = RatFunc(LaurentPoly.term(1, m - k - 1))
                         rhs = rhs + term.scale(shift)
                     if not diff_zero(lhs - rhs):
                         return "m=%d n=%d" % (m, n)
         return None
 
     def rel3():
-        one_plus_t = RatFunc(QPoly([1, 1]))
+        one_plus_t = RatFunc(ONE + T)
         for v in vectors:
             for m in range(0, max_degree + 1):
                 for n in rng_idx:
@@ -708,7 +699,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         return None
 
     def hH_on_vacuum():
-        one_plus_t = RatFunc(QPoly([1, 1]))
+        one_plus_t = RatFunc(ONE + T)
         for mu in partitions(min(max_degree + 2, 6)):
             if not mu:
                 continue
@@ -719,7 +710,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                     l = support_size(tau)
                     vec = tuple(m - t for m, t in zip(mu, tau))
                     term = apply_word(op_H, vec, vacuum)
-                    coeff = RatFunc(QPoly.monomial(1, k - l)) if k - l else RF_ONE
+                    coeff = RatFunc(LaurentPoly.term(1, k - l))
                     for _ in range(l):
                         coeff = coeff * one_plus_t
                     rhs = rhs + term.scale(coeff)
@@ -757,7 +748,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         return None
 
     def q_norm():
-        one_minus_t = RatFunc(QPoly([1, -1]))
+        one_minus_t = RatFunc(ONE - T)
         for n in range(1, max_degree + 2):
             q = hl_Q((n,), cap)
             if inner(q, q, "t") != one_minus_t:

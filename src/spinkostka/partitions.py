@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
-from .polynomial import Q_ONE, QPoly, RatFunc
+from .polynomial import RatFunc
 
 
 def is_partition(seq):
@@ -91,11 +91,9 @@ def z_stat(lam):
 
 
 def z_t(lam):
-    """z_lam / prod (1 - t^lam_i) as a reduced rational function."""
-    den = Q_ONE
-    for part in lam:
-        den = den * QPoly([1] + [0] * (part - 1) + [-1])
-    return RatFunc(QPoly([z_stat(lam)]), den)
+    """z_lam(t) = z_lam / prod_i (1 - t^lam_i), the t-deformed Gram value
+    <p_lam, p_lam>_t, with one pole factor per part."""
+    return RatFunc(z_stat(lam), poles=lam)
 
 
 def n_stat(lam):

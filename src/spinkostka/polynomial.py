@@ -5,16 +5,20 @@ Two coefficient domains live here:
 * ``LaurentPoly`` -- sparse Laurent polynomials in t with arbitrary-precision
   integer coefficients.  This is the value domain of every final output
   (spin Kostka polynomials, straightening coefficients, t-brackets).
-* ``RatFunc`` -- reduced ratios of rational-coefficient polynomials in t,
-  the coefficient field used by the power-sum expansions of the oracle.
+* ``RatFunc`` -- num / (den * prod_n (1 - t^n)^e_n) with an integer Laurent
+  numerator and an integer denominator, the coefficient field of the
+  oracle's power-sum expansions.  It is fraction-free and takes no
+  polynomial gcd.
 
 Both types are immutable value objects; arithmetic always returns fresh
-canonical instances.
+instances.  ``LaurentPoly`` values are canonical; ``RatFunc`` values compare
+by value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class InexactDivisionError(ArithmeticError):
@@ -291,265 +295,220 @@ def t_binomial(n, k):
     return t_factorial(n).exact_div(t_factorial(k) * t_factorial(n - k))
 
 
-# -- polynomials over Q (internal to RatFunc) ---------------------------
+# -- rational functions for the oracle --------------------------------------
 
 
-class QPoly:
-    """Dense polynomial over Q, coefficients low-to-high, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def monomial(cls, coeff, exp):
-        return cls([0] * exp + [coeff])
-
-    @classmethod
-    def _raw(cls, coeffs):
-        """Internal constructor: coeffs already Fractions, trims in place."""
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        obj = cls.__new__(cls)
-        obj.coeffs = tuple(coeffs)
-        return obj
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def leading(self):
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly._raw(out)
-
-    def __neg__(self):
-        return QPoly._raw([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return Q_ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly._raw(out)
-
-    def scale(self, c):
-        return QPoly._raw([a * c for a in self.coeffs])
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlen = len(other.coeffs)
-        if len(rem) < dlen:
-            return Q_ZERO, self
-        quot = [Fraction(0)] * (len(rem) - dlen + 1)
-        lead = other.coeffs[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            q = rem[i + dlen - 1] / lead
-            quot[i] = q
-            if q:
-                for j, d in enumerate(other.coeffs):
-                    rem[i + j] -= q * d
-        return QPoly._raw(quot), QPoly._raw(rem[: dlen - 1])
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
-
-    def eval(self, t0):
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * t0 + c
-        return total
-
-    def subs_neg_t(self):
-        return QPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "QPoly(%r)" % (self.coeffs,)
+def _one_minus_tn(n):
+    return _raw({0: 1, n: -1})
 
 
-Q_ZERO = QPoly([])
-Q_ONE = QPoly([1])
+def _cofactor(poles, have):
+    """prod_n (1 - t^n)^(poles[n] - have[n]), the factor that brings a value
+    with pole exponents ``have`` over the common exponents ``poles``."""
+    out = ONE
+    for n, e in poles.items():
+        k = e - have.get(n, 0)
+        if k:
+            out = out * _one_minus_tn(n) ** k
+    return out
 
 
-def qpoly_gcd(a, b):
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.monic() if not r.is_zero() else r
-    return a.monic()
+def _scale(p, k):
+    return p if k == 1 else _raw({e: c * k for e, c in p._terms.items()})
 
 
 class RatFunc:
-    """Reduced ratio of QPolys; denominator monic and coprime to numerator."""
+    """num / (den * prod_n (1 - t^n)^e_n), the coefficient field of the oracle.
 
-    __slots__ = ("num", "den")
+    ``num`` is an integer ``LaurentPoly``, ``den`` a positive int prime to the
+    content of ``num``, and ``poles`` maps each n to its exponent e_n > 0.
+    Every denominator the oracle forms has this shape: the Gram factors
+    z_lam(t) and the adjoints under the t-deformed form bring the (1 - t^n),
+    and everything else is an integer.  So no polynomial gcd is ever taken.
+    A pole factor is cancelled as soon as the numerator is divisible by it,
+    which a pass over the coefficients decides; hence a value is a Laurent
+    polynomial exactly when no pole factor is left.  What can remain is a
+    partial cancellation between factors, such as (1 + t) / (1 - t^2), which
+    ``eval_at`` resolves at t = 1 and t = -1.  Equality is equality of
+    values, and the type is not hashable.
+    """
 
-    def __init__(self, num, den=Q_ONE):
-        if not isinstance(num, QPoly):
-            num = QPoly.monomial(Fraction(num), 0)
-        if not isinstance(den, QPoly):
-            den = QPoly.monomial(Fraction(den), 0)
-        if den.is_zero():
+    __slots__ = ("num", "den", "poles")
+
+    def __init__(self, num=0, den=1, poles=()):
+        """num / (den * prod_{n in poles} (1 - t^n)): ``num`` an int or a
+        ``LaurentPoly``, ``den`` a nonzero int, ``poles`` a multiset of
+        positive ints such as a partition."""
+        if not isinstance(den, int):
+            raise TypeError("RatFunc denominator must be int, got %r" % (den,))
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = Q_ZERO, Q_ONE
-            return
-        # constant numerator or denominator: gcd is trivially constant
-        if den.degree() == 0:
-            lead = den.coeffs[0]
-            self.num = num if lead == 1 else num.scale(1 / lead)
-            self.den = Q_ONE
-            return
-        if num.degree() > 0:
-            g = qpoly_gcd(num, den)
-            if g.degree() > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-        lead = den.leading()
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num, self.den = num, den
-
-    # -- constructors ---------------------------------------------------
+        exps = {}
+        for n in poles:
+            if n < 1:
+                raise ValueError("pole factor 1 - t^%r needs n >= 1" % (n,))
+            exps[n] = exps.get(n, 0) + 1
+        made = _ratfunc(_as_laurent(num), den, exps)
+        self.num, self.den, self.poles = made.num, made.den, made.poles
 
     @classmethod
     def from_laurent(cls, p):
-        shift = 0
-        if not p.is_zero():
-            shift = max(0, -p.valuation())
-        num = [Fraction(0)] * (shift + (0 if p.is_zero() else p.degree() + 1))
-        for e, c in p.terms.items():
-            num[e + shift] = Fraction(c)
-        return cls(QPoly(num), QPoly.monomial(1, shift))
+        return cls(p)
 
     # -- queries --------------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
 
     def eval_at(self, t0):
+        """The value at t0; a pole factor that vanishes there (t0 = 1, or
+        t0 = -1 and n even) is cancelled against the numerator first."""
         t0 = Fraction(t0)
-        d = self.den.eval(t0)
-        if not d:
-            raise PoleError("pole at t = %s" % t0)
-        return self.num.eval(t0) / d
+        num, den = self.num, Fraction(self.den)
+        for n, e in self.poles.items():
+            if t0 ** n != 1:
+                den *= (1 - t0 ** n) ** e
+                continue
+            # 1 - t^n = (t - t0) * -(t^(n-1) + t^(n-2) t0 + ... + t0^(n-1))
+            try:
+                for _ in range(e):
+                    num = num.exact_div(_raw({1: 1, 0: -int(t0)}))
+            except InexactDivisionError:
+                raise PoleError("pole at t = %s" % t0) from None
+            den *= (-n * t0 ** (n - 1)) ** e
+        if not t0 and num and num.valuation() < 0:
+            raise PoleError("pole at t = 0")
+        return num.eval_at(t0) / den
 
     def subs_neg_t(self):
-        return RatFunc(self.num.subs_neg_t(), self.den.subs_neg_t())
+        """Substitute t -> -t, writing 1 + t^n as (1 - t^2n) / (1 - t^n)."""
+        num, poles = self.num.subs_neg_t(), {}
+        for n, e in self.poles.items():
+            if n % 2:
+                num = num * _one_minus_tn(n) ** e
+                n *= 2
+            poles[n] = poles.get(n, 0) + e
+        return _ratfunc(num, self.den, poles)
 
     def to_laurent(self):
-        """Coerce to an integer Laurent polynomial; the reduced denominator
-        must be a power of t and all coefficients integers."""
-        if self.is_zero():
-            return ZERO
-        if any(self.den.coeffs[:-1]):
-            raise InexactDivisionError("denominator %r is not a power of t" % (self.den,))
-        shift = self.den.degree()
-        out = {}
-        for i, c in enumerate(self.num.coeffs):
-            if c:
-                if c.denominator != 1:
-                    raise InexactDivisionError("non-integer coefficient %s" % c)
-                out[i - shift] = int(c)
-        return _raw(out)
+        """Coerce to an integer Laurent polynomial."""
+        if self.poles or self.den != 1:
+            raise InexactDivisionError("not an integer Laurent polynomial: %r" % (self,))
+        return self.num
 
     def to_fraction(self):
-        if self.den != Q_ONE or self.num.degree() > 0:
-            raise InexactDivisionError("not a constant: %r" % self)
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        if self.poles or (self.num and self.num.terms.keys() != {0}):
+            raise InexactDivisionError("not a constant: %r" % (self,))
+        return Fraction(self.num.coeff(0), self.den)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
         other = _as_ratfunc(other)
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
+        if not other.num:
             return self
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
+        if not self.num:
+            return other
+        a, b, poles = self.num, other.num, self.poles
+        if poles != other.poles:
+            poles = dict(poles)
+            for n, e in other.poles.items():
+                poles[n] = max(e, poles.get(n, 0))
+            a = a * _cofactor(poles, self.poles)
+            b = b * _cofactor(poles, other.poles)
+        den = lcm(self.den, other.den)
+        return _ratfunc(_scale(a, den // self.den) + _scale(b, den // other.den), den, poles)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(-self.num, self.den, self.poles)
 
     def __sub__(self, other):
         return self + (-_as_ratfunc(other))
 
-    def __rsub__(self, other):
-        return _as_ratfunc(other) + (-self)
-
     def __mul__(self, other):
         other = _as_ratfunc(other)
-        if self.num.is_zero() or other.num.is_zero():
+        if not self.num or not other.num:
             return RF_ZERO
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        poles = self.poles
+        if other.poles:
+            poles = dict(poles)
+            for n, e in other.poles.items():
+                poles[n] = poles.get(n, 0) + e
+        return _ratfunc(self.num * other.num, self.den * other.den, poles)
 
     def __eq__(self, other):
         try:
             other = _as_ratfunc(other)
         except TypeError:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self.poles == other.poles:
+            # both contents are prime to their denominators
+            return self.den == other.den and self.num == other.num
+        return (self - other).is_zero()
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.is_zero()
+    __hash__ = None
 
     def __repr__(self):
-        return "RatFunc(%r, %r)" % (self.num.coeffs, self.den.coeffs)
+        poles = tuple(n for n in sorted(self.poles, reverse=True) for _ in range(self.poles[n]))
+        return "RatFunc(%r, %d, poles=%r)" % (self.num, self.den, poles)
+
+
+def _ratfunc(num, den, poles):
+    """A RatFunc from a LaurentPoly, a nonzero int and a pole map, with the
+    common content of ``num`` and ``den`` and every pole factor that divides
+    ``num`` divided out."""
+    rf = RatFunc.__new__(RatFunc)
+    if not num:
+        rf.num, rf.den, rf.poles = ZERO, 1, {}
+        return rf
+    if den < 0:
+        num, den = -num, -den
+    if den != 1:
+        g = gcd(den, *num._terms.values())
+        if g != 1:
+            num, den = _raw({e: c // g for e, c in num._terms.items()}), den // g
+    if poles:
+        kept = {}
+        for n, e in poles.items():
+            while e:
+                q = _over_one_minus_tn(num, n)
+                if q is None:
+                    break
+                num, e = q, e - 1
+            if e:
+                kept[n] = e
+        poles = kept
+    rf.num, rf.den, rf.poles = num, den, poles
+    return rf
+
+
+def _over_one_minus_tn(p, n):
+    """p / (1 - t^n) if it divides, else None.  The quotient q satisfies
+    q_e = p_e + q_(e-n), so it is a running sum along each residue class of
+    exponents mod n, and it divides exactly when every sum ends at zero."""
+    terms, q = p._terms, {}
+    lo, hi = p.valuation(), p.degree()
+    for r in range(lo, lo + n):
+        acc = 0
+        for e in range(r, hi + 1, n):
+            acc += terms.get(e, 0)
+            if acc:
+                q[e] = acc
+        if acc:
+            return None
+    return _raw(q)
 
 
 def _as_ratfunc(x):
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc(QPoly.monomial(Fraction(x), 0))
-    if isinstance(x, LaurentPoly):
-        return RatFunc.from_laurent(x)
+    if isinstance(x, (int, LaurentPoly)):
+        return RatFunc(x)
     raise TypeError("cannot coerce %r to RatFunc" % (x,))
 
 
-RF_ZERO = RatFunc(Q_ZERO)
-RF_ONE = RatFunc(Q_ONE)
+RF_ZERO = RatFunc()
+RF_ONE = RatFunc(1)

@@ -10,12 +10,16 @@ switched off.
 
 ``row_subset_strips`` finds the vertical strips by trying every set of rows
 and keeping the sets whose removal leaves a partition.
+
+``inverse_z_t`` builds 1 / z_lam(t) as a product, since ``RatFunc`` has no
+division.
 """
 
 from itertools import combinations
 
 from spinkostka.engine import SpinKostkaEngine
-from spinkostka.polynomial import LaurentPoly
+from spinkostka.partitions import z_stat
+from spinkostka.polynomial import LaurentPoly, RatFunc
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
@@ -94,3 +98,11 @@ def row_subset_strips(lam, k):
         if all(a >= b for a, b in zip(vec, vec[1:])):
             out.append(tuple(p for p in vec if p > 0))
     return out
+
+
+def inverse_z_t(lam):
+    """1 / z_lam(t) = prod_i (1 - t^lam_i) / z_lam."""
+    num = _ONE
+    for part in lam:
+        num = num * LaurentPoly({0: 1, part: -1})
+    return RatFunc(num, z_stat(lam))

@@ -16,6 +16,7 @@ from spinkostka.engine import (
 )
 from spinkostka.invariants import cell_failures, failures
 from spinkostka.partitions import (
+    n_stat,
     partitions,
     strict_partitions,
     support_size,
@@ -245,3 +246,36 @@ def test_stability_and_leading_block():
                         grown_xi = (xi[0] + r,) + xi[1:]
                         grown_mu = (mu[0] + r,) + mu[1:]
                         assert spin_kostka(grown_xi, grown_mu) == base
+
+
+def _one_minus_t(j):
+    return ONE - LaurentPoly.term(1, j)
+
+
+def _spin_kostka_column(xi):
+    """K^-_{xi,1^n}(t) = t^n(xi) (t;t)_n prod_i (-1;t)_xi_i / (t;t)_xi_i
+    prod_{i<j} (1 - t^(xi_i - xi_j)) / (1 - t^(xi_i + xi_j)), which is
+    (t;t)_n times the principal specialization Q_xi(1, t, t^2, ...)."""
+    num, den = ONE.shift(n_stat(xi)), ONE
+    for j in range(1, sum(xi) + 1):
+        num = num * _one_minus_t(j)
+    for part in xi:
+        for j in range(part):
+            num = num * (ONE + LaurentPoly.term(1, j))
+            den = den * _one_minus_t(j + 1)
+    for i, a in enumerate(xi):
+        for b in xi[i + 1:]:
+            num = num * _one_minus_t(a - b)
+            den = den * _one_minus_t(a + b)
+    return num.exact_div(den)
+
+
+def test_column_content_closed_form():
+    """mu = 1^n against the product formula, built here without the engine
+    or the straightener, on every strict xi of weight <= 16."""
+    cells = 0
+    for n in range(17):
+        for xi in strict_partitions(n):
+            assert spin_kostka(xi, (1,) * n) == _spin_kostka_column(xi), xi
+            cells += 1
+    assert cells == 169

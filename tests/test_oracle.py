@@ -1,9 +1,12 @@
 """Vertex-operator oracle: expansions, inner products and relations."""
 
+import ast
 from fractions import Fraction
 
 import pytest
 
+from crosscheck import inverse_z_t
+from spinkostka import oracle
 from spinkostka.oracle import (
     PExpansion,
     TruncationError,
@@ -23,34 +26,34 @@ from spinkostka.oracle import (
     verify_relations,
 )
 from spinkostka.partitions import eps, partitions, strict_partitions, u_stat, z_t
-from spinkostka.polynomial import LaurentPoly, QPoly, RatFunc, RF_ONE
+from spinkostka.polynomial import LaurentPoly, RatFunc, RF_ONE, RF_ZERO
 
 
 def test_q_n_power_sum_expansion():
     """H_n.1 = sum_{lam |- n} p_lam / z_lam(t)."""
-    one = RatFunc(QPoly([1]))
     for n in range(0, 6):
         q = hl_Q((n,), 8) if n else hl_Q((), 8)
         for lam in partitions(n):
-            assert q.coeffs.get(lam, RatFunc(QPoly([]))) == one / z_t(lam), lam
+            assert z_t(lam) * inverse_z_t(lam) == 1, lam
+            assert q.coeffs.get(lam, RF_ZERO) == inverse_z_t(lam), lam
 
 
 def test_htilde_power_sum_expansion():
     for n in range(0, 6):
         h = htilde(n, 8)
         for lam in partitions(n):
-            want = RatFunc(QPoly([eps(lam)])) / z_t(lam).subs_neg_t()
-            assert h.coeffs.get(lam, RatFunc(QPoly([]))) == want, lam
+            want = inverse_z_t(lam).subs_neg_t() * eps(lam)
+            assert h.coeffs.get(lam, RF_ZERO) == want, lam
 
 
 def test_schur_function_expansions():
     # s_2 = p_2/2 + p_1^2/2, s_11 = -p_2/2 + p_1^2/2
     s2 = schur_s((2,), 4)
-    assert s2.coeffs[(2,)] == RatFunc(QPoly([Fraction(1, 2)]))
-    assert s2.coeffs[(1, 1)] == RatFunc(QPoly([Fraction(1, 2)]))
+    assert s2.coeffs[(2,)] == RatFunc(1, 2)
+    assert s2.coeffs[(1, 1)] == RatFunc(1, 2)
     s11 = schur_s((1, 1), 4)
-    assert s11.coeffs[(2,)] == RatFunc(QPoly([Fraction(-1, 2)]))
-    assert s11.coeffs[(1, 1)] == RatFunc(QPoly([Fraction(1, 2)]))
+    assert s11.coeffs[(2,)] == RatFunc(-1, 2)
+    assert s11.coeffs[(1, 1)] == RatFunc(1, 2)
 
 
 def test_adjointness_of_H():
@@ -135,3 +138,36 @@ def test_verify_relations_quick():
     names = [r.name for r in report.results]
     assert any("clifford" in n for n in names)
     assert any("hH" in n for n in names)
+
+
+def _package_imports(path):
+    """The spinkostka modules a source file imports, by their short names;
+    "" stands for the package itself, whose __init__ imports the engine."""
+    found = set()
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "spinkostka":
+                    found.add(rest.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module and node.module.partition(".")[0] == "spinkostka":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                found.add(module.partition(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_oracle_imports_only_partitions_and_polynomial():
+    """The oracle checks the engine, so it shares no algorithm with it: of
+    the package it imports only partitions and polynomial."""
+    found = _package_imports(oracle.__file__)
+    assert "polynomial" in found
+    assert not found & {"engine", "straighten", "schur", "invariants"}, found
+    assert found <= {"partitions", "polynomial"}, found

@@ -6,7 +6,7 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosscheck import row_subset_strips
+from crosscheck import inverse_z_t, row_subset_strips
 from spinkostka.partitions import (
     ShapeKind,
     classify_shape,
@@ -27,7 +27,7 @@ from spinkostka.partitions import (
     z_stat,
     z_t,
 )
-from spinkostka.polynomial import QPoly, RatFunc
+from spinkostka.polynomial import ONE, T, LaurentPoly, RatFunc, RF_ZERO
 
 parts_st = st.integers(min_value=0, max_value=9).flatmap(
     lambda n: st.sampled_from(partitions(n))
@@ -119,18 +119,17 @@ def test_z_statistics():
 
 def test_z_t_sums():
     """sum 1/z_lam(t) = 1-t and the signed variant, for n <= 8."""
-    one = RatFunc(QPoly([1]))
-    t = RatFunc(QPoly([0, 1]))
     for n in range(1, 9):
-        total = RatFunc(QPoly([]))
-        signed = RatFunc(QPoly([]))
+        total = RF_ZERO
+        signed = RF_ZERO
         for lam in partitions(n):
-            inv = one / z_t(lam)
+            inv = inverse_z_t(lam)
+            assert z_t(lam) * inv == 1, lam
             total = total + inv
             signed = signed + (inv if len(lam) % 2 == 0 else -inv)
-        assert total == one - t, n
-        tn = RatFunc(QPoly.monomial(1, n))
-        tn1 = RatFunc(QPoly.monomial(1, n - 1))
+        assert total == RatFunc(ONE - T), n
+        tn = RatFunc(LaurentPoly.term(1, n))
+        tn1 = RatFunc(LaurentPoly.term(1, n - 1))
         assert signed == tn - tn1, n
 
 

@@ -11,8 +11,6 @@ from spinkostka.polynomial import (
     LaurentPoly,
     ONE,
     PoleError,
-    QPoly,
-    Q_ONE,
     RatFunc,
     T,
     ZERO,
@@ -118,50 +116,110 @@ def test_t_binomial_pascal():
 
 # -- rational functions --------------------------------------------------
 
-qpolys = st.lists(
-    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4
-).map(QPoly)
-ratfuncs = st.tuples(qpolys, qpolys).filter(lambda p: not p[1].is_zero()).map(
-    lambda p: RatFunc(*p)
+# (num, den, poles, zeros) for num * prod_{m in zeros} (1 - t^m) divided by
+# den * prod_{n in poles} (1 - t^n); the zeros let pole factors cancel
+rational = st.tuples(
+    laurent,
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=2),
 )
+POINTS = (Fraction(2), Fraction(-3), Fraction(1, 3))
 
 
-@given(ratfuncs, ratfuncs, ratfuncs)
-@settings(max_examples=60)
-def test_ratfunc_field_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a - a == RatFunc(QPoly([]))
-    if not b.is_zero():
-        assert (a / b) * b == a
+def _build(num, den, poles, zeros):
+    for m in zeros:
+        num = num - num.shift(m)
+    return RatFunc(num, den, poles)
+
+
+def _value(num, den, poles, zeros, t0):
+    """The value at t0 from LaurentPoly.eval_at and Fraction alone."""
+    value = num.eval_at(t0) / den
+    for m in zeros:
+        value *= 1 - t0 ** m
+    for n in poles:
+        value /= 1 - t0 ** n
+    return value
+
+
+@given(rational, rational)
+@settings(max_examples=80)
+def test_ratfunc_arithmetic_matches_evaluation(a, b):
+    x, y = _build(*a), _build(*b)
+    differ = False
+    for t0 in POINTS:
+        va, vb = _value(*a, t0), _value(*b, t0)
+        differ = differ or va != vb
+        assert x.eval_at(t0) == va
+        assert (x + y).eval_at(t0) == va + vb
+        assert (x - y).eval_at(t0) == va - vb
+        assert (x * y).eval_at(t0) == va * vb
+        assert x.subs_neg_t().eval_at(t0) == _value(*a, -t0)
+    if differ:
+        assert x != y
+    assert x != x + RatFunc(1, 2)
+    if x:
+        assert x != x * RatFunc(1, 2)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) - y == x
+    assert x * (x + y) == x * x + x * y
+    assert (x - x).is_zero()
+    assert x.subs_neg_t().subs_neg_t() == x
 
 
 def test_ratfunc_reduction():
-    # (t^2 - 1) / (t - 1) reduces to t + 1
-    r = RatFunc(QPoly([-1, 0, 1]), QPoly([-1, 1]))
-    assert r.num == QPoly([1, 1])
-    assert r.den == Q_ONE
+    # (t^2 - 1) / (t - 1) = (1 - t^2) / (1 - t) is cancelled to 1 + t
+    r = RatFunc(LaurentPoly({0: 1, 2: -1}), poles=(1,))
+    assert (r.num, r.den, r.poles) == (ONE + T, 1, {})
 
 
-def test_ratfunc_denominator_monic():
-    r = RatFunc(QPoly([1]), QPoly([0, 2]))
-    assert r.den == QPoly([0, 1])
-    assert r.num == QPoly([Fraction(1, 2)])
+def test_ratfunc_content_normalized():
+    r = RatFunc(LaurentPoly({1: 2, 0: 6}), -4, poles=(3,))
+    assert (r.num, r.den, r.poles) == (LaurentPoly({1: -1, 0: -3}), 2, {3: 1})
+    assert RatFunc(1, 2) != RatFunc(1, 3)
+
+
+def test_ratfunc_removable_pole():
+    # (1 - t^2) / (1 - t^4) = 1 / (1 + t^2): no pole factor divides the
+    # numerator, yet the value is finite at t = 1 and t = -1
+    r = RatFunc(LaurentPoly({0: 1, 2: -1}), poles=(4,))
+    assert r.poles == {4: 1}
+    assert r.eval_at(1) == r.eval_at(-1) == Fraction(1, 2)
+    assert r.eval_at(2) == Fraction(1, 5)
 
 
 def test_ratfunc_pole():
-    r = RatFunc(QPoly([1]), QPoly([-1, 1]))
+    r = RatFunc(ONE + T, poles=(2,))  # (1 + t) / (1 - t^2) = 1 / (1 - t)
+    assert r.eval_at(-1) == Fraction(1, 2)
     with pytest.raises(PoleError):
         r.eval_at(1)
-    assert r.eval_at(2) == 1
+    assert r.eval_at(2) == -1
+    with pytest.raises(PoleError):
+        RatFunc(LaurentPoly.term(1, -1)).eval_at(0)
 
 
 def test_ratfunc_to_laurent():
-    r = RatFunc(QPoly([1, 0, 1]), QPoly([0, 1]))  # (1 + t^2)/t
+    # (t^-1 - t^3) / (1 - t^2) = t^-1 + t
+    r = RatFunc(LaurentPoly({-1: 1, 3: -1}), poles=(2,))
     assert r.to_laurent() == LaurentPoly({-1: 1, 1: 1})
+    # 3 (1 - t^2)(1 - t^3) / (3 (1 - t^3)(1 - t^2)) = 1
+    r = RatFunc(LaurentPoly({0: 3, 2: -3, 3: -3, 5: 3}), 3, poles=(3, 2))
+    assert r.to_laurent() == ONE
     with pytest.raises(InexactDivisionError):
-        RatFunc(QPoly([1]), QPoly([1, 1])).to_laurent()
+        RatFunc(1, poles=(1,)).to_laurent()
+    with pytest.raises(InexactDivisionError):
+        RatFunc(T, 2).to_laurent()
+
+
+def test_ratfunc_to_fraction():
+    assert RatFunc(LaurentPoly({0: 3, 2: -3}), 6, poles=(2,)).to_fraction() == Fraction(1, 2)
+    assert RatFunc().to_fraction() == 0
+    with pytest.raises(InexactDivisionError):
+        RatFunc(T, 2).to_fraction()
+    with pytest.raises(InexactDivisionError):
+        RatFunc(1, poles=(1,)).to_fraction()
 
 
 @given(laurent)

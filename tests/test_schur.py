@@ -95,7 +95,7 @@ def test_square_double_hook_window():
 
 
 def test_square_closed_vs_alternating_sum():
-    for r in range(1, 6):
+    for r in range(1, 11):
         for lam in partitions(2 * r):
             assert g_square(r, lam) == g_square_alternating_sum(r, lam), (r, lam)
 
