@@ -20,23 +20,24 @@ from .engine import CacheError, SpinKostkaEngine, spin_kostka
 from .goldens import KNOWN_DISCREPANCIES, published_tables
 from .invariants import failures
 from .oracle import oracle_spin_kostka, verify_relations
-from .partitions import is_partition, is_strict_partition, partitions, strict_partitions
+from .partitions import as_partition, partitions, strict_partitions
 from .polynomial import LaurentPoly
 from .schur import b_coeff, g_square
 
 
-def parse_partition(text):
-    """'4,3,1' -> (4, 3, 1); '-' or '' -> ()."""
-    text = text.strip()
-    if text in ("-", ""):
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("cannot parse partition %r" % text)
-    if not is_partition(parts):
-        raise argparse.ArgumentTypeError("%r is not a partition" % text)
-    return parts
+def partition_type(name, strict=False):
+    """The argparse type of option ``name``: '4,3,1' -> (4, 3, 1) and '-' or
+    '' -> (), checked by ``as_partition``."""
+
+    def parse(text):
+        text = text.strip()
+        try:
+            parts = () if text in ("-", "") else [int(p) for p in text.split(",")]
+            return as_partition(parts, name, strict)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def format_partition(lam):
@@ -199,18 +200,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="one spin Kostka polynomial K^-_{xi,mu}(t)")
-    p.add_argument("--xi", type=parse_partition, required=True)
-    p.add_argument("--mu", type=parse_partition, required=True)
+    p.add_argument("--xi", type=partition_type("xi", strict=True), required=True)
+    p.add_argument("--mu", type=partition_type("mu"), required=True)
     p.add_argument("--oracle", action="store_true", help="use the vertex-operator oracle")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("b", help="one Stembridge coefficient b_{xi,lambda}")
-    p.add_argument("--xi", type=parse_partition, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
+    p.add_argument("--xi", type=partition_type("xi", strict=True), required=True)
+    p.add_argument("--lambda", dest="lam", type=partition_type("lambda"), required=True)
 
     p = sub.add_parser("g2", help="square-shape coefficient g_{(r,r),lambda}")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
+    p.add_argument("--lambda", dest="lam", type=partition_type("lambda"), required=True)
 
     p = sub.add_parser("table", help="full table for weight n")
     p.add_argument("--n", type=int, required=True)
@@ -239,8 +240,6 @@ def main(argv=None):
     if args.command == "compute":
         if sum(args.xi) != sum(args.mu):
             parser.error("xi and mu must have equal weight")
-        if not is_strict_partition(args.xi):
-            parser.error("xi must be a strict partition")
         fn = oracle_spin_kostka if args.oracle else spin_kostka
         poly = fn(args.xi, args.mu)
         if args.format == "json":
@@ -250,8 +249,8 @@ def main(argv=None):
         return 0
 
     if args.command == "b":
-        if not is_strict_partition(args.xi):
-            parser.error("xi must be a strict partition")
+        if sum(args.xi) != sum(args.lam):
+            parser.error("xi and lambda must have equal weight")
         out.write("%d\n" % b_coeff(args.xi, args.lam))
         return 0
 

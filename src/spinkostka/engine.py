@@ -22,7 +22,7 @@ import os
 import tempfile
 
 from .invariants import cell_failures
-from .partitions import dominates, is_partition, is_strict_partition, n_stat
+from .partitions import as_partition, dominates, n_stat
 from .polynomial import ONE, ZERO, LaurentPoly, t_binomial
 from .straighten import Straightener
 
@@ -83,12 +83,11 @@ def spin_kostka_two_part(xi, mu):
 
 
 def kostka_hook(n, k, mu):
-    """Kostka-Foulkes polynomial K_{(n-k,1^k),mu}(t) by the hook closed form."""
-    mu = tuple(mu)
-    if not is_partition(mu):
-        raise ValueError("mu must be a partition, got %r" % (mu,))
-    if sum(mu) != n or not 0 <= k <= n - 1:
-        raise ValueError("need |mu| = n and 0 <= k <= n-1")
+    """Kostka-Foulkes polynomial K_{(n-k,1^k),mu}(t) by the hook closed form,
+    for ints 0 <= k < n and a partition mu of n (``as_partition``)."""
+    mu = as_partition(mu, "mu")
+    if type(n) is not int or type(k) is not int or sum(mu) != n or not 0 <= k < n:
+        raise ValueError("need ints n = |mu| and 0 <= k < n, got n=%r k=%r" % (n, k))
     l = len(mu)
     if k > l - 1:
         return ZERO
@@ -106,12 +105,8 @@ class SpinKostkaEngine:
         self._straightener = Straightener()
 
     def spin_kostka(self, xi, mu):
-        xi, mu = tuple(xi), tuple(mu)
-        if not is_strict_partition(xi):
-            raise ValueError("xi must be a strict partition, got %r" % (xi,))
-        if not is_partition(mu):
-            raise ValueError("mu must be a partition, got %r" % (mu,))
-        return self._compute(xi, mu)
+        """K^-_{xi,mu}(t), xi strict (``as_partition``); 0 if weights differ."""
+        return self._compute(as_partition(xi, "xi", strict=True), as_partition(mu, "mu"))
 
     def _compute(self, xi, mu):
         if sum(xi) != sum(mu):

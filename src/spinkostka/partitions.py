@@ -14,16 +14,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import factorial
+from operator import ge, gt
 
 from .polynomial import RatFunc
 
 
 def is_partition(seq):
-    return all(a >= b for a, b in zip(seq, seq[1:])) and all(a >= 1 for a in seq)
+    return all(map(ge, seq, seq[1:])) and (not seq or seq[-1] >= 1)
 
 
 def is_strict_partition(seq):
-    return all(a > b for a, b in zip(seq, seq[1:])) and all(a >= 1 for a in seq)
+    return all(map(gt, seq, seq[1:])) and (not seq or seq[-1] >= 1)
+
+
+def as_partition(seq, name, strict=False):
+    """``tuple(seq)`` if ``seq`` is a list or tuple of ints (not bools) forming
+    a partition, strict when asked; else ``ValueError`` naming ``name`` and
+    ``seq``.  The library's one validity check, made once per public call."""
+    parts = tuple(seq) if isinstance(seq, (list, tuple)) else (None,)
+    valid = is_strict_partition if strict else is_partition
+    if not {int}.issuperset(map(type, parts)) or not valid(parts):
+        kind = "strict partition" if strict else "partition"
+        raise ValueError("%s must be a %s of ints, got %r" % (name, kind, seq))
+    return parts
 
 
 def weight(lam):

@@ -15,22 +15,21 @@ from functools import lru_cache
 
 from .partitions import (
     ShapeKind,
+    as_partition,
     classify_shape,
     is_hook,
-    is_partition,
-    is_strict_partition,
     vertical_strip_subshapes,
 )
 
 
-@lru_cache(maxsize=None)
 def b_coeff(xi, lam):
-    """Coefficient of s_lam in Q_xi, by the vertical-strip recursion."""
-    xi, lam = tuple(xi), tuple(lam)
-    if not is_strict_partition(xi):
-        raise ValueError("xi must be a strict partition, got %r" % (xi,))
-    if not is_partition(lam):
-        raise ValueError("lam must be a partition, got %r" % (lam,))
+    """Coefficient of s_lam in Q_xi, xi strict (``as_partition``); 0 if weights differ."""
+    return _b(as_partition(xi, "xi", strict=True), as_partition(lam, "lam"))
+
+
+@lru_cache(maxsize=None)
+def _b(xi, lam):
+    """b_coeff on tuples, by the vertical-strip recursion."""
     if sum(xi) != sum(lam):
         return 0
     if not xi:
@@ -45,16 +44,16 @@ def b_coeff(xi, lam):
         sign = -1 if i % 2 else 1
         xi_hat = xi[:i] + xi[i + 1:]
         for rho in vertical_strip_subshapes(rest, part - lam1):
-            total += sign * 2 * b_coeff(xi_hat, rho)
+            total += sign * 2 * _b(xi_hat, rho)
     return total
 
 
 def g_coeff(xi, lam):
-    """g = b / 2^l(xi); the division is exact by construction."""
+    """g = b / 2^l(xi) for b_coeff's arguments; exact by construction."""
     b = b_coeff(xi, lam)
-    q, r = divmod(b, 2 ** len(tuple(xi)))
+    q, r = divmod(b, 2 ** len(xi))
     if r:
-        raise ArithmeticError("b_coeff %d not divisible by 2^%d" % (b, len(tuple(xi))))
+        raise ArithmeticError("b_coeff %d not divisible by 2^%d" % (b, len(xi)))
     return q
 
 
@@ -101,10 +100,10 @@ def hook_arm(lam):
 
 def g_square(r, lam):
     """g_{(r,r),lam}: coefficient of s_lam in the Schur P-function of the
-    square shape at t = -1, by the closed forms."""
-    lam = tuple(lam)
-    if r < 1 or sum(lam) != 2 * r:
-        raise ValueError("need |lam| = 2r, r >= 1")
+    square shape at t = -1, by the closed forms; r an int, lam a partition."""
+    lam = as_partition(lam, "lam")
+    if type(r) is not int or r < 1 or sum(lam) != 2 * r:
+        raise ValueError("need an int r >= 1 and |lam| = 2r, got r=%r" % (r,))
     shape = classify_shape(lam)
     if shape.kind is ShapeKind.OTHER:
         return 0

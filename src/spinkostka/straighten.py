@@ -94,5 +94,14 @@ class Straightener:
 
 
 def straighten_to_vacuum(nu):
-    """One-shot convenience wrapper around :class:`Straightener`."""
-    return Straightener().straighten(nu)
+    """One-shot :class:`Straightener` for a list or tuple of ints; anything
+    else raises ``ValueError``.  So does a word whose rewrite chain outgrows
+    the recursion limit: at the default 1000, from top level,
+    ``(0,)*248 + (1,)`` straightens and ``(0,)*249 + (1,)`` does not."""
+    word = tuple(nu) if isinstance(nu, (list, tuple)) else (None,)
+    if not {int}.issuperset(map(type, word)):
+        raise ValueError("nu must be a vector of ints, got %r" % (nu,))
+    try:
+        return Straightener().straighten(word)
+    except RecursionError:
+        raise ValueError("nu=%r rewrites deeper than the recursion limit" % (word,)) from None

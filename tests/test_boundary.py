@@ -1,0 +1,130 @@
+"""The public boundary: every entry checks its partitions once, through
+``partitions.as_partition``, and no other code decides what is valid."""
+
+import ast
+import glob
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spinkostka
+from spinkostka import (
+    SpinKostkaEngine,
+    b_coeff,
+    g_coeff,
+    g_square,
+    kostka_hook,
+    spin_kostka,
+    straighten_to_vacuum,
+)
+from spinkostka.partitions import as_partition, partitions, strict_partitions
+
+STRICT, PARTITION, VECTOR = "strict", "partition", "vector"
+
+
+def _entries(n, k, xi, mu, lam):
+    """Every public entry as (function, valid arguments, the partition
+    arguments as (position, name, kind)).  lam has weight 2n, for g_square;
+    the words of straighten_to_vacuum may hold any ints."""
+    cell = [(0, "xi", STRICT), (1, "mu", PARTITION)]
+    b_cell = [(0, "xi", STRICT), (1, "lam", PARTITION)]
+    return [
+        (spin_kostka, (xi, mu), cell),
+        (SpinKostkaEngine().spin_kostka, (xi, mu), cell),
+        (b_coeff, (xi, mu), b_cell),
+        (g_coeff, (xi, mu), b_cell),
+        (g_square, (n, lam), [(1, "lam", PARTITION)]),
+        (kostka_hook, (n, k, mu), [(2, "mu", PARTITION)]),
+        (straighten_to_vacuum, (mu,), [(0, "nu", VECTOR)]),
+    ]
+
+
+def _defects(parts, kind):
+    """Inputs an argument of this kind must reject, made from the valid
+    list ``parts``: wrong types, then (for partitions) zero, negative and
+    increasing parts, and for strict ones a repeated part."""
+    head, last = parts[:-1], (parts or [1])[-1]
+    bad = [None, 3, "1", head + [float(last)], head + [True], head + [str(last)], head + [None]]
+    if kind != VECTOR:
+        bad += [parts + [0], parts + [-1], parts + [parts[0] + 1] if parts else [1, 2]]
+    if kind == STRICT:
+        bad.append(parts + parts[-1:] if parts else [1, 1])
+    return bad
+
+
+@st.composite
+def valid_calls(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    return (
+        n,
+        draw(st.integers(min_value=0, max_value=n - 1)),
+        draw(st.sampled_from(strict_partitions(n))),
+        draw(st.sampled_from(partitions(n))),
+        draw(st.sampled_from(partitions(2 * n))),
+    )
+
+
+@given(valid_calls())
+@settings(max_examples=60, deadline=None)
+def test_every_entry_takes_lists_and_rejects_the_same_inputs(call):
+    for fn, args, slots in _entries(*call):
+        as_lists = [list(a) if isinstance(a, tuple) else a for a in args]
+        assert fn(*as_lists) == fn(*args), (fn, args)
+        for pos, name, kind in slots:
+            for value in _defects(list(args[pos]), kind):
+                bad = args[:pos] + (value,) + args[pos + 1:]
+                with pytest.raises(ValueError) as exc:
+                    fn(*bad)
+                assert str(exc.value).startswith(name + " "), (fn, bad, exc.value)
+
+
+def test_as_partition():
+    assert as_partition([3, 1], "xi", strict=True) == (3, 1)
+    assert as_partition((2, 2), "mu") == (2, 2)
+    assert as_partition([], "mu") == ()
+    for seq in [(2, 2), (1, 3), (3, 0), (2.0,), (True,), "21", 2, None]:
+        with pytest.raises(ValueError, match=r"^xi must be a strict partition of ints, got "):
+            as_partition(seq, "xi", strict=True)
+
+
+VALIDITY_CHECKS = {"is_partition", "is_strict_partition"}
+
+
+def _validity_uses(path):
+    """(function, line) of each use of a validity predicate in a source file:
+    calls, plain references and imports under another name; function is the
+    enclosing def."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, ast.alias) and child.asname:
+                name = child.name
+            if isinstance(child, (ast.Name, ast.Attribute, ast.alias)) and name in VALIDITY_CHECKS:
+                found.append((where, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    with open(path) as fh:
+        visit(ast.parse(fh.read()), "<module>")
+    return found
+
+
+def test_validity_is_decided_by_partitions_alone():
+    """Outside partitions.py only invariants.cell_failures, which reports a
+    bad cell instead of raising, may use is_partition or is_strict_partition;
+    every entry validates through as_partition."""
+    package = os.path.dirname(spinkostka.__file__)
+    allowed, stray = [], []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module == "partitions":
+            continue
+        for where, line in _validity_uses(path):
+            use = "%s.%s (line %d)" % (module, where, line)
+            (allowed if (module, where) == ("invariants", "cell_failures") else stray).append(use)
+    assert allowed, "the scan no longer finds invariants.cell_failures"
+    assert not stray, stray

@@ -10,7 +10,7 @@ from spinkostka.cli import (
     build_table,
     format_partition,
     main,
-    parse_partition,
+    partition_type,
     render_table,
 )
 from spinkostka.goldens import KNOWN_DISCREPANCIES, published_tables, verified_tables
@@ -18,15 +18,23 @@ from spinkostka.partitions import partitions
 from spinkostka.polynomial import LaurentPoly
 
 
+parse_partition = partition_type("lambda")
+
+
 def test_parse_partition():
     assert parse_partition("4,3,1") == (4, 3, 1)
     assert parse_partition("-") == ()
     assert parse_partition("") == ()
     assert parse_partition(" 2,1 ") == (2, 1)
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(argparse.ArgumentTypeError, match="^lambda must be a partition"):
         parse_partition("1,3")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_partition("a,b")
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_partition("2.0,1")
+    assert partition_type("xi", strict=True)("3,1") == (3, 1)
+    with pytest.raises(argparse.ArgumentTypeError, match="^xi must be a strict partition"):
+        partition_type("xi", strict=True)("2,2")
 
 
 def test_format_partition_roundtrip():
@@ -84,6 +92,12 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["g2", "--r", "2", "--lambda", "2,1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["b", "--xi", "3,1", "--lambda", "2,1"])  # weight mismatch
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["b", "--xi", "2,2", "--lambda", "2,1,1"])  # xi not strict
     assert exc.value.code == 2
 
 

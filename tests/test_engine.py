@@ -47,6 +47,22 @@ def test_input_validation():
         spin_kostka((2, 2), (3, 1))  # xi not strict
     with pytest.raises(ValueError):
         spin_kostka((3, 1), (1, 3))  # mu not a partition
+    assert spin_kostka([3, 1], [2, 2]) == spin_kostka((3, 1), (2, 2))
+    for xi, mu, name in [
+        ((3.0, 1), (2, 2), "xi"),  # a float part
+        ((3, 1), (2, 2.0), "mu"),
+        ((True,), (1,), "xi"),  # a bool part
+        ((3, 1), None, "mu"),  # not a sequence
+        ("31", (2, 2), "xi"),
+    ]:
+        with pytest.raises(ValueError, match="^%s must be a" % name):
+            spin_kostka(xi, mu)
+        with pytest.raises(ValueError, match="^%s must be a" % name):
+            SpinKostkaEngine().spin_kostka(xi, mu)
+    for n, k, mu in [(4.0, 1, (2, 1, 1)), (4, 1, (2.0, 1, 1)), (4, True, (2, 1, 1))]:
+        with pytest.raises(ValueError):
+            kostka_hook(n, k, mu)
+    assert kostka_hook(4, 1, [2, 1, 1]) == kostka_hook(4, 1, (2, 1, 1))
 
 
 def test_one_row_closed_form():

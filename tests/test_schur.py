@@ -30,6 +30,23 @@ def test_input_validation():
     with pytest.raises(ValueError):
         b_coeff((3, 1), (1, 3))
     assert b_coeff((3,), (2, 2)) == 0  # weight mismatch
+    assert g_coeff((3,), (2, 2)) == 0
+    assert b_coeff([3, 1], [2, 2]) == b_coeff((3, 1), (2, 2)) == 4
+    assert g_coeff([4, 3], [2, 2, 2, 1]) == g_coeff((4, 3), (2, 2, 2, 1)) == 1
+    for fn in (b_coeff, g_coeff):
+        for xi, lam, name in [
+            ((True,), (True,), "xi"),  # bool parts
+            ((1,), (True,), "lam"),
+            ((3.0, 1), (2, 2), "xi"),  # a float part
+            ((2, 2), (2, 2), "xi"),  # a repeated part of xi
+            ((3, 1), (2, 2, 0), "lam"),  # a zero part
+        ]:
+            with pytest.raises(ValueError, match="^%s must be a" % name):
+                fn(xi, lam)
+    assert g_square(2, [2, 1, 1]) == g_square(2, (2, 1, 1)) == 1
+    for r, lam in [(2, (2.0, 2)), (2.0, (2, 2)), (True, (1, 1)), (2, (1, 3))]:
+        with pytest.raises(ValueError):
+            g_square(r, lam)
 
 
 def test_divisibility_and_g():

@@ -41,6 +41,18 @@ def test_vacuum_rules():
     assert straighten_to_vacuum((3, 2, 1)) == {(3, 2, 1): ONE}
 
 
+def test_wrapper_takes_int_vectors_within_the_depth_limit():
+    """straighten_to_vacuum rejects anything but a vector of ints, and turns a
+    rewrite chain deeper than the recursion limit into a ValueError."""
+    assert straighten_to_vacuum((0,) * 100 + (1,)) == {(1,): LaurentPoly({100: 1})}
+    assert straighten_to_vacuum([1, 3]) == straighten_to_vacuum((1, 3))
+    with pytest.raises(ValueError, match=r"^nu=\(0, 0, .* deeper than the recursion limit"):
+        straighten_to_vacuum((0,) * 1100 + (1,))
+    for nu in [(1.0, 3), (True,), ("1",), (1, None), None, "13", 13]:
+        with pytest.raises(ValueError, match="^nu must be a vector of ints"):
+            straighten_to_vacuum(nu)
+
+
 @given(vectors)
 @settings(max_examples=200)
 def test_results_are_partitions_of_same_weight(nu):
