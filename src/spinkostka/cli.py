@@ -19,7 +19,7 @@ import sys
 from .engine import CacheError, SpinKostkaEngine, spin_kostka
 from .goldens import KNOWN_DISCREPANCIES, published_tables
 from .invariants import failures
-from .oracle import oracle_spin_kostka, verify_relations
+from .oracle import TruncationError, check_weight, oracle_spin_kostka, verify_relations
 from .partitions import as_partition, partitions, strict_partitions
 from .polynomial import LaurentPoly
 from .schur import b_coeff, g_square
@@ -236,6 +236,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
+    try:
+        if args.command == "compute" and args.oracle:
+            check_weight(sum(args.xi))
+        if args.command == "verify" and args.suite in ("oracle", "all"):
+            check_weight(args.max_n)
+    except TruncationError as exc:
+        parser.error(str(exc))
 
     if args.command == "compute":
         if sum(args.xi) != sum(args.mu):

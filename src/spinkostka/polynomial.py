@@ -351,10 +351,6 @@ class RatFunc:
         made = _ratfunc(_as_laurent(num), den, exps)
         self.num, self.den, self.poles = made.num, made.den, made.poles
 
-    @classmethod
-    def from_laurent(cls, p):
-        return cls(p)
-
     # -- queries --------------------------------------------------------
 
     def is_zero(self):

@@ -83,7 +83,7 @@ def test_g2_prints_the_closed_form_only(capsys, monkeypatch):
     assert capsys.readouterr().out == "-1\n"
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--xi", "2,2", "--mu", "1,1,1,1"])
     assert exc.value.code == 2
@@ -99,6 +99,16 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["b", "--xi", "2,2", "--lambda", "2,1,1"])  # xi not strict
     assert exc.value.code == 2
+    monkeypatch.delenv("SPIN_KOSTKA_MAX_DEGREE", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--xi", "13", "--mu", "13", "--oracle"])  # above the cap
+    assert exc.value.code == 2
+    assert "weight 13 exceeds oracle truncation cap 12" in capsys.readouterr().err
+    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "3")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "oracle", "--max-n", "4"])
+    assert exc.value.code == 2
+    assert "weight 4 exceeds oracle truncation cap 3" in capsys.readouterr().err
 
 
 def test_table_matches_goldens_modulo_known_misprint():

@@ -23,6 +23,7 @@ from spinkostka.partitions import (
     weak_compositions,
 )
 from spinkostka.polynomial import LaurentPoly, ONE, ZERO, t_int
+from spinkostka.schur import b_coeff
 from spinkostka.straighten import Straightener
 
 from crosscheck import PlainEngine
@@ -295,3 +296,16 @@ def test_column_content_closed_form():
             assert spin_kostka(xi, (1,) * n) == _spin_kostka_column(xi), xi
             cells += 1
     assert cells == 169
+
+
+def test_value_at_zero_is_b():
+    """K^-_{xi,mu}(0) = b_{xi,mu}, since K_{lam,mu}(0) = delta_{lam,mu}: the
+    recurrence against the vertical-strip recursion of ``schur``, which
+    shares no code with it, on every cell of weight <= 12."""
+    cells = 0
+    for n in range(13):
+        for xi in strict_partitions(n):
+            for mu in partitions(n):
+                assert spin_kostka(xi, mu).coeff(0) == b_coeff(xi, mu), (xi, mu)
+                cells += 1
+    assert cells == 2779

@@ -11,6 +11,7 @@ from spinkostka.oracle import (
     PExpansion,
     TruncationError,
     apply_word,
+    g_general,
     hl_Q,
     htilde,
     inner,
@@ -32,7 +33,7 @@ from spinkostka.polynomial import LaurentPoly, RatFunc, RF_ONE, RF_ZERO
 def test_q_n_power_sum_expansion():
     """H_n.1 = sum_{lam |- n} p_lam / z_lam(t)."""
     for n in range(0, 6):
-        q = hl_Q((n,), 8) if n else hl_Q((), 8)
+        q = hl_Q((n,)) if n else hl_Q(())
         for lam in partitions(n):
             assert z_t(lam) * inverse_z_t(lam) == 1, lam
             assert q.coeffs.get(lam, RF_ZERO) == inverse_z_t(lam), lam
@@ -40,7 +41,7 @@ def test_q_n_power_sum_expansion():
 
 def test_htilde_power_sum_expansion():
     for n in range(0, 6):
-        h = htilde(n, 8)
+        h = htilde(n)
         for lam in partitions(n):
             want = inverse_z_t(lam).subs_neg_t() * eps(lam)
             assert h.coeffs.get(lam, RF_ZERO) == want, lam
@@ -48,22 +49,21 @@ def test_htilde_power_sum_expansion():
 
 def test_schur_function_expansions():
     # s_2 = p_2/2 + p_1^2/2, s_11 = -p_2/2 + p_1^2/2
-    s2 = schur_s((2,), 4)
+    s2 = schur_s((2,))
     assert s2.coeffs[(2,)] == RatFunc(1, 2)
     assert s2.coeffs[(1, 1)] == RatFunc(1, 2)
-    s11 = schur_s((1, 1), 4)
+    s11 = schur_s((1, 1))
     assert s11.coeffs[(2,)] == RatFunc(-1, 2)
     assert s11.coeffs[(1, 1)] == RatFunc(1, 2)
 
 
 def test_adjointness_of_H():
     """<H_n u, v>_t = <u, H*_n v>_t on a spanning sample."""
-    cap = 8
     for n in (1, 2):
         for lam_u in partitions(2):
             for lam_v in partitions(2 + n):
-                u = PExpansion({lam_u: RF_ONE}, cap)
-                v = PExpansion({lam_v: RF_ONE}, cap)
+                u = PExpansion({lam_u: RF_ONE})
+                v = PExpansion({lam_v: RF_ONE})
                 assert inner(op_H(n, u), v, "t") == inner(u, op_H_star(n, v), "t")
 
 
@@ -89,45 +89,43 @@ def test_three_paths_agree():
 
 def test_truncation_cap(monkeypatch):
     monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "4")
-    with pytest.raises(TruncationError):
-        oracle_spin_kostka((5,), (5,))
+    for entry, args in (
+        (oracle_spin_kostka, ((5,), (5,))),
+        (oracle_b, ((5,), (5,))),
+        (oracle_kostka_foulkes, ((5,), (5,))),
+        (oracle_spin_via_bK, ((5,), (5,))),
+        (g_general, ((3, 2), (5,))),
+    ):
+        with pytest.raises(TruncationError, match="weight 5 exceeds oracle truncation cap 4"):
+            entry(*args)
     assert oracle_spin_kostka((4,), (4,)) == LaurentPoly.const(2)
-
-
-def test_component_truncation_error():
-    v = PExpansion({(3,): RF_ONE}, 4)
-    with pytest.raises(TruncationError):
-        op_H(3, v)
 
 
 def test_q_word_antisymmetry():
     """Q_a Q_b.1 = -Q_b Q_a.1 for a != b (Clifford, off-diagonal)."""
-    cap = 8
-    vac = PExpansion.vacuum(cap)
+    vac = PExpansion.vacuum()
     lhs = apply_word(op_Q, (3, 1), vac)
     rhs = apply_word(op_Q, (1, 3), vac).scale(-1)
     assert lhs == rhs
 
 
 def test_htilde_neg_t_is_q_combination():
-    cap = 6
     for n in range(0, 5):
-        lhs = htilde(n, cap).subs_neg_t()
-        rhs = PExpansion.zero(cap)
+        lhs = htilde(n).subs_neg_t()
+        rhs = PExpansion.zero()
         for lam in partitions(n):
-            q_lam = PExpansion.vacuum(cap)
+            q_lam = PExpansion.vacuum()
             for part in lam:
-                q_lam = q_lam * hl_Q((part,), cap)
+                q_lam = q_lam * hl_Q((part,))
             rhs = rhs + q_lam.scale(eps(lam) * u_stat(lam))
         assert lhs == rhs, n
 
 
 def test_schur_q_orthogonality_at_minus_one():
-    cap = 8
     for n in range(1, 6):
         for lam in strict_partitions(n):
             for xi in strict_partitions(n):
-                value = inner(schur_q(lam, cap), schur_q(xi, cap), "t").eval_at(-1)
+                value = inner(schur_q(lam), schur_q(xi), "t").eval_at(-1)
                 want = Fraction(2 ** len(lam)) if lam == xi else Fraction(0)
                 assert value == want, (lam, xi)
 

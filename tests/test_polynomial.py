@@ -224,4 +224,4 @@ def test_ratfunc_to_fraction():
 
 @given(laurent)
 def test_ratfunc_from_laurent_roundtrip(a):
-    assert RatFunc.from_laurent(a).to_laurent() == a
+    assert RatFunc(a).to_laurent() == a

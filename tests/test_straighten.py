@@ -92,11 +92,10 @@ def _check_against_oracle(nu):
     from spinkostka.oracle import PExpansion, apply_word, hl_Q, op_H
     from spinkostka.polynomial import RatFunc
 
-    cap = sum(abs(x) for x in nu) + 2
-    direct = apply_word(op_H, nu, PExpansion.vacuum(cap))
-    combo = PExpansion.zero(cap)
+    direct = apply_word(op_H, nu, PExpansion.vacuum())
+    combo = PExpansion.zero()
     for lam, coeff in straighten_to_vacuum(nu).items():
-        combo = combo + hl_Q(lam, cap).scale(RatFunc.from_laurent(coeff))
+        combo = combo + hl_Q(lam).scale(RatFunc(coeff))
     assert direct == combo, nu
 
 
