@@ -3,7 +3,8 @@
 Subcommands: ``compute`` (one spin Kostka polynomial), ``b`` (one
 Stembridge coefficient), ``g2`` (square-shape g-coefficient), ``table``
 (full table for a given weight, optionally with a persisted memo) and
-``verify`` (the self-check suites).  Partitions are written as
+``verify`` (the self-check suites; ``--format json`` gives each suite's
+result and each relation's time).  Partitions are written as
 comma-separated parts, e.g. ``4,3,1``; ``-`` denotes the empty partition.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
@@ -13,8 +14,10 @@ errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from dataclasses import asdict
 
 from .engine import CacheError, SpinKostkaEngine, spin_kostka
 from .goldens import KNOWN_DISCREPANCIES, published_tables
@@ -114,11 +117,14 @@ def render_table(table, n, fmt, mode="spin"):
 
 # -- verification suites -------------------------------------------------
 
+# Each suite writes its text lines to ``out`` and returns a record for the
+# JSON output: ``{"ok": passed}``, plus the relations for that suite.
+
 
 def _suite_relations(args, out):
     report = verify_relations(max_degree=args.max_degree, seed=args.seed)
     out.write(report.summary() + "\n")
-    return report.ok
+    return {"ok": report.ok, "relations": [asdict(r) for r in report.results]}
 
 
 def _suite_tables(args, out):
@@ -156,7 +162,7 @@ def _suite_tables(args, out):
             "not tabulated\n" % (n, format_partition(xi), format_partition(mu))
         )
     out.write("tables: %s\n" % ("PASS (modulo known misprint)" if ok else "FAIL"))
-    return ok
+    return {"ok": ok}
 
 
 def _suite_properties(args, out):
@@ -166,7 +172,7 @@ def _suite_properties(args, out):
     for f in found:
         out.write("FAIL %s\n" % f)
     out.write("properties: %s\n" % ("PASS" if not found else "FAIL"))
-    return not found
+    return {"ok": not found}
 
 
 def _suite_oracle(args, out):
@@ -178,7 +184,7 @@ def _suite_oracle(args, out):
                     bad += 1
                     out.write("FAIL oracle mismatch: %r %r\n" % (xi, mu))
     out.write("oracle: %s\n" % ("PASS" if not bad else "FAIL"))
-    return not bad
+    return {"ok": not bad}
 
 
 SUITES = {
@@ -229,6 +235,7 @@ def build_parser():
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -288,10 +295,18 @@ def main(argv=None):
 
     if args.command == "verify":
         names = list(SUITES) if args.suite == "all" else [args.suite]
-        ok = True
+        records = []
         for name in names:
-            out.write("== suite: %s ==\n" % name)
-            ok = SUITES[name](args, out) and ok
+            if args.format == "text":
+                out.write("== suite: %s ==\n" % name)
+                records.append(SUITES[name](args, out))
+            else:
+                lines = io.StringIO()
+                record = SUITES[name](args, lines)
+                records.append({"suite": name, **record, "output": lines.getvalue().splitlines()})
+        ok = all(record["ok"] for record in records)
+        if args.format == "json":
+            out.write(json.dumps({"ok": ok, "suites": records}, indent=2) + "\n")
         return 0 if ok else 1
 
     raise AssertionError("unreachable")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -221,19 +222,20 @@ def _exp_coeff(spec, side, rho):
 
 def apply_component(spec, m, F):
     """The z^m component of the operator applied to F (m in the unified
-    indexing where creation carries positive powers of z)."""
-    out = {}
+    indexing where creation carries positive powers of z).
+
+    The annihilation side runs first: d_sigma p_lam = deriv * p_(lam - sigma),
+    with s = |sigma| taken off and r = m + s left for the creation side.  Its
+    terms are summed per (lam - sigma, r), so each group is multiplied once
+    by the creation coefficient of every rho |- r.  The group carries r, not
+    lam - sigma alone, because F may mix weights."""
+    groups = {}
     for lam, c in F.coeffs.items():
         lam_mult = Counter(lam)
-        w = sum(lam)
-        for s in range(w + 1):
-            r = m + s
-            if r < 0:
-                continue
+        for s in range(max(0, -m), sum(lam) + 1):
             for sigma in partitions(s):
-                smult = Counter(sigma)
                 deriv = 1
-                for part, k in smult.items():
+                for part, k in Counter(sigma).items():
                     have = lam_mult.get(part, 0)
                     if have < k:
                         deriv = 0
@@ -248,17 +250,22 @@ def apply_component(spec, m, F):
                 base = list(lam)
                 for part in sigma:
                     base.remove(part)
-                scalar = c * bc * deriv
-                for rho in partitions(r):
-                    ac = _exp_coeff(spec, "creation", rho)
-                    if ac.is_zero():
-                        continue
-                    key = tuple(sorted(base + list(rho), reverse=True))
-                    v = out.get(key, RF_ZERO) + scalar * ac
-                    if v.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
+                key = (tuple(base), m + s)
+                groups[key] = groups.get(key, RF_ZERO) + c * bc * deriv
+    out = {}
+    for (base, r), scalar in groups.items():
+        if scalar.is_zero():
+            continue
+        for rho in partitions(r):
+            ac = _exp_coeff(spec, "creation", rho)
+            if ac.is_zero():
+                continue
+            key = tuple(sorted(base + rho, reverse=True))
+            v = out.get(key, RF_ZERO) + scalar * ac
+            if v.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = v
     return PExpansion(out)
 
 
@@ -315,22 +322,26 @@ def apply_word(op, indices, F):
 # -- basis vectors ------------------------------------------------------
 
 
+# Each basis vector is its first operator applied to the cached vector of
+# its tail, so words that share a tail share its applications.
+
+
 @lru_cache(maxsize=None)
 def hl_Q(mu):
     """Hall-Littlewood Q_mu(x;t) = H_mu1 ... H_mul . 1."""
-    return apply_word(op_H, mu, PExpansion.vacuum())
+    return op_H(mu[0], hl_Q(mu[1:])) if mu else PExpansion.vacuum()
 
 
 @lru_cache(maxsize=None)
 def schur_q(xi):
     """Schur Q-function Q_xi = Q_xi1 ... Q_xil . 1."""
-    return apply_word(op_Q, xi, PExpansion.vacuum())
+    return op_Q(xi[0], schur_q(xi[1:])) if xi else PExpansion.vacuum()
 
 
 @lru_cache(maxsize=None)
 def schur_s(lam):
     """Schur function s_lam = S+_lam1 ... S+_laml . 1."""
-    return apply_word(op_S_plus, lam, PExpansion.vacuum())
+    return op_S_plus(lam[0], schur_s(lam[1:])) if lam else PExpansion.vacuum()
 
 
 @lru_cache(maxsize=None)
@@ -432,14 +443,15 @@ class RelationResult:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = 0.0
 
 
 @dataclass
 class Report:
     results: list = field(default_factory=list)
 
-    def record(self, name, passed, detail=""):
-        self.results.append(RelationResult(name, passed, detail))
+    def record(self, name, passed, detail="", seconds=0.0):
+        self.results.append(RelationResult(name, passed, detail, seconds))
 
     @property
     def ok(self):
@@ -470,9 +482,37 @@ def _random_pexp(rng, degree, odd_only=False):
     return PExpansion(coeffs)
 
 
+def _memoized_ops(memo):
+    """The operator components that ``verify_relations`` uses, memoized in
+    ``memo`` on (operator, index, identity of the vector).  The memo pins each
+    vector it keys on, so that no other vector can take its id while the memo
+    lives; a result it returns is the same object on every hit, so nested
+    applications hit as well."""
+
+    def memoized(op):
+        def apply(n, F):
+            key = (op, n, id(F))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (F, op(n, F))
+            return hit[1]
+
+        return apply
+
+    ops = (op_H, op_H_star, op_Q, op_Q_star, op_S_plus, op_S_minus, op_e, op_e_minus, op_htilde_star)
+    return [memoized(op) for op in ops]
+
+
 def verify_relations(max_degree=3, seed=0, vector_degree=None):
     """Check the quadratic operator relations and the iterative formulas on
-    pseudo-random vectors.  Failures become report entries, not exceptions."""
+    pseudo-random vectors.  Failures become report entries, not exceptions;
+    each entry carries the seconds its check took.
+
+    The checks apply the same operators to the same vectors many times over,
+    so their operator applications share one memo.  It is local to the call
+    and is dropped when the call returns or raises."""
+    (op_H, op_H_star, op_Q, op_Q_star, op_S_plus, op_S_minus, op_e, op_e_minus,
+     op_htilde_star) = _memoized_ops({})
     rng = random.Random(seed)
     if vector_degree is None:
         vector_degree = max_degree
@@ -488,12 +528,14 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     rng_idx = range(-max_degree, max_degree + 1)
 
     def check(name, fn):
+        start = time.perf_counter()
         try:
             witness = fn()
         except Exception as exc:  # report, never raise
-            report.record(name, False, "error: %r" % (exc,))
-            return
-        report.record(name, witness is None, witness or "")
+            passed, detail = False, "error: %r" % (exc,)
+        else:
+            passed, detail = witness is None, witness or ""
+        report.record(name, passed, detail, time.perf_counter() - start)
 
     def com1():
         for v in vectors:

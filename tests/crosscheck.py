@@ -13,12 +13,19 @@ and keeping the sets whose removal leaves a partition.
 
 ``inverse_z_t`` builds 1 / z_lam(t) as a product, since ``RatFunc`` has no
 division.
+
+``reference_apply_component`` is the oracle's operator component without
+the grouping of the annihilation side: every (lam, sigma) term meets every
+creation term on its own.
 """
 
+from collections import Counter
 from itertools import combinations
+from math import factorial
 
 from spinkostka.engine import SpinKostkaEngine
-from spinkostka.partitions import z_stat
+from spinkostka.oracle import PExpansion
+from spinkostka.partitions import partitions, z_stat
 from spinkostka.polynomial import LaurentPoly, RatFunc
 
 _ZERO = LaurentPoly()
@@ -106,3 +113,44 @@ def inverse_z_t(lam):
     for part in lam:
         num = num * LaurentPoly({0: 1, part: -1})
     return RatFunc(num, z_stat(lam))
+
+
+def _reference_exp_coeff(seq, rho):
+    """prod_i seq(rho_i) / prod_k m_k(rho)!, the coefficient of the monomial
+    of type rho in exp(sum_n seq(n) x_n)."""
+    c = RatFunc(1)
+    for part in rho:
+        c = c * seq(part)
+    for m in Counter(rho).values():
+        c = c * RatFunc(1, factorial(m))
+    return c
+
+
+def reference_apply_component(spec, m, F):
+    """The z^m component of the operator ``spec`` applied to F, term by term:
+    for every p_lam in F and every sigma whose parts lam contains,
+    d_sigma p_lam = deriv * p_(lam - sigma), times the creation term of
+    every rho |- m + |sigma|."""
+    out = {}
+    for lam, c in F.coeffs.items():
+        lam_mult = Counter(lam)
+        for s in range(sum(lam) + 1):
+            r = m + s
+            if r < 0:
+                continue
+            for sigma in partitions(s):
+                deriv = 1
+                for part, k in Counter(sigma).items():
+                    for j in range(k):
+                        deriv *= lam_mult.get(part, 0) - j
+                if not deriv:
+                    continue
+                base = list(lam)
+                for part in sigma:
+                    base.remove(part)
+                scalar = c * _reference_exp_coeff(spec.annihilation, sigma) * deriv
+                for rho in partitions(r):
+                    key = tuple(sorted(base + list(rho), reverse=True))
+                    term = scalar * _reference_exp_coeff(spec.creation, rho)
+                    out[key] = out.get(key, RatFunc(0)) + term
+    return PExpansion(out)

@@ -289,3 +289,37 @@ def test_verify_oracle_suite(capsys):
 def test_verify_properties_suite(capsys):
     assert main(["verify", "--suite", "properties", "--max-n", "5"]) == 0
     assert "properties: PASS" in capsys.readouterr().out
+
+
+def test_verify_json_lists_each_relation_with_its_time(capsys):
+    assert main(["verify", "--suite", "relations", "--max-degree", "1"]) == 0
+    text = capsys.readouterr().out
+    assert main(["verify", "--suite", "relations", "--max-degree", "1", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is True
+    (suite,) = data["suites"]
+    assert suite["suite"] == "relations" and suite["ok"] is True
+    relations = suite["relations"]
+    assert [set(r) for r in relations] == [{"name", "passed", "detail", "seconds"}] * 17
+    assert all(r["passed"] and r["seconds"] >= 0 for r in relations)
+    # the text output is the relations' summary, line for line
+    summary = ["PASS %s" % r["name"] for r in relations]
+    assert text.splitlines() == ["== suite: relations =="] + summary
+    assert suite["output"] == summary
+
+
+def test_verify_json_reports_a_failing_suite(capsys, monkeypatch):
+    misprints = {
+        (mu, xi): published_tables()[n][mu][xi] for n, mu, xi in KNOWN_DISCREPANCIES
+    }
+    real = cli.spin_kostka
+    monkeypatch.setattr(
+        cli, "spin_kostka", lambda xi, mu: misprints.get((mu, xi)) or real(xi, mu)
+    )
+    assert main(["verify", "--suite", "tables", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    (suite,) = data["suites"]
+    assert suite["suite"] == "tables" and suite["ok"] is False
+    assert any(line.startswith("FAIL cell n=6 xi=5,1 mu=2,1,1,1,1") for line in suite["output"])
+    assert suite["output"][-1] == "tables: FAIL"

@@ -1,15 +1,29 @@
 """Vertex-operator oracle: expansions, inner products and relations."""
 
 import ast
+import gc
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from crosscheck import inverse_z_t
+from crosscheck import inverse_z_t, reference_apply_component
 from spinkostka import oracle
 from spinkostka.oracle import (
+    E_MINUS_SPEC,
+    E_PLUS_SPEC,
+    H_SPEC,
+    H_STAR_SPEC,
+    HTILDE_SPEC,
+    HTILDE_STAR_SPEC,
+    Q_SPEC,
+    Q_STAR_SPEC,
+    S_MINUS_SPEC,
+    S_PLUS_SPEC,
     PExpansion,
     TruncationError,
+    apply_component,
     apply_word,
     g_general,
     hl_Q,
@@ -128,6 +142,97 @@ def test_schur_q_orthogonality_at_minus_one():
                 value = inner(schur_q(lam), schur_q(xi), "t").eval_at(-1)
                 want = Fraction(2 ** len(lam)) if lam == xi else Fraction(0)
                 assert value == want, (lam, xi)
+
+
+def _random_vector(rng, degree=5, terms=5):
+    """A p-expansion over partitions of mixed weights <= degree, with
+    rational coefficients that carry pole factors."""
+    pool = [lam for d in range(degree + 1) for lam in partitions(d)]
+    coeffs = {}
+    for lam in rng.sample(pool, terms):
+        num = LaurentPoly({e: rng.randint(-3, 3) for e in range(-1, 2)})
+        coeffs[lam] = RatFunc(num, rng.randint(1, 4), poles=rng.sample(range(1, 4), rng.randint(0, 2)))
+    return PExpansion(coeffs)
+
+
+ALL_SPECS = (
+    H_SPEC,
+    H_STAR_SPEC,
+    Q_SPEC,
+    Q_STAR_SPEC,
+    S_PLUS_SPEC,
+    S_MINUS_SPEC,
+    HTILDE_SPEC,
+    HTILDE_STAR_SPEC,
+    E_PLUS_SPEC,
+    E_MINUS_SPEC,
+)
+
+
+def test_apply_component_matches_the_ungrouped_reference():
+    """The grouped annihilation side gives the term-by-term result on every
+    operator, on the vacuum, the zero vector and vectors of mixed weight."""
+    rng = random.Random(9)
+    vectors = [PExpansion.vacuum(), PExpansion.zero()] + [_random_vector(rng) for _ in range(3)]
+    assert any(len({sum(lam) for lam in v.coeffs}) > 1 for v in vectors)
+    assert any(len(set(lam)) < len(lam) for v in vectors for lam in v.coeffs)
+    for spec in ALL_SPECS:
+        for m in range(-4, 5):
+            for i, F in enumerate(vectors):
+                got = apply_component(spec, m, F)
+                assert got == reference_apply_component(spec, m, F), (spec.name, m, i)
+
+
+def _clear_basis_caches():
+    for cache in (hl_Q, schur_q, schur_s, htilde):
+        cache.cache_clear()
+
+
+def test_verify_relations_memo_lives_in_one_call(monkeypatch):
+    """Two calls give the same report and do the same operator work: the
+    second call finds nothing the first one memoized."""
+    calls = []
+    original = oracle.apply_component
+
+    def counting(spec, m, F):
+        calls.append(spec.name)
+        return original(spec, m, F)
+
+    def live_vectors():
+        _clear_basis_caches()
+        gc.collect()
+        return sum(isinstance(obj, PExpansion) for obj in gc.get_objects())
+
+    monkeypatch.setattr(oracle, "apply_component", counting)
+    before = live_vectors()
+    summaries, counts = [], []
+    for _ in range(2):
+        calls.clear()
+        summaries.append(verify_relations(max_degree=1, seed=3, vector_degree=3).summary())
+        counts.append(len(calls))
+        # nothing holds on to the vectors the call made
+        assert live_vectors() == before
+    assert summaries[0] == summaries[1]
+    assert counts[0] == counts[1] > 0
+
+
+def test_verify_relations_reports_a_broken_relation(monkeypatch):
+    """A wrong creation coefficient for H fails the relations built on it,
+    memo or not."""
+    def creation(n):
+        return H_SPEC.creation(n) * (2 if n == 2 else 1)
+
+    monkeypatch.setattr(oracle, "H_SPEC", replace(H_SPEC, name="H-perturbed", creation=creation))
+    _clear_basis_caches()
+    try:
+        report = verify_relations(max_degree=2, seed=0, vector_degree=3)
+    finally:
+        _clear_basis_caches()
+    status = {r.name: r.passed for r in report.results}
+    assert not report.ok
+    assert not status["com1 (H quadratic relation)"]
+    assert status["clifford (Q anticommutator)"]
+    assert all(r.seconds >= 0 for r in report.results)
 
 
 def test_verify_relations_quick():
