@@ -23,7 +23,7 @@ import tempfile
 
 from .invariants import cell_failures
 from .partitions import as_partition, dominates, n_stat
-from .polynomial import ONE, ZERO, LaurentPoly, t_binomial
+from .polynomial import ONE, ZERO, LaurentPoly, collect, collect_all, mul_into, t_binomial
 from .straighten import Straightener
 
 _ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
@@ -35,26 +35,31 @@ def htilde_expand(k, mu, straightener):
     Equivalent to summing t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)
     over the weak compositions tau of k in the positions of mu, but the
     sum is built one position at a time from the right, over the states
-    (cells used, straightened suffix)."""
+    (cells used, straightened suffix).
+
+    Degree pruning: H_mu_j...H_mu_r.1 has degree mu_j + ... + mu_r, and a
+    word of negative degree is 0.  A state's suffix weighs
+    sum(mu[j+1:]) - used, so position j takes at most sum(mu[j:]) - used
+    cells, and at j = 0 a state that cannot place all its remaining cells
+    is dropped."""
     if k < 0:
         return {}
     states = {(0, ()): ONE}
+    tail = 0
     for j in range(len(mu) - 1, -1, -1):
+        tail += mu[j]
         merged = {}
         for (used, suffix), coeff in states.items():
             free = k - used
-            for take in range(free if j == 0 else 0, free + 1):
-                weight = coeff * _ONE_PLUS_T.shift(take - 1) if take else coeff
+            top = min(free, tail - used)
+            if top > 0:
+                coeff_1t = coeff * _ONE_PLUS_T
+            for take in range(free if j == 0 else 0, top + 1):
+                weight, shift = (coeff_1t, take - 1) if take else (coeff, 0)
                 word = (mu[j] - take,) + suffix
                 for lam, b in straightener.straighten(word).items():
-                    key = (used + take, lam)
-                    acc = merged.get(key)
-                    acc = weight * b if acc is None else acc + weight * b
-                    if acc.is_zero():
-                        merged.pop(key, None)
-                    else:
-                        merged[key] = acc
-        states = merged
+                    mul_into(merged.setdefault((used + take, lam), {}), weight, b, shift=shift)
+        states = collect_all(merged)
     return {lam: coeff for (used, lam), coeff in states.items() if used == k}
 
 
@@ -141,18 +146,17 @@ class SpinKostkaEngine:
 
     def _recurrence(self, xi, mu):
         mu1, rest = mu[0], mu[1:]
-        total = ZERO
+        acc = {}
         for i, part in enumerate(xi):
             if part < mu1:
                 break
             xi_hat = xi[:i] + xi[i + 1:]
-            term = ZERO
+            scale = -2 if i % 2 else 2
             for lam, coeff in self._expansion(part - mu1, rest).items():
                 sub = self._compute(xi_hat, lam)
-                if not sub.is_zero():
-                    term = term + coeff * sub
-            total = total - term if i % 2 else total + term
-        return 2 * total
+                if sub:
+                    mul_into(acc, coeff, sub, scale)
+        return collect(acc)
 
     # -- memo persistence ------------------------------------------------
 

@@ -380,6 +380,15 @@ def oracle_b(xi, lam):
     if sum(xi) != sum(lam):
         return 0
     check_weight(sum(xi))
+    return _b_value(xi, lam)
+
+
+# The inner products are cached behind the entries, so that the weight
+# check still runs on every call.
+
+
+@lru_cache(maxsize=None)
+def _b_value(xi, lam):
     value = inner(schur_s(lam), schur_q(xi), "zero").to_fraction()
     if value.denominator != 1:
         raise ArithmeticError("non-integer b value %s" % value)
@@ -392,6 +401,11 @@ def oracle_kostka_foulkes(lam, mu):
     if sum(lam) != sum(mu):
         return LaurentPoly()
     check_weight(sum(lam))
+    return _kostka_foulkes_value(lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _kostka_foulkes_value(lam, mu):
     return inner(schur_s(lam), hl_Q(mu), "t").to_laurent()
 
 

@@ -111,16 +111,16 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = _as_laurent(other)
+        small, large = self._terms, other._terms
+        if len(small) > len(large):
+            small, large = large, small
+        if len(small) == 1:
+            # a product of nonzero ints is nonzero: no cancellation to undo
+            ((e1, c1),) = small.items()
+            return _raw({e1 + e: c1 * c for e, c in large.items()})
         out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _raw(out)
+        mul_into(out, self, other)
+        return collect(out)
 
     __rmul__ = __mul__
 
@@ -235,6 +235,36 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, data):
         return cls({int(e): int(c) for e, c in data.items()})
+
+
+def mul_into(acc, p, q, scale=1, shift=0):
+    """Add scale * t**shift * p * q into ``acc``, a plain dict exponent ->
+    int that may keep zero coefficients until ``collect``."""
+    small, large = p._terms, q._terms
+    if len(small) > len(large):
+        small, large = large, small
+    get = acc.get
+    for e1, c1 in small.items():
+        e1 += shift
+        c1 *= scale
+        for e2, c2 in large.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def collect(acc):
+    """The canonical ``LaurentPoly`` of an accumulator dict."""
+    return _raw({e: c for e, c in acc.items() if c})
+
+
+def collect_all(accs):
+    """{key: collect(acc)} over a dict of accumulators, zero values dropped."""
+    out = {}
+    for key, acc in accs.items():
+        value = collect(acc)
+        if value:
+            out[key] = value
+    return out
 
 
 def _raw(terms):

@@ -4,7 +4,9 @@
 integer vector) into the basis {H_lam.1 : lam a partition}.  The rules:
 
 * a trailing zero entry drops (H_0.1 = 1);
-* a trailing negative entry annihilates the whole term (H_{-m}.1 = 0);
+* a negative suffix sum annihilates the whole term: H_{nu_j}...H_{nu_r}.1
+  is homogeneous of degree nu_j + ... + nu_r, so it is 0 when that is
+  negative;
 * at an ascent nu_i < nu_{i+1} with gap g = nu_{i+1} - nu_i, the pair is
   replaced by sum over a = 0..g//2 of a quadratic-relation coefficient
   times the pair (nu_{i+1} - a, nu_i + a).
@@ -17,7 +19,7 @@ ascent order, primitive two-term relation) and the vertex-operator oracle.
 
 from __future__ import annotations
 
-from .polynomial import ONE, LaurentPoly, T
+from .polynomial import ONE, LaurentPoly, T, collect_all, mul_into
 
 
 def step_coeff(gap, a):
@@ -35,12 +37,16 @@ def step_coeff(gap, a):
 
 
 def _normalize(nu):
-    """Strip trailing zeros; None signals an annihilated term."""
+    """Strip trailing zeros; None signals an annihilated term (a negative
+    suffix sum)."""
     i = len(nu)
     while i and nu[i - 1] == 0:
         i -= 1
-    if i and nu[i - 1] < 0:
-        return None
+    total = 0
+    for j in range(i - 1, -1, -1):
+        total += nu[j]
+        if total < 0:
+            return None
     return nu[:i]
 
 
@@ -79,18 +85,13 @@ class Straightener:
             return {nu: ONE}
         lo, hi = nu[i], nu[i + 1]
         gap = hi - lo
-        out = {}
+        acc = {}
         for a in range(gap // 2 + 1):
             coeff = step_coeff(gap, a)
             child = nu[:i] + (hi - a, lo + a) + nu[i + 2:]
             for lam, c in self.straighten(child).items():
-                acc = out.get(lam)
-                acc = coeff * c if acc is None else acc + coeff * c
-                if acc.is_zero():
-                    out.pop(lam, None)
-                else:
-                    out[lam] = acc
-        return out
+                mul_into(acc.setdefault(lam, {}), coeff, c)
+        return collect_all(acc)
 
 
 def straighten_to_vacuum(nu):

@@ -102,14 +102,18 @@ def test_three_paths_agree():
 
 
 def test_truncation_cap(monkeypatch):
-    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "4")
-    for entry, args in (
+    """The cap applies on every call, also to a value already cached."""
+    entries = (
         (oracle_spin_kostka, ((5,), (5,))),
         (oracle_b, ((5,), (5,))),
         (oracle_kostka_foulkes, ((5,), (5,))),
         (oracle_spin_via_bK, ((5,), (5,))),
         (g_general, ((3, 2), (5,))),
-    ):
+    )
+    for entry, args in entries:
+        entry(*args)
+    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "4")
+    for entry, args in entries:
         with pytest.raises(TruncationError, match="weight 5 exceeds oracle truncation cap 4"):
             entry(*args)
     assert oracle_spin_kostka((4,), (4,)) == LaurentPoly.const(2)

@@ -14,6 +14,8 @@ from spinkostka.polynomial import (
     RatFunc,
     T,
     ZERO,
+    collect,
+    mul_into,
     t_binomial,
     t_double_factorial,
     t_factorial,
@@ -50,6 +52,58 @@ def test_power_matches_repeated_product(a, n):
     for _ in range(n):
         expected = expected * a
     assert a ** n == expected
+
+
+def _naive_product(p, q, scale=1, shift=0):
+    """scale * t**shift * p * q, term by term through the constructor."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            out[e1 + e2 + shift] = out.get(e1 + e2 + shift, 0) + scale * c1 * c2
+    return LaurentPoly(out)
+
+
+def _assert_canonical(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert all(got.coefficients())
+
+
+@given(
+    laurent,
+    laurent,
+    laurent,
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-4, max_value=4),
+    st.booleans(),
+)
+def test_mul_into_then_collect(acc, p, q, scale, shift, cancel):
+    """The in-place kernel adds scale * t**shift * p * q, and ``collect``
+    gives the canonical value, also when everything cancels."""
+    if cancel:
+        acc = -_naive_product(p, q, scale, shift)
+    terms = acc.terms
+    mul_into(terms, p, q, scale, shift)
+    got = collect(terms)
+    want = acc + scale * p.shift(shift) * q
+    _assert_canonical(got, want)
+    _assert_canonical(got, acc + _naive_product(p, q, scale, shift))
+    if cancel:
+        _assert_canonical(got, ZERO)
+
+
+@given(
+    laurent,
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_one_term_product(q, c, e):
+    """The one-term fast path of ``*``, with the term on either side."""
+    mono = LaurentPoly.term(c, e)
+    want = _naive_product(mono, q)
+    _assert_canonical(mono * q, want)
+    _assert_canonical(q * mono, want)
+    _assert_canonical(c * q.shift(e), want)
 
 
 @given(laurent, laurent)

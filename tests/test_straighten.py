@@ -1,5 +1,7 @@
 """Straightening of operator words to the partition basis."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,23 @@ def test_primitive_rule_equivalence(nu):
     table = Straightener().straighten(nu)
     primitive = ReferenceStraightener("leftmost", "primitive").straighten(nu)
     assert table == primitive
+
+
+def test_degree_prune_matches_unpruned_reference():
+    """On every word of length <= 4 with entries in [-4, 4], the pruning
+    straightener agrees with the reference, which prunes nothing; and every
+    word with a negative suffix sum is 0 under the reference too."""
+    ours = Straightener()
+    ref = ReferenceStraightener("leftmost", "table")
+    negative = 0
+    for length in range(5):
+        for nu in product(range(-4, 5), repeat=length):
+            want = ref.straighten(nu)
+            assert ours.straighten(nu) == want, nu
+            if any(sum(nu[j:]) < 0 for j in range(length)):
+                negative += 1
+                assert want == {}, nu
+    assert negative > 0
 
 
 def test_memo_shared_across_calls():
