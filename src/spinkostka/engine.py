@@ -13,6 +13,13 @@ the partition basis and equal states merge.
 
 Closed forms (one-row xi, two-part mu, matching leading parts) are used as
 fast paths.
+
+Inside the engine every coefficient is packed into one int
+(``polynomial.encode``): the expansions, the straightened words and the
+memo of K^- values.  A public answer is decoded once and kept per cell.
+Its coefficients lie in 0..2^n g^xi, so the engine refuses a cell whose
+bound does not fit the slot before computing it (the proof is at
+``polynomial.SLOT_BITS``).  The memo file holds decoded values.
 """
 
 from __future__ import annotations
@@ -22,15 +29,13 @@ import os
 import tempfile
 
 from .invariants import cell_failures
-from .partitions import as_partition, dominates, n_stat
-from .polynomial import ONE, ZERO, LaurentPoly, collect, collect_all, mul_into, t_binomial
+from .partitions import as_partition, dominates, n_stat, shifted_tableaux_count
+from .polynomial import SLOT_BITS, SLOT_LIMIT, ZERO, LaurentPoly, decode, encode, t_binomial
 from .straighten import Straightener
-
-_ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
 
 def htilde_expand(k, mu, straightener):
-    """{lam: coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1.
+    """{lam: packed coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1.
 
     Equivalent to summing t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)
     over the weak compositions tau of k in the positions of mu, but the
@@ -44,22 +49,23 @@ def htilde_expand(k, mu, straightener):
     is dropped."""
     if k < 0:
         return {}
-    states = {(0, ()): ONE}
+    states = {(0, ()): 1}
     tail = 0
     for j in range(len(mu) - 1, -1, -1):
         tail += mu[j]
         merged = {}
+        get = merged.get
         for (used, suffix), coeff in states.items():
             free = k - used
             top = min(free, tail - used)
-            if top > 0:
-                coeff_1t = coeff * _ONE_PLUS_T
+            coeff_1t = coeff + (coeff << SLOT_BITS)
             for take in range(free if j == 0 else 0, top + 1):
-                weight, shift = (coeff_1t, take - 1) if take else (coeff, 0)
+                weight = coeff_1t << (SLOT_BITS * (take - 1)) if take else coeff
                 word = (mu[j] - take,) + suffix
                 for lam, b in straightener.straighten(word).items():
-                    mul_into(merged.setdefault((used + take, lam), {}), weight, b, shift=shift)
-        states = collect_all(merged)
+                    key = (used + take, lam)
+                    merged[key] = get(key, 0) + weight * b
+        states = {key: c for key, c in merged.items() if c}
     return {lam: coeff for (used, lam), coeff in states.items() if used == k}
 
 
@@ -67,7 +73,7 @@ def spin_kostka_one_row(mu):
     """Closed form for xi = (n): t^n(mu) * prod_i (1 + t^(1-i))."""
     out = LaurentPoly({n_stat(mu): 1})
     for i in range(1, len(mu) + 1):
-        out = out * (ONE + LaurentPoly.term(1, 1 - i))
+        out = out + out.shift(1 - i)
     return out
 
 
@@ -102,22 +108,40 @@ def kostka_hook(n, k, mu):
 
 class SpinKostkaEngine:
     """Memoized recurrence engine.  Instances are cheap; each owns its memo
-    tables (values and h~_k expansions)."""
+    tables (packed values and h~_k expansions, decoded answers)."""
 
     def __init__(self):
         self._memo = {}
         self._expansions = {}
+        self._answers = {}
         self._straightener = Straightener()
 
     def spin_kostka(self, xi, mu):
-        """K^-_{xi,mu}(t), xi strict (``as_partition``); 0 if weights differ."""
-        return self._compute(as_partition(xi, "xi", strict=True), as_partition(mu, "mu"))
+        """K^-_{xi,mu}(t), xi strict (``as_partition``); 0 if weights differ.
+        ``ValueError`` if 2^n g^xi, the bound on its coefficients, does not
+        fit the slot (see ``polynomial.SLOT_BITS``)."""
+        key = (as_partition(xi, "xi", strict=True), as_partition(mu, "mu"))
+        hit = self._answers.get(key)
+        if hit is None:
+            hit = self._answers[key] = self._answer(*key)
+        return hit
+
+    def _answer(self, xi, mu):
+        n = sum(xi)
+        if n != sum(mu):
+            return ZERO
+        bound = shifted_tableaux_count(xi) << n
+        if bound >= SLOT_LIMIT:
+            raise ValueError(
+                "xi=%r mu=%r: K^- coefficients may reach 2^n g^xi = %d, past the %d-bit slot"
+                % (xi, mu, bound, SLOT_BITS)
+            )
+        return decode(self._compute(xi, mu))
 
     def _compute(self, xi, mu):
-        if sum(xi) != sum(mu):
-            return ZERO
+        """Packed K^-_{xi,mu}(t) of a cell; xi and mu have equal weights."""
         if not xi:
-            return ONE
+            return 1
         key = (xi, mu)
         hit = self._memo.get(key)
         if hit is not None:
@@ -132,9 +156,9 @@ class SpinKostkaEngine:
         if xi and mu and xi[0] == mu[0]:
             return 2 * self._compute(xi[1:], mu[1:])
         if len(xi) == 1:
-            return spin_kostka_one_row(mu)
+            return encode(spin_kostka_one_row(mu))
         if len(mu) <= 2:
-            return spin_kostka_two_part(xi, mu)
+            return encode(spin_kostka_two_part(xi, mu))
         return None
 
     def _expansion(self, k, rest):
@@ -146,7 +170,7 @@ class SpinKostkaEngine:
 
     def _recurrence(self, xi, mu):
         mu1, rest = mu[0], mu[1:]
-        acc = {}
+        acc = 0
         for i, part in enumerate(xi):
             if part < mu1:
                 break
@@ -155,8 +179,8 @@ class SpinKostkaEngine:
             for lam, coeff in self._expansion(part - mu1, rest).items():
                 sub = self._compute(xi_hat, lam)
                 if sub:
-                    mul_into(acc, coeff, sub, scale)
-        return collect(acc)
+                    acc += scale * coeff * sub
+        return acc
 
     # -- memo persistence ------------------------------------------------
 
@@ -165,11 +189,12 @@ class SpinKostkaEngine:
         return len(self._memo)
 
     def save_cache(self, path):
-        """Write the memo as JSON.  The data goes to a temporary file in the
-        same directory first, so an interrupted save leaves the old file."""
+        """Write the memo, decoded, as JSON.  The data goes to a temporary
+        file in the same directory first, so an interrupted save leaves the
+        old file."""
         data = {
-            "%s|%s" % (",".join(map(str, xi)), ",".join(map(str, mu))): poly.to_json()
-            for (xi, mu), poly in self._memo.items()
+            "%s|%s" % (",".join(map(str, xi)), ",".join(map(str, mu))): decode(packed).to_json()
+            for (xi, mu), packed in self._memo.items()
         }
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         try:
@@ -184,7 +209,8 @@ class SpinKostkaEngine:
         """Merge a memo written by ``save_cache``.  A missing file raises
         ``FileNotFoundError``.  A truncated or malformed file, or one with a
         key or value that ``invariants.cell_failures`` rejects, raises
-        ``CacheError`` and leaves the memo as it was."""
+        ``CacheError`` and leaves the memo as it was.  So does a value that
+        the packed memo cannot hold and give back unchanged."""
         with open(path) as fh:
             try:
                 entries = [
@@ -193,14 +219,21 @@ class SpinKostkaEngine:
                 ]
             except (ValueError, TypeError, AttributeError) as exc:
                 raise CacheError("malformed memo file %s: %s" % (path, exc)) from None
+        packed = {}
         for (xi, mu), value in entries:
             problems = cell_failures(xi, mu, value)
+            if not problems:
+                packed[xi, mu] = encode(value)
+                if decode(packed[xi, mu]) != value:
+                    problems = ["coefficients past the %d-bit slot" % SLOT_BITS]
             if problems:
                 raise CacheError(
                     "memo file %s, cell xi=%r mu=%r: %s"
                     % (path, xi, mu, "; ".join(problems))
                 )
-        self._memo.update(entries)
+        self._memo.update(packed)
+        for key in packed:
+            self._answers.pop(key, None)
 
 
 class CacheError(ValueError):

@@ -117,6 +117,19 @@ def eps(lam):
     return -1 if (weight(lam) - len(lam)) % 2 else 1
 
 
+@lru_cache(maxsize=None)
+def shifted_tableaux_count(xi):
+    """g^xi, the number of standard shifted tableaux of the strict shape xi:
+    n! / prod_i xi_i! * prod_(i<j) (xi_i - xi_j) / (xi_i + xi_j)."""
+    num, den = factorial(sum(xi)), 1
+    for i, a in enumerate(xi):
+        den *= factorial(a)
+        for b in xi[i + 1:]:
+            num *= a - b
+            den *= a + b
+    return num // den
+
+
 def u_stat(lam):
     u = factorial(len(lam))
     for m in multiplicities(lam).values():
@@ -185,18 +198,6 @@ class ShapeClass:
     lam2: int = 0
     m2: int = 0
     m1: int = 0
-
-    def reconstruct(self):
-        if self.kind is ShapeKind.OTHER:
-            raise ValueError("no decomposition for kind OTHER")
-        parts = []
-        if self.lam1:
-            parts.append(self.lam1)
-        if self.lam2:
-            parts.append(self.lam2)
-        parts.extend([2] * self.m2)
-        parts.extend([1] * self.m1)
-        return tuple(parts)
 
 
 def classify_shape(lam):

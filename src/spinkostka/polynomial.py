@@ -13,6 +13,11 @@ Two coefficient domains live here:
 Both types are immutable value objects; arithmetic always returns fresh
 instances.  ``LaurentPoly`` values are canonical; ``RatFunc`` values compare
 by value.
+
+The K^- engine and the straightener compute in a third form, a polynomial
+packed into one Python int by ``encode``, and hand their results out
+through ``decode``; the slot width and why it suffices are set out at
+``SLOT_BITS``.
 """
 
 from __future__ import annotations
@@ -119,8 +124,12 @@ class LaurentPoly:
             ((e1, c1),) = small.items()
             return _raw({e1 + e: c1 * c for e, c in large.items()})
         out = {}
-        mul_into(out, self, other)
-        return collect(out)
+        get = out.get
+        for e1, c1 in small.items():
+            for e2, c2 in large.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return _raw({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -237,36 +246,6 @@ class LaurentPoly:
         return cls({int(e): int(c) for e, c in data.items()})
 
 
-def mul_into(acc, p, q, scale=1, shift=0):
-    """Add scale * t**shift * p * q into ``acc``, a plain dict exponent ->
-    int that may keep zero coefficients until ``collect``."""
-    small, large = p._terms, q._terms
-    if len(small) > len(large):
-        small, large = large, small
-    get = acc.get
-    for e1, c1 in small.items():
-        e1 += shift
-        c1 *= scale
-        for e2, c2 in large.items():
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-
-
-def collect(acc):
-    """The canonical ``LaurentPoly`` of an accumulator dict."""
-    return _raw({e: c for e, c in acc.items() if c})
-
-
-def collect_all(accs):
-    """{key: collect(acc)} over a dict of accumulators, zero values dropped."""
-    out = {}
-    for key, acc in accs.items():
-        value = collect(acc)
-        if value:
-            out[key] = value
-    return out
-
-
 def _raw(terms):
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
@@ -289,6 +268,68 @@ def _dense(p):
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
 T = LaurentPoly.term(1, 1)
+
+
+# -- packed coefficients --------------------------------------------------
+
+# The K^- engine and the straightener keep a polynomial p(t) with exponents
+# >= 0 as the one int p(2^SLOT_BITS) (Kronecker substitution): a sum is +,
+# a product is *, t^d is << SLOT_BITS*d and (1+t)c is c + (c << SLOT_BITS).
+#
+# No overflow check is needed while they compute.  t -> 2^SLOT_BITS is a
+# ring homomorphism Z[t] -> Z and Python ints are exact, so every packed
+# value is exactly the packed image of the polynomial it stands for, however
+# large its coefficients grow on the way.  Only ``decode`` needs a bound: it
+# reads the balanced base-2^SLOT_BITS digits of the int, which are the
+# coefficients exactly when each has absolute value below SLOT_LIMIT.
+# Each caller that decodes proves that bound first:
+#
+# * K^-_{xi,mu}(t) = sum_lam b_{xi,lam} K_{lam,mu}(t) with every b >= 0 and
+#   every K_{lam,mu}(t) in N[t].  So its coefficients are >= 0 and each is
+#   at most K^-_{xi,mu}(1) = sum_lam b_{xi,lam} K_{lam,mu}
+#   <= sum_lam b_{xi,lam} f^lam = K^-_{xi,1^n}(1) = 2^n g^xi.  The last two
+#   both count the coefficient of x_1...x_n in Q_xi = sum_lam b_{xi,lam} s_lam:
+#   the marked standard shifted tableaux of shape xi, 2^n for each of the g^xi
+#   unmarked ones (``partitions.shifted_tableaux_count``).  ``SpinKostkaEngine`` refuses a
+#   cell whose 2^n g^xi is not below SLOT_LIMIT before computing it; every
+#   cell of weight <= 27 fits.
+# * A straightened word nu carries N(nu) = sum_a |step_a|_1 N(child_a), with
+#   N = 1 on a partition and 0 on an annihilated word, which bounds the L1
+#   norm of every coefficient; ``straighten_to_vacuum`` decodes only when
+#   N(nu) < SLOT_LIMIT.
+SLOT_BITS = 64
+SLOT_LIMIT = 1 << (SLOT_BITS - 1)
+_SLOT = 1 << SLOT_BITS
+_SLOT_MASK = _SLOT - 1
+
+
+def encode(p):
+    """The packed int p(2^SLOT_BITS) of a ``LaurentPoly`` p; ``ValueError``
+    on a negative exponent, which the packed form cannot hold."""
+    v = 0
+    for e, c in p._terms.items():
+        if e < 0:
+            raise ValueError("cannot pack %s: an exponent is negative" % p)
+        v += c << (SLOT_BITS * e)
+    return v
+
+
+def decode(v):
+    """The ``LaurentPoly`` whose packed int is v, given that each of its
+    coefficients has absolute value below SLOT_LIMIT (see ``SLOT_BITS``)."""
+    terms = {}
+    e = 0
+    while v:
+        c = v & _SLOT_MASK
+        v >>= SLOT_BITS
+        if c:
+            if c >= SLOT_LIMIT:
+                # a negative digit borrows one from the slots above it
+                c -= _SLOT
+                v += 1
+            terms[e] = c
+        e += 1
+    return _raw(terms)
 
 
 # -- t-brackets ---------------------------------------------------------

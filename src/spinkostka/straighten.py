@@ -15,11 +15,20 @@ The leftmost ascent is rewritten first.  The statistic sum(i * nu_i)
 strictly decreases at every rewrite, so the procedure terminates.  The
 tests check the result against a separate reference straightener (other
 ascent order, primitive two-term relation) and the vertex-operator oracle.
+
+Every coefficient that arises is a polynomial in t with exponents >= 0.
+``Straightener.straighten`` returns them packed (``polynomial.encode``), as
+the K^- engine consumes them; it reads the move coefficients from a packed
+table built from ``step_coeff``.  It also keeps, per word, the bound N(nu)
+on the L1 norm of each coefficient, and ``straighten_to_vacuum`` decodes to
+``LaurentPoly`` only when that bound fits the slot.
 """
 
 from __future__ import annotations
 
-from .polynomial import ONE, LaurentPoly, T, collect_all, mul_into
+from functools import lru_cache
+
+from .polynomial import SLOT_BITS, SLOT_LIMIT, LaurentPoly, T, decode, encode
 
 
 def step_coeff(gap, a):
@@ -34,6 +43,16 @@ def step_coeff(gap, a):
         return LaurentPoly({a + 1: 1, a - 1: -1})
     epsilon = gap % 2
     return LaurentPoly({a + epsilon: 1, a - 1: -1})
+
+
+@lru_cache(maxsize=None)
+def _packed_moves(gap):
+    """(packed step_coeff(gap, a), its L1 norm) for a = 0..gap//2."""
+    moves = []
+    for a in range(gap // 2 + 1):
+        step = step_coeff(gap, a)
+        moves.append((encode(step), sum(map(abs, step.coefficients()))))
+    return tuple(moves)
 
 
 def _normalize(nu):
@@ -59,50 +78,62 @@ def _leftmost_ascent(nu):
 
 class Straightener:
     """Memoizing straightener: leftmost ascent first, closed-form move
-    coefficients."""
+    coefficients.  ``straighten`` returns {lam: packed coefficient}."""
 
     def __init__(self):
         self._memo = {}
+        self._norms = {}  # word -> N(word), see polynomial.SLOT_BITS
 
     def straighten(self, nu):
         nu = tuple(nu)
         hit = self._memo.get(nu)
         if hit is not None:
             return hit
-        result = self._compute(nu)
+        result, self._norms[nu] = self._compute(nu)
         self._memo[nu] = result
         return result
 
     def _compute(self, nu):
+        """(packed result, N(nu))."""
         stripped = _normalize(nu)
         if stripped is None:
-            return {}
+            return {}, 0
         if stripped != nu:
-            return self.straighten(stripped)
+            return self.straighten(stripped), self._norms[stripped]
         i = _leftmost_ascent(nu)
         if i is None:
             # weakly decreasing; entries are positive after normalization
-            return {nu: ONE}
+            return {nu: 1}, 1
         lo, hi = nu[i], nu[i + 1]
-        gap = hi - lo
+        head, tail = nu[:i], nu[i + 2:]
         acc = {}
-        for a in range(gap // 2 + 1):
-            coeff = step_coeff(gap, a)
-            child = nu[:i] + (hi - a, lo + a) + nu[i + 2:]
+        norm = 0
+        for a, (step, size) in enumerate(_packed_moves(hi - lo)):
+            child = head + (hi - a, lo + a) + tail
             for lam, c in self.straighten(child).items():
-                mul_into(acc.setdefault(lam, {}), coeff, c)
-        return collect_all(acc)
+                acc[lam] = acc.get(lam, 0) + step * c
+            norm += size * self._norms[child]
+        return {lam: c for lam, c in acc.items() if c}, norm
 
 
 def straighten_to_vacuum(nu):
-    """One-shot :class:`Straightener` for a list or tuple of ints; anything
-    else raises ``ValueError``.  So does a word whose rewrite chain outgrows
-    the recursion limit: at the default 1000, from top level,
-    ``(0,)*248 + (1,)`` straightens and ``(0,)*249 + (1,)`` does not."""
+    """{lam: LaurentPoly} for a list or tuple of ints, by a one-shot
+    :class:`Straightener`; anything else raises ``ValueError``.  So does a
+    word whose rewrite chain outgrows the recursion limit: at the default
+    1000, from top level, ``(0,)*248 + (1,)`` straightens and
+    ``(0,)*249 + (1,)`` does not.  So does a word whose coefficient bound
+    N(nu) is not below 2^(SLOT_BITS - 1)."""
     word = tuple(nu) if isinstance(nu, (list, tuple)) else (None,)
     if not {int}.issuperset(map(type, word)):
         raise ValueError("nu must be a vector of ints, got %r" % (nu,))
+    straightener = Straightener()
     try:
-        return Straightener().straighten(word)
+        packed = straightener.straighten(word)
     except RecursionError:
         raise ValueError("nu=%r rewrites deeper than the recursion limit" % (word,)) from None
+    if straightener._norms[word] >= SLOT_LIMIT:
+        raise ValueError(
+            "nu=%r: coefficients may reach %d, past the %d-bit slot"
+            % (word, straightener._norms[word], SLOT_BITS)
+        )
+    return {lam: decode(c) for lam, c in packed.items()}

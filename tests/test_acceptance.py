@@ -41,7 +41,7 @@ from spinkostka.schur import (
     g_square,
     g_square_alternating_sum,
 )
-from spinkostka.straighten import Straightener, straighten_to_vacuum
+from spinkostka.straighten import straighten_to_vacuum
 
 from crosscheck import PlainEngine, ReferenceStraightener
 
@@ -133,7 +133,7 @@ def test_criterion_3_closed_forms():
 def test_criterion_4_oracle_equivalence():
     t0 = time.perf_counter()
     bad = []
-    for n in range(0, 11):
+    for n in range(0, 12):
         for xi in strict_partitions(n):
             for mu in partitions(n):
                 if spin_kostka(xi, mu) != oracle_spin_kostka(xi, mu):
@@ -239,7 +239,7 @@ def test_criterion_9_straightening():
         length = rng.randint(0, 4)
         samples.add(tuple(rng.randint(-2, 6) for _ in range(length)))
     for nu in sorted(samples):
-        left = Straightener().straighten(nu)
+        left = straighten_to_vacuum(nu)
         right = ReferenceStraightener("rightmost", "table").straighten(nu)
         primitive = ReferenceStraightener("leftmost", "primitive").straighten(nu)
         if not (left == right == primitive):

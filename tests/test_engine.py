@@ -1,6 +1,8 @@
 """Spin Kostka recurrence engine and closed forms."""
 
 import os
+import time
+from functools import lru_cache
 
 import pytest
 
@@ -18,15 +20,16 @@ from spinkostka.invariants import cell_failures, failures
 from spinkostka.partitions import (
     n_stat,
     partitions,
+    shifted_tableaux_count,
     strict_partitions,
     support_size,
     weak_compositions,
 )
-from spinkostka.polynomial import LaurentPoly, ONE, ZERO, t_int
+from spinkostka.polynomial import SLOT_LIMIT, LaurentPoly, ONE, ZERO, encode, t_int
 from spinkostka.schur import b_coeff
 from spinkostka.straighten import Straightener
 
-from crosscheck import PlainEngine
+from crosscheck import PlainEngine, ReferenceStraightener
 
 
 def test_worked_examples():
@@ -99,20 +102,24 @@ def test_fast_paths_match_plain_recurrence():
                 assert fast.spin_kostka(xi, mu) == plain.spin_kostka(xi, mu), (xi, mu)
 
 
+def _packed(expansion):
+    return {lam: encode(c) for lam, c in expansion.items()}
+
+
 def test_htilde_expand():
     s = Straightener()
     assert htilde_expand(-1, (2, 1), s) == {}
     # tau in {(1,0), (0,1)}, each with weight 1+t; straightening (0,1) gives t*H_(1)
-    assert htilde_expand(1, (1, 1), s) == {(1,): LaurentPoly({0: 1, 1: 2, 2: 1})}
+    assert htilde_expand(1, (1, 1), s) == _packed({(1,): LaurentPoly({0: 1, 1: 2, 2: 1})})
     # k = 2 over one position: tau = (2), coefficient t^(2-1)(1+t)
-    assert htilde_expand(2, (3,), s) == {(1,): LaurentPoly({1: 1, 2: 1})}
-    assert htilde_expand(0, (), s) == {(): ONE}
+    assert htilde_expand(2, (3,), s) == _packed({(1,): LaurentPoly({1: 1, 2: 1})})
+    assert htilde_expand(0, (), s) == _packed({(): ONE})
     assert htilde_expand(1, (), s) == {}
 
 
 def _htilde_by_weak_compositions(k, mu, straightener):
     """The expansion as the plain sum over weak compositions tau of k:
-    t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)."""
+    t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau), in LaurentPoly."""
     out = {}
     for tau in weak_compositions(k, len(mu)):
         support = support_size(tau)
@@ -124,13 +131,14 @@ def _htilde_by_weak_compositions(k, mu, straightener):
 
 
 def test_htilde_expand_matches_weak_composition_sum():
-    """k runs past |mu|, where the expansion drops every state at j = 0."""
-    ours, ref = Straightener(), Straightener()
+    """k runs past |mu|, where the expansion drops every state at j = 0.  The
+    reference sum straightens with ``ReferenceStraightener``."""
+    ours, ref = Straightener(), ReferenceStraightener("leftmost", "table")
     for n in range(9):
         for mu in partitions(n):
             for k in range(max(6, n + 2)):
                 want = _htilde_by_weak_compositions(k, mu, ref)
-                assert htilde_expand(k, mu, ours) == want, (k, mu)
+                assert htilde_expand(k, mu, ours) == _packed(want), (k, mu)
 
 
 def test_structural_invariants_at_weights_11_to_13():
@@ -178,7 +186,7 @@ def test_cache_roundtrip(tmp_path):
     a.save_cache(path)
     b = SpinKostkaEngine()
     b.load_cache(path)
-    assert b._memo[((4, 2), (2, 2, 1, 1))] == value
+    assert b._memo[((4, 2), (2, 2, 1, 1))] == encode(value)
     assert b.spin_kostka((4, 2), (2, 2, 1, 1)) == value
 
 
@@ -232,8 +240,13 @@ def test_load_cache_rejects_malformed_file(tmp_path, text):
         ('{"2,2|3,1": {"0": 4, "1": 4}}', "xi=(2, 2) mu=(3, 1)", "not a cell"),
         ('{"3,1|1,3": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(1, 3)", "not a cell"),
         ('{"3,1|2,1": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(2, 1)", "not a cell"),
+        (
+            '{"3,1|2,2": {"0": %d, "1": %d}}' % (4 + 2 ** 72, 4 + 2 ** 72),
+            "xi=(3, 1) mu=(2, 2)",
+            "past the 64-bit slot",
+        ),
     ],
-    ids=["poison-999", "degree", "off-dominance", "xi-not-strict", "mu-not-partition", "weights"],
+    ids=["poison-999", "degree", "off-dominance", "xi-not-strict", "mu-not-partition", "weights", "slot"],
 )
 def test_load_cache_rejects_wrong_values(tmp_path, text, cell, problem):
     """A memo value that breaks an invariant, or a key that is not a cell,
@@ -311,3 +324,53 @@ def test_value_at_zero_is_b():
                 assert spin_kostka(xi, mu).coeff(0) == b_coeff(xi, mu), (xi, mu)
                 cells += 1
     assert cells == 2779
+
+
+@lru_cache(maxsize=None)
+def _shifted_tableaux_by_corners(xi):
+    """g^xi by removing the largest entry, which sits at a corner of the
+    shifted diagram: the end of a row longer than the next, or of the last."""
+    if not xi:
+        return 1
+    total = 0
+    for i, part in enumerate(xi):
+        if i == len(xi) - 1 or part - 1 > xi[i + 1]:
+            total += _shifted_tableaux_by_corners(xi[:i] + ((part - 1,) if part > 1 else ()) + xi[i + 1:])
+    return total
+
+
+def test_slot_bound_premises():
+    """The premises of the slot width (polynomial.SLOT_BITS) on every cell
+    of weight <= 12: the coefficients of K^- are >= 0 and sum to at most
+    2^n g^xi, with equality at mu = 1^n, where g^xi counts standard shifted
+    tableaux, which the engine does not use."""
+    cells = 0
+    for n in range(13):
+        for xi in strict_partitions(n):
+            g = _shifted_tableaux_by_corners(xi)
+            assert shifted_tableaux_count(xi) == g, xi
+            for mu in partitions(n):
+                coeffs = spin_kostka(xi, mu).coefficients()
+                assert min(coeffs, default=0) >= 0, (xi, mu)
+                assert sum(coeffs) <= 2 ** n * g, (xi, mu)
+                cells += 1
+            assert sum(spin_kostka(xi, (1,) * n).coefficients()) == 2 ** n * g, xi
+    assert cells == 2779
+
+
+def test_slot_guard_refuses_a_cell_before_any_work():
+    """Every cell of weight <= 27 fits the slot; (11, 8, 5, 3, 1) at weight 28
+    does not, and is refused before the engine computes anything.  Cheap
+    cells such as xi = (n) stay usable far past weight 27."""
+    assert max((shifted_tableaux_count(xi) << 27 for xi in strict_partitions(27))) < SLOT_LIMIT
+    xi, mu = (11, 8, 5, 3, 1), (1,) * 28
+    assert shifted_tableaux_count(xi) << 28 >= SLOT_LIMIT
+    eng = SpinKostkaEngine()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^xi=\(11, 8, 5, 3, 1\) mu=\(1, 1, .*past the 64-bit slot"):
+        eng.spin_kostka(xi, mu)
+    assert time.perf_counter() - start < 1.0
+    assert eng._memo == {} and eng._straightener._memo == {}
+    assert eng.spin_kostka((40,), (40,)) == LaurentPoly.const(2)
+    assert spin_kostka((40,), (20, 20)) == spin_kostka_one_row((20, 20))
+    assert spin_kostka((40,), (40,)) == LaurentPoly.const(2)

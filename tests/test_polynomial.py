@@ -13,9 +13,11 @@ from spinkostka.polynomial import (
     PoleError,
     RatFunc,
     T,
+    SLOT_BITS,
+    SLOT_LIMIT,
     ZERO,
-    collect,
-    mul_into,
+    decode,
+    encode,
     t_binomial,
     t_double_factorial,
     t_factorial,
@@ -69,27 +71,66 @@ def _assert_canonical(got, want):
     assert all(got.coefficients())
 
 
-@given(
-    laurent,
-    laurent,
-    laurent,
+@given(laurent, laurent)
+def test_product_is_canonical(p, q):
+    """``*`` equals the term-by-term product and drops what cancels."""
+    _assert_canonical(p * q, _naive_product(p, q))
+    _assert_canonical((ONE + T) * (ONE - T), ONE - T * T)
+
+
+# polynomials with exponents >= 0, the domain of the packed form
+packable = st.dictionaries(
+    st.integers(min_value=0, max_value=6),
     st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=-4, max_value=4),
-    st.booleans(),
+    max_size=5,
+).map(LaurentPoly)
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=-SLOT_LIMIT + 1, max_value=SLOT_LIMIT - 1),
+        max_size=6,
+    ).map(LaurentPoly)
 )
-def test_mul_into_then_collect(acc, p, q, scale, shift, cancel):
-    """The in-place kernel adds scale * t**shift * p * q, and ``collect``
-    gives the canonical value, also when everything cancels."""
-    if cancel:
-        acc = -_naive_product(p, q, scale, shift)
-    terms = acc.terms
-    mul_into(terms, p, q, scale, shift)
-    got = collect(terms)
-    want = acc + scale * p.shift(shift) * q
-    _assert_canonical(got, want)
-    _assert_canonical(got, acc + _naive_product(p, q, scale, shift))
-    if cancel:
-        _assert_canonical(got, ZERO)
+def test_encode_decode_round_trip(p):
+    """Every coefficient of absolute value below SLOT_LIMIT survives, signed
+    or not, including those at the edge of the slot."""
+    assert decode(encode(p)) == p
+
+
+def test_encode_decode_edges():
+    assert encode(ZERO) == 0 and decode(0) == ZERO
+    assert encode(T) == 1 << SLOT_BITS
+    for c in (SLOT_LIMIT - 1, -SLOT_LIMIT + 1, -1):
+        p = LaurentPoly({0: c, 1: -c, 3: c})
+        assert decode(encode(p)) == p
+    # a coefficient at the limit no longer decodes to itself
+    assert decode(encode(LaurentPoly.const(SLOT_LIMIT))) != LaurentPoly.const(SLOT_LIMIT)
+    with pytest.raises(ValueError, match="exponent is negative"):
+        encode(LaurentPoly({-1: 1, 0: 1}))
+
+
+@given(packable, packable, st.integers(min_value=0, max_value=4), st.integers(min_value=-9, max_value=9))
+def test_packed_arithmetic_matches_laurent(p, q, d, scale):
+    """The packed form maps +, *, scaling, t^d and (1+t) to int arithmetic."""
+    a, b = encode(p), encode(q)
+    assert a + b == encode(p + q)
+    assert a - b == encode(p - q)
+    assert a * b == encode(p * q)
+    assert scale * a * b == encode(scale * p * q)
+    assert a << (SLOT_BITS * d) == encode(p.shift(d))
+    assert a + (a << SLOT_BITS) == encode(p * (ONE + T))
+    assert decode(a * b + (b << SLOT_BITS)) == p * q + q.shift(1)
+
+
+@given(packable, packable)
+def test_packed_sum_cancels_to_zero(p, q):
+    """A packed sum that cancels is 0 and decodes to the canonical zero."""
+    total = encode(p * q) - encode(q) * encode(p)
+    assert total == 0
+    _assert_canonical(decode(total), ZERO)
+    _assert_canonical(decode(encode(p) + encode(-p)), ZERO)
 
 
 @given(

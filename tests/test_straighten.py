@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinkostka import straighten as straighten_module
 from spinkostka.partitions import is_partition
-from spinkostka.polynomial import LaurentPoly, ONE, T
+from spinkostka.polynomial import LaurentPoly, ONE, T, decode, encode
 from spinkostka.straighten import Straightener, step_coeff, straighten_to_vacuum
 
 from crosscheck import ReferenceStraightener
@@ -29,6 +30,17 @@ def test_step_coeff_boundaries():
         step_coeff(0, 0)
     with pytest.raises(ValueError):
         step_coeff(2, 2)
+
+
+def test_packed_moves_are_built_from_step_coeff():
+    """The straightener's packed table holds step_coeff and its L1 norm."""
+    for gap in range(1, 9):
+        moves = straighten_module._packed_moves(gap)
+        assert len(moves) == gap // 2 + 1
+        for a, (packed, size) in enumerate(moves):
+            step = step_coeff(gap, a)
+            assert decode(packed) == step
+            assert size == sum(abs(c) for c in step.coefficients())
 
 
 def test_single_ascent():
@@ -55,6 +67,25 @@ def test_wrapper_takes_int_vectors_within_the_depth_limit():
             straighten_to_vacuum(nu)
 
 
+def test_norm_bound_guards_decoding(monkeypatch):
+    """N(nu) bounds the L1 norm of each coefficient; straighten_to_vacuum
+    decodes only when N(nu) fits the slot.  With the slot narrowed to
+    N((1, 3)) = 3 the same word is refused."""
+    s = Straightener()
+    for length in range(5):
+        for nu in product(range(-2, 5), repeat=length):
+            decoded = straighten_to_vacuum(nu)
+            s.straighten(nu)
+            total = sum(abs(c) for coeff in decoded.values() for c in coeff.coefficients())
+            assert total <= s._norms[nu], nu
+    s.straighten((0,) * 100 + (1,))
+    assert s._norms[(1, 3)] == 3 and s._norms[(0,) * 100 + (1,)] == 1
+    monkeypatch.setattr(straighten_module, "SLOT_LIMIT", 3)
+    with pytest.raises(ValueError, match=r"^nu=\(1, 3\): coefficients may reach 3, past the 64-bit slot"):
+        straighten_to_vacuum((1, 3))
+    assert straighten_to_vacuum((0,) * 100 + (1,)) == {(1,): LaurentPoly({100: 1})}
+
+
 @given(vectors)
 @settings(max_examples=200)
 def test_results_are_partitions_of_same_weight(nu):
@@ -69,7 +100,7 @@ def test_results_are_partitions_of_same_weight(nu):
 def test_confluence_leftmost_rightmost(nu):
     """The library rewrites the leftmost ascent first; the reference
     straightener, rewriting the rightmost, reaches the same result."""
-    left = Straightener().straighten(nu)
+    left = straighten_to_vacuum(nu)
     right = ReferenceStraightener("rightmost", "table").straighten(nu)
     assert left == right
 
@@ -78,7 +109,7 @@ def test_confluence_leftmost_rightmost(nu):
 @settings(max_examples=150)
 def test_primitive_rule_equivalence(nu):
     """The closed-form move table agrees with the primitive two-term rule."""
-    table = Straightener().straighten(nu)
+    table = straighten_to_vacuum(nu)
     primitive = ReferenceStraightener("leftmost", "primitive").straighten(nu)
     assert table == primitive
 
@@ -93,7 +124,7 @@ def test_degree_prune_matches_unpruned_reference():
     for length in range(5):
         for nu in product(range(-4, 5), repeat=length):
             want = ref.straighten(nu)
-            assert ours.straighten(nu) == want, nu
+            assert ours.straighten(nu) == {lam: encode(c) for lam, c in want.items()}, nu
             if any(sum(nu[j:]) < 0 for j in range(length)):
                 negative += 1
                 assert want == {}, nu
