@@ -11,8 +11,8 @@ and t^(c-1)(1+t) to a position taking c > 0, so the expansion is a product
 of one-position steps; after each step the suffix is straightened back to
 the partition basis and equal states merge.
 
-Closed forms (one-row xi, two-part mu, matching leading parts) are used as
-fast paths.
+Four closed forms are used as fast paths: matching leading parts, one-row
+xi, mu with at most two parts, and the column mu = 1^n.
 
 Inside the engine every coefficient is packed into one int
 (``polynomial.encode``): the expansions, the straightened words and the
@@ -93,6 +93,33 @@ def spin_kostka_two_part(xi, mu):
     return LaurentPoly({d: scale, d - 1: scale})
 
 
+def spin_kostka_column_packed(xi):
+    """Packed K^-_{xi,1^n}(t) = t^n(xi) (t;t)_n prod_i (-1;t)_xi_i / (t;t)_xi_i
+    prod_{i<j} (1 - t^(xi_i - xi_j)) / (1 - t^(xi_i + xi_j)), which is (t;t)_n
+    times the principal specialization Q_xi(1, t, t^2, ...) (Macdonald III
+    section 8), with (t;t)_xi_1 cancelled from (t;t)_n.  num = den * K in
+    Z[t], and t -> 2^SLOT_BITS is a ring homomorphism, so the packed
+    num // den is exactly the packed K."""
+    num = den = 1
+    for j in range(xi[0] + 1, sum(xi) + 1):
+        num *= 1 - (1 << SLOT_BITS * j)
+    for part in xi:
+        num *= 2
+        for j in range(1, part):
+            num *= 1 + (1 << SLOT_BITS * j)
+    for part in xi[1:]:
+        for j in range(1, part + 1):
+            den *= 1 - (1 << SLOT_BITS * j)
+    for i, a in enumerate(xi):
+        for b in xi[i + 1:]:
+            num *= 1 - (1 << SLOT_BITS * (a - b))
+            den *= 1 - (1 << SLOT_BITS * (a + b))
+    k, r = divmod(num, den)
+    if r:
+        raise ArithmeticError("column closed form of xi=%r leaves a remainder" % (xi,))
+    return k << SLOT_BITS * n_stat(xi)
+
+
 def kostka_hook(n, k, mu):
     """Kostka-Foulkes polynomial K_{(n-k,1^k),mu}(t) by the hook closed form,
     for ints 0 <= k < n and a partition mu of n (``as_partition``)."""
@@ -159,6 +186,8 @@ class SpinKostkaEngine:
             return encode(spin_kostka_one_row(mu))
         if len(mu) <= 2:
             return encode(spin_kostka_two_part(xi, mu))
+        if mu[0] == 1:
+            return spin_kostka_column_packed(xi)
         return None
 
     def _expansion(self, k, rest):

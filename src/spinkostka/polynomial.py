@@ -150,7 +150,11 @@ class LaurentPoly:
         return _raw({e + d: c for e, c in self._terms.items()})
 
     def exact_div(self, divisor):
-        """Exact division; raises InexactDivisionError on any remainder."""
+        """Exact division; raises InexactDivisionError on any remainder.
+
+        Integer long division.  A quotient in Z[t, 1/t] has integer
+        coefficients at every step, so a step whose coefficient is not a
+        multiple of the divisor's leading coefficient proves there is none."""
         divisor = _as_laurent(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -159,24 +163,21 @@ class LaurentPoly:
         sv, dv = self.valuation(), divisor.valuation()
         num = _dense(self)
         den = _dense(divisor)
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        if len(quot) <= 0:
+        top = len(den) - 1
+        if len(num) <= top:
             raise InexactDivisionError("degree of dividend below divisor")
         lead = den[-1]
-        for i in range(len(quot) - 1, -1, -1):
-            q = num[i + len(den) - 1] / lead
-            quot[i] = q
+        out = {}
+        for i in range(len(num) - len(den), -1, -1):
+            q, r = divmod(num[i + top], lead)
+            if r:
+                raise InexactDivisionError("non-integer quotient coefficient")
             if q:
+                out[i + sv - dv] = q
                 for j, d in enumerate(den):
                     num[i + j] -= q * d
-        if any(num[: len(den) - 1]):
+        if any(num[:top]):
             raise InexactDivisionError("inexact polynomial division")
-        out = {}
-        for i, q in enumerate(quot):
-            if q:
-                if q.denominator != 1:
-                    raise InexactDivisionError("non-integer quotient coefficient")
-                out[i + sv - dv] = int(q)
         return _raw(out)
 
     # -- queries used by the engine and CLI -----------------------------
@@ -262,7 +263,7 @@ def _as_laurent(x):
 
 def _dense(p):
     lo, hi = p.valuation(), p.degree()
-    return [Fraction(p.coeff(e)) for e in range(lo, hi + 1)]
+    return [p._terms.get(e, 0) for e in range(lo, hi + 1)]
 
 
 ZERO = LaurentPoly()
@@ -360,10 +361,17 @@ def t_double_factorial(n):
 
 
 def t_binomial(n, k):
-    """Gauss t-binomial [n]! / ([k]! [n-k]!); the division is always exact."""
+    """Gauss t-binomial [n]! / ([k]! [n-k]!), built as the product over
+    i <= min(k, n - k) of (1 - t^(n-i+1)) / (1 - t^i); each partial product
+    is the t-binomial [n, i], so every division is exact."""
     if not 0 <= k <= n:
         raise ValueError("t-binomial needs 0 <= k <= n")
-    return t_factorial(n).exact_div(t_factorial(k) * t_factorial(n - k))
+    out = ONE
+    for i in range(1, min(k, n - k) + 1):
+        out = _over_one_minus_tn(out * _one_minus_tn(n - i + 1), i)
+        if out is None:
+            raise ArithmeticError("t-binomial [%d, %d]: 1 - t^%d leaves a remainder" % (n, k, i))
+    return out
 
 
 # -- rational functions for the oracle --------------------------------------

@@ -6,7 +6,11 @@ rightmost ascent first, and it can use the primitive two-term form of the
 quadratic relation instead of the closed-form move table.
 
 ``PlainEngine`` is the K^- recurrence with the closed-form fast paths
-switched off.
+switched off, and ``ColumnlessEngine`` the engine with only the mu = 1^n
+closed form switched off.
+
+``fraction_exact_div`` is exact polynomial division by long division over
+``Fraction``, where ``LaurentPoly.exact_div`` divides in integers.
 
 ``row_subset_strips`` finds the vertical strips by trying every set of rows
 and keeping the sets whose removal leaves a partition.
@@ -20,13 +24,14 @@ creation term on its own.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
 from spinkostka.engine import SpinKostkaEngine
 from spinkostka.oracle import PExpansion
 from spinkostka.partitions import partitions, z_stat
-from spinkostka.polynomial import LaurentPoly, RatFunc
+from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
@@ -91,6 +96,36 @@ class PlainEngine(SpinKostkaEngine):
 
     def _fast_path(self, xi, mu):
         return None
+
+
+class ColumnlessEngine(SpinKostkaEngine):
+    """The engine whose cells with mu = 1^n all come from the recurrence."""
+
+    def _fast_path(self, xi, mu):
+        return None if mu[0] == 1 else super()._fast_path(xi, mu)
+
+
+def fraction_exact_div(a, b):
+    """a / b for Laurent polynomials: divide the coefficient lists over
+    ``Fraction``, then require a zero remainder and an integer quotient.
+    ``InexactDivisionError`` otherwise, ``ZeroDivisionError`` for b = 0."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.is_zero():
+        return a
+    num = [Fraction(a.coeff(e)) for e in range(a.valuation(), a.degree() + 1)]
+    den = [Fraction(b.coeff(e)) for e in range(b.valuation(), b.degree() + 1)]
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    if not quot:
+        raise InexactDivisionError("degree of dividend below divisor")
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = num[i + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    if any(num) or any(q.denominator != 1 for q in quot):
+        raise InexactDivisionError("inexact polynomial division")
+    shift = a.valuation() - b.valuation()
+    return LaurentPoly({i + shift: int(q) for i, q in enumerate(quot)})
 
 
 def row_subset_strips(lam, k):

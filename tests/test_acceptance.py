@@ -133,7 +133,7 @@ def test_criterion_3_closed_forms():
 def test_criterion_4_oracle_equivalence():
     t0 = time.perf_counter()
     bad = []
-    for n in range(0, 12):
+    for n in range(0, 13):
         for xi in strict_partitions(n):
             for mu in partitions(n):
                 if spin_kostka(xi, mu) != oracle_spin_kostka(xi, mu):

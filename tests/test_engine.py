@@ -29,7 +29,7 @@ from spinkostka.polynomial import SLOT_LIMIT, LaurentPoly, ONE, ZERO, encode, t_
 from spinkostka.schur import b_coeff
 from spinkostka.straighten import Straightener
 
-from crosscheck import PlainEngine, ReferenceStraightener
+from crosscheck import ColumnlessEngine, PlainEngine, ReferenceStraightener
 
 
 def test_worked_examples():
@@ -303,12 +303,14 @@ def _spin_kostka_column(xi):
 
 
 def test_column_content_closed_form():
-    """mu = 1^n against the product formula, built here without the engine
-    or the straightener, on every strict xi of weight <= 16."""
+    """The product formula, built here in ``LaurentPoly`` without the engine
+    or the straightener, against the recurrence (the engine with its mu = 1^n
+    closed form switched off) on every strict xi of weight <= 16."""
+    recurrence = ColumnlessEngine()
     cells = 0
     for n in range(17):
         for xi in strict_partitions(n):
-            assert spin_kostka(xi, (1,) * n) == _spin_kostka_column(xi), xi
+            assert recurrence.spin_kostka(xi, (1,) * n) == _spin_kostka_column(xi), xi
             cells += 1
     assert cells == 169
 
@@ -356,6 +358,20 @@ def test_slot_bound_premises():
                 cells += 1
             assert sum(spin_kostka(xi, (1,) * n).coefficients()) == 2 ** n * g, xi
     assert cells == 2779
+
+
+def test_column_fast_path_at_weights_17_to_27():
+    """Past the recurrence's reach, every column value K^-_{xi,1^n}(t) up to
+    the slot's last weight keeps the per-cell invariants and sums to 2^n g^xi,
+    with g^xi counted by removing corners, not by the engine."""
+    cells = 0
+    for n in range(17, 28):
+        for xi in strict_partitions(n):
+            value = spin_kostka(xi, (1,) * n)
+            assert cell_failures(xi, (1,) * n, value) == [], xi
+            assert sum(value.coefficients()) == 2 ** n * _shifted_tableaux_by_corners(xi), xi
+            cells += 1
+    assert cells == 1092
 
 
 def test_slot_guard_refuses_a_cell_before_any_work():

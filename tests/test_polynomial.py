@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from spinkostka.polynomial import (
     t_factorial,
     t_int,
 )
+
+from crosscheck import fraction_exact_div
 
 laurent = st.dictionaries(
     st.integers(min_value=-5, max_value=5),
@@ -157,6 +160,38 @@ def test_exact_div_roundtrip(a, b):
 def test_exact_div_rejects_remainder():
     with pytest.raises(InexactDivisionError):
         (T + ONE).exact_div(T - ONE)
+    # the quotient 1/2 is not an integer polynomial
+    with pytest.raises(InexactDivisionError):
+        (T + ONE).exact_div(2 * T + 2)
+    # a dividend spanning fewer degrees than the divisor
+    with pytest.raises(InexactDivisionError):
+        ONE.exact_div(T + ONE)
+    with pytest.raises(InexactDivisionError):
+        LaurentPoly({-2: 3, 0: 1}).exact_div(LaurentPoly({0: 1, 1: 1, 5: 2}))
+    with pytest.raises(ZeroDivisionError):
+        T.exact_div(ZERO)
+
+
+def _outcome(divide, a, b):
+    try:
+        return divide(a, b)
+    except InexactDivisionError:
+        return InexactDivisionError
+
+
+@given(laurent, laurent, laurent, st.integers(min_value=-4, max_value=4).filter(bool))
+@settings(max_examples=300)
+def test_exact_div_matches_fraction_long_division(a, b, c, lead):
+    """Integer and ``Fraction`` long division give the same quotient, or
+    both raise, on exact and inexact quotients; multiplying the divisor by
+    ``lead`` makes most divisors non-monic."""
+    divisor = b * lead
+    if divisor.is_zero():
+        return
+    for dividend in (a * divisor, a * divisor + c, a, a * b):
+        assert _outcome(LaurentPoly.exact_div, dividend, divisor) == _outcome(
+            fraction_exact_div, dividend, divisor
+        ), (dividend, divisor)
 
 
 @given(laurent, st.fractions(min_value=-4, max_value=4, max_denominator=6))
@@ -200,13 +235,19 @@ def test_t_brackets():
 
 
 def test_t_binomial_pascal():
-    for n in range(1, 8):
-        for k in range(1, n):
-            lhs = t_binomial(n, k)
-            rhs = t_binomial(n - 1, k - 1) + t_binomial(n - 1, k).shift(k)
-            assert lhs == rhs
-            assert lhs.eval_at(1) == lhs.eval_at(1).numerator  # integer
+    """Every [n, k] with n <= 30 against a t-Pascal table built here with
+    [n, k] = [n-1, k-1] + t^k [n-1, k], and at t = 1 against comb(n, k)."""
+    pascal = {(0, 0): ONE}
+    for n in range(31):
+        for k in range(n + 1):
+            if n:
+                left = pascal.get((n - 1, k - 1), ZERO)
+                pascal[n, k] = left + pascal.get((n - 1, k), ZERO).shift(k)
+            assert t_binomial(n, k) == pascal[n, k], (n, k)
+            assert t_binomial(n, k).eval_at(1) == math.comb(n, k)
     assert t_binomial(4, 2) == LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
+    with pytest.raises(ValueError):
+        t_binomial(3, 4)
 
 
 # -- rational functions --------------------------------------------------
