@@ -48,9 +48,14 @@ def multiplicities(lam):
 
 
 def conjugate(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
+    """The transpose of lam, in O(l(lam) + lam_1): read bottom up, row i
+    (1-based) adds lam_i - lam_(i+1) columns of length i."""
+    out, below = [], 0
+    for rows in range(len(lam), 0, -1):
+        part = lam[rows - 1]
+        out += [rows] * (part - below)
+        below = part
+    return tuple(out)
 
 
 def dominates(lam, mu):
@@ -156,16 +161,18 @@ def support_size(vec):
     return sum(1 for x in vec if x > 0)
 
 
+@lru_cache(maxsize=None)
 def vertical_strip_subshapes(lam, k):
     """Partitions rho inside lam with lam/rho a vertical k-strip
-    (k cells removed, at most one per row).
+    (k cells removed, at most one per row), as a tuple.
 
     A block of equal parts loses its cells from its last rows, and any
     choice of j cells from each block, with the j summing to k, leaves a
     partition.  So the blocks are filled in turn, and each subshape is
-    built exactly once."""
+    built exactly once.  Memoized: lam must be a tuple and k an int, and
+    every caller shares the one immutable result per (lam, k)."""
     if k < 0 or k > len(lam):
-        return []
+        return ()
     states = [((), k)]  # (rows built so far, cells still to remove)
     room = len(lam)  # rows in the blocks not yet filled
     for part, block in groupby(lam):
@@ -177,7 +184,7 @@ def vertical_strip_subshapes(lam, k):
             for head, left in states
             for j in range(max(0, left - room), min(size, left) + 1)
         ]
-    return [head for head, _ in states]
+    return tuple(head for head, _ in states)
 
 
 def is_hook(lam):

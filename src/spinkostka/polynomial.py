@@ -183,9 +183,15 @@ class LaurentPoly:
     # -- queries used by the engine and CLI -----------------------------
 
     def eval_at(self, t0):
+        """The value at t0 as a ``Fraction``.  At an int t0 with no negative
+        exponent the sum is taken in ints; t0 ** e for e < 0 would be a
+        float, so negative exponents stay on the ``Fraction`` path."""
+        terms = self._terms
+        if type(t0) is int and all(e >= 0 for e in terms):
+            return Fraction(sum(c * t0 ** e for e, c in terms.items()))
         t0 = Fraction(t0)
         total = Fraction(0)
-        for e, c in self._terms.items():
+        for e, c in terms.items():
             total += c * t0 ** e
         return total
 
@@ -441,7 +447,8 @@ class RatFunc:
     def eval_at(self, t0):
         """The value at t0; a pole factor that vanishes there (t0 = 1, or
         t0 = -1 and n even) is cancelled against the numerator first."""
-        t0 = Fraction(t0)
+        if type(t0) is not int:
+            t0 = Fraction(t0)
         num, den = self.num, Fraction(self.den)
         for n, e in self.poles.items():
             if t0 ** n != 1:

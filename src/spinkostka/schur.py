@@ -3,7 +3,11 @@
 b_{xi,lam} is the coefficient of the Schur function s_lam in the Schur
 Q-function Q_xi; g_{xi,lam} = b_{xi,lam} / 2^l(xi).  The recursion peels
 the largest part of lam and sums over vertical-strip subshapes of the
-remaining rows.  Closed forms: hooks for one-row xi, the vertical-strip
+remaining rows.  Q_xi is invariant under the involution omega, since its
+generating function E(u)H(u) is symmetric in E and H, and omega s_lam =
+s_lam' (Macdonald, Symmetric Functions and Hall Polynomials, III 8); so
+b_{xi,lam} = b_{xi,lam'}, and the recursion folds each tall lam onto its
+wide conjugate.  Closed forms: hooks for one-row xi, the vertical-strip
 counts N^(s), the two-row formula, and the square-shape expansion of the
 Schur P-function at t = -1 (Aokage's values on hooks).
 """
@@ -17,6 +21,7 @@ from .partitions import (
     ShapeKind,
     as_partition,
     classify_shape,
+    conjugate,
     is_hook,
     vertical_strip_subshapes,
 )
@@ -29,13 +34,19 @@ def b_coeff(xi, lam):
 
 @lru_cache(maxsize=None)
 def _b(xi, lam):
-    """b_coeff on tuples, by the vertical-strip recursion."""
+    """b_coeff on tuples, by the vertical-strip recursion.  A tall lam
+    (l(lam) > lam_1) is folded onto its conjugate, b_{xi,lam} = b_{xi,lam'}
+    (Macdonald III 8), so both share one cache entry and the recursion runs
+    on the wide one: fewer parts of xi reach lam_1, and fewer rows are left
+    to strip."""
     if sum(xi) != sum(lam):
         return 0
     if not xi:
         return 1
     if len(xi) == 1:
         return 2 if is_hook(lam) else 0
+    if lam[0] < len(lam):
+        return _b(xi, conjugate(lam))
     lam1, rest = lam[0], lam[1:]
     total = 0
     for i, part in enumerate(xi):

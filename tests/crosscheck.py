@@ -15,6 +15,14 @@ closed form switched off.
 ``row_subset_strips`` finds the vertical strips by trying every set of rows
 and keeping the sets whose removal leaves a partition.
 
+``reference_b`` is the vertical-strip recursion for b_{xi,lam} without the
+conjugation fold of ``schur._b``, on uncached strips, so that the identity
+b_{xi,lam} = b_{xi,lam'} is checked against a path that does not assume it.
+
+``reference_conjugate`` counts the parts above each column, and
+``fraction_eval_at`` sums c * t0^e over ``Fraction`` at every point, the
+loops that ``conjugate`` and ``LaurentPoly.eval_at`` replaced.
+
 ``inverse_z_t`` builds 1 / z_lam(t) as a product, since ``RatFunc`` has no
 division.
 
@@ -25,12 +33,13 @@ creation term on its own.
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
 from spinkostka.engine import SpinKostkaEngine
 from spinkostka.oracle import PExpansion
-from spinkostka.partitions import partitions, z_stat
+from spinkostka.partitions import is_hook, partitions, vertical_strip_subshapes, z_stat
 from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc
 
 _ZERO = LaurentPoly()
@@ -140,6 +149,47 @@ def row_subset_strips(lam, k):
         if all(a >= b for a, b in zip(vec, vec[1:])):
             out.append(tuple(p for p in vec if p > 0))
     return out
+
+
+_uncached_strips = vertical_strip_subshapes.__wrapped__
+
+
+@lru_cache(maxsize=None)
+def reference_b(xi, lam):
+    """b_{xi,lam} for a strict xi and a partition lam, as tuples: peel lam_1
+    and sum over the vertical strips of the remaining rows, with no fold."""
+    if sum(xi) != sum(lam):
+        return 0
+    if not xi:
+        return 1
+    if len(xi) == 1:
+        return 2 if is_hook(lam) else 0
+    lam1, rest = lam[0], lam[1:]
+    total = 0
+    for i, part in enumerate(xi):
+        if part < lam1:
+            break
+        sign = -1 if i % 2 else 1
+        xi_hat = xi[:i] + xi[i + 1:]
+        for rho in _uncached_strips(rest, part - lam1):
+            total += sign * 2 * reference_b(xi_hat, rho)
+    return total
+
+
+def reference_conjugate(lam):
+    """The transpose of lam: column i has one cell for each part above i."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
+
+
+def fraction_eval_at(a, t0):
+    """The Laurent polynomial a at t0, summed term by term over ``Fraction``."""
+    t0 = Fraction(t0)
+    total = Fraction(0)
+    for e, c in a.terms.items():
+        total += c * t0 ** e
+    return total
 
 
 def inverse_z_t(lam):

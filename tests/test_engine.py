@@ -318,14 +318,14 @@ def test_column_content_closed_form():
 def test_value_at_zero_is_b():
     """K^-_{xi,mu}(0) = b_{xi,mu}, since K_{lam,mu}(0) = delta_{lam,mu}: the
     recurrence against the vertical-strip recursion of ``schur``, which
-    shares no code with it, on every cell of weight <= 12."""
+    shares no code with it, on every cell of weight <= 14."""
     cells = 0
-    for n in range(13):
+    for n in range(15):
         for xi in strict_partitions(n):
             for mu in partitions(n):
                 assert spin_kostka(xi, mu).coeff(0) == b_coeff(xi, mu), (xi, mu)
                 cells += 1
-    assert cells == 2779
+    assert cells == 7567
 
 
 @lru_cache(maxsize=None)

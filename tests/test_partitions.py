@@ -6,7 +6,7 @@ from math import comb
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosscheck import inverse_z_t, row_subset_strips
+from crosscheck import inverse_z_t, reference_conjugate, row_subset_strips
 from spinkostka.partitions import (
     ShapeKind,
     classify_shape,
@@ -51,6 +51,13 @@ def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
     assert sum(conjugate(lam)) == sum(lam)
     assert is_partition(conjugate(lam))
+
+
+def test_conjugate_matches_column_counts():
+    assert conjugate(()) == reference_conjugate(()) == ()
+    for n in range(1, 15):
+        for lam in partitions(n):
+            assert conjugate(lam) == reference_conjugate(lam), lam
 
 
 @given(parts_st)

@@ -25,7 +25,7 @@ from spinkostka.polynomial import (
     t_int,
 )
 
-from crosscheck import fraction_exact_div
+from crosscheck import fraction_eval_at, fraction_exact_div
 
 laurent = st.dictionaries(
     st.integers(min_value=-5, max_value=5),
@@ -303,6 +303,28 @@ def test_ratfunc_arithmetic_matches_evaluation(a, b):
     assert x * (x + y) == x * x + x * y
     assert (x - x).is_zero()
     assert x.subs_neg_t().subs_neg_t() == x
+
+
+def _outcome_at(fn, *args):
+    try:
+        value = fn(*args)
+    except (ZeroDivisionError, PoleError) as exc:
+        return type(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@given(
+    rational,
+    st.integers(min_value=-4, max_value=4) | st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+@settings(max_examples=200)
+def test_eval_at_matches_the_fraction_loop(a, t0):
+    """eval_at sums in ints at int points with no negative exponent and over
+    Fraction elsewhere; both give the Fraction loop's value, or its error."""
+    num, x = a[0], _build(*a)
+    assert _outcome_at(LaurentPoly.eval_at, num, t0) == _outcome_at(fraction_eval_at, num, t0)
+    assert _outcome_at(RatFunc.eval_at, x, t0) == _outcome_at(RatFunc.eval_at, x, Fraction(t0))
 
 
 def test_ratfunc_reduction():

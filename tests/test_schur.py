@@ -13,6 +13,8 @@ from spinkostka.schur import (
     hook_arm,
 )
 
+from crosscheck import reference_b
+
 
 def test_worked_example():
     assert b_coeff((4, 3), (2, 2, 2, 1)) == 4
@@ -59,10 +61,24 @@ def test_divisibility_and_g():
 
 
 def test_conjugation_duality():
+    """b_{xi,lam'} from b_coeff equals b_{xi,lam} from the recursion that
+    does not fold lam onto lam'."""
     for n in range(1, 10):
         for xi in strict_partitions(n):
             for lam in partitions(n):
-                assert b_coeff(xi, lam) == b_coeff(xi, conjugate(lam)), (xi, lam)
+                assert b_coeff(xi, conjugate(lam)) == reference_b(xi, lam), (xi, lam)
+
+
+def test_b_matches_the_unfolded_recursion():
+    """The folded recursion against the unfolded one on every cell of weight
+    <= 14."""
+    cells = 0
+    for n in range(15):
+        for xi in strict_partitions(n):
+            for lam in partitions(n):
+                assert b_coeff(xi, lam) == reference_b(xi, lam), (xi, lam)
+                cells += 1
+    assert cells == 7567
 
 
 def test_count_Ns_closed_vs_brute():
