@@ -43,7 +43,6 @@ from .schur import (
     count_Ns,
     g_coeff,
     g_square,
-    g_square_alternating_sum,
 )
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "dominates",
     "g_coeff",
     "g_square",
-    "g_square_alternating_sum",
     "is_hook",
     "is_partition",
     "is_strict_partition",

@@ -11,8 +11,10 @@ and t^(c-1)(1+t) to a position taking c > 0, so the expansion is a product
 of one-position steps; after each step the suffix is straightened back to
 the partition basis and equal states merge.
 
-Four closed forms are used as fast paths: matching leading parts, one-row
-xi, mu with at most two parts, and the column mu = 1^n.
+Two closed forms are used as fast paths: one-row xi and the column mu = 1^n.
+The leading-block factor 2 (xi_1 = mu_1) is no fast path: it is the
+recurrence's i = 0 term, as h~_0 H_rest.1 = H_rest.1 and no later part of xi
+reaches mu_1.  Nor is a two-part mu, one expansion over a single position.
 
 Inside the engine every coefficient is packed into one int
 (``polynomial.encode``): the expansions, the straightened words and the
@@ -47,8 +49,6 @@ def htilde_expand(k, mu, straightener):
     sum(mu[j+1:]) - used, so position j takes at most sum(mu[j:]) - used
     cells, and at j = 0 a state that cannot place all its remaining cells
     is dropped."""
-    if k < 0:
-        return {}
     states = {(0, ()): 1}
     tail = 0
     for j in range(len(mu) - 1, -1, -1):
@@ -180,12 +180,8 @@ class SpinKostkaEngine:
         return result
 
     def _fast_path(self, xi, mu):
-        if xi and mu and xi[0] == mu[0]:
-            return 2 * self._compute(xi[1:], mu[1:])
         if len(xi) == 1:
             return encode(spin_kostka_one_row(mu))
-        if len(mu) <= 2:
-            return encode(spin_kostka_two_part(xi, mu))
         if mu[0] == 1:
             return spin_kostka_column_packed(xi)
         return None

@@ -142,10 +142,11 @@ class PExpansion:
 # -- operator specifications --------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSpec:
     """Coefficient sequences of the two exponentials: ``creation(n)`` is the
-    coefficient of p_n z^n, ``annihilation(n)`` of d/dp_n z^-n."""
+    coefficient of p_n z^n, ``annihilation(n)`` of d/dp_n z^-n.  Hashed by
+    identity, so no two specs share cached coefficients."""
 
     name: str
     creation: object
@@ -204,7 +205,7 @@ def _exp_coeff(spec, side, rho):
     """Coefficient of p_rho z^|rho| in the creation exponential (side
     "creation"), or of d_rho z^-|rho| in the annihilation one (side
     "annihilation", d_rho a product of plain d/dp_k)."""
-    key = (spec.name, side, rho)
+    key = (spec, side, rho)
     hit = _coeff_cache.get(key)
     if hit is None:
         seq = getattr(spec, side)

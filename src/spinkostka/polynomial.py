@@ -47,7 +47,7 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(c, int):
+                if type(c) is not int:
                     raise TypeError("LaurentPoly coefficients must be int, got %r" % (c,))
                 if c:
                     clean[int(e)] = clean.get(int(e), 0) + c
@@ -250,7 +250,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data):
-        return cls({int(e): int(c) for e, c in data.items()})
+        return cls({int(e): c for e, c in data.items()})
 
 
 def _raw(terms):

@@ -7,14 +7,13 @@ remaining rows.  Q_xi is invariant under the involution omega, since its
 generating function E(u)H(u) is symmetric in E and H, and omega s_lam =
 s_lam' (Macdonald, Symmetric Functions and Hall Polynomials, III 8); so
 b_{xi,lam} = b_{xi,lam'}, and the recursion folds each tall lam onto its
-wide conjugate.  Closed forms: hooks for one-row xi, the vertical-strip
-counts N^(s), the two-row formula, and the square-shape expansion of the
-Schur P-function at t = -1 (Aokage's values on hooks).
+wide conjugate; a one-row xi reaches the hook rule in one step.  Closed forms:
+the vertical-strip counts N^(s), the two-row formula, and the square-shape
+expansion of the Schur P-function at t = -1 (Aokage's values on hooks).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import (
@@ -43,8 +42,6 @@ def _b(xi, lam):
         return 0
     if not xi:
         return 1
-    if len(xi) == 1:
-        return 2 if is_hook(lam) else 0
     if lam[0] < len(lam):
         return _b(xi, conjugate(lam))
     lam1, rest = lam[0], lam[1:]
@@ -126,23 +123,3 @@ def g_square(r, lam):
     if shape.lam2 + shape.m1 - 1 <= shape.lam1 <= shape.lam2 + shape.m1 + 1:
         return 1
     return 0
-
-
-def g_square_alternating_sum(r, lam):
-    """Cross-check for g_square via the alternating sum of one- and two-row
-    b-coefficients plus the hook delta term."""
-    lam = tuple(lam)
-    n = 2 * r
-    if sum(lam) != n:
-        raise ValueError("need |lam| = 2r")
-    total = Fraction(0)
-    for i in range(r):
-        xi = (n,) if i == 0 else (n - i, i)
-        sign = -1 if (i + r + 1) % 2 else 1
-        total += Fraction(sign * b_coeff(xi, lam), 4)
-    j = hook_arm(lam)
-    if j is not None:
-        total += Fraction(-1 if (r + j) % 2 else 1, 2)
-    if total.denominator != 1:
-        raise ArithmeticError("non-integer g value %s for lam=%r" % (total, lam))
-    return int(total)

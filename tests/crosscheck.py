@@ -26,6 +26,9 @@ loops that ``conjugate`` and ``LaurentPoly.eval_at`` replaced.
 ``inverse_z_t`` builds 1 / z_lam(t) as a product, since ``RatFunc`` has no
 division.
 
+``g_square_alternating_sum`` is g_{(r,r),lam} from one- and two-row
+b-coefficients, the path that ``schur.g_square``'s closed forms replaced.
+
 ``reference_apply_component`` is the oracle's operator component without
 the grouping of the annihilation side: every (lam, sigma) term meets every
 creation term on its own.
@@ -41,6 +44,7 @@ from spinkostka.engine import SpinKostkaEngine
 from spinkostka.oracle import PExpansion
 from spinkostka.partitions import is_hook, partitions, vertical_strip_subshapes, z_stat
 from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc
+from spinkostka.schur import b_coeff, hook_arm
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
@@ -174,6 +178,26 @@ def reference_b(xi, lam):
         for rho in _uncached_strips(rest, part - lam1):
             total += sign * 2 * reference_b(xi_hat, rho)
     return total
+
+
+def g_square_alternating_sum(r, lam):
+    """g_{(r,r),lam} as the alternating sum of one- and two-row b-coefficients
+    plus the hook delta term."""
+    lam = tuple(lam)
+    n = 2 * r
+    if sum(lam) != n:
+        raise ValueError("need |lam| = 2r")
+    total = Fraction(0)
+    for i in range(r):
+        xi = (n,) if i == 0 else (n - i, i)
+        sign = -1 if (i + r + 1) % 2 else 1
+        total += Fraction(sign * b_coeff(xi, lam), 4)
+    j = hook_arm(lam)
+    if j is not None:
+        total += Fraction(-1 if (r + j) % 2 else 1, 2)
+    if total.denominator != 1:
+        raise ArithmeticError("non-integer g value %s for lam=%r" % (total, lam))
+    return int(total)
 
 
 def reference_conjugate(lam):

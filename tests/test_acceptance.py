@@ -39,11 +39,10 @@ from spinkostka.schur import (
     b_two_row,
     g_coeff,
     g_square,
-    g_square_alternating_sum,
 )
 from spinkostka.straighten import straighten_to_vacuum
 
-from crosscheck import PlainEngine, ReferenceStraightener, reference_b
+from crosscheck import PlainEngine, ReferenceStraightener, g_square_alternating_sum, reference_b
 
 
 def _report(criterion, ok, elapsed, detail=""):

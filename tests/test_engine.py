@@ -144,13 +144,22 @@ def test_htilde_expand_matches_weak_composition_sum():
 def test_structural_invariants_at_weights_11_to_13():
     """Divisibility by 2^l(xi), the value 2^l(xi) delta at t = -1, dominance,
     deg <= n(mu) and the leading-block factor 2, on every cell of weights
-    11-13.  Values come from the recurrence without fast paths, so the
-    leading-block check is not the fast path checking itself."""
+    11-13.  Values come from the recurrence without the one-row and column
+    closed forms, so the cells that the engine answers by those are held to
+    the invariants through the recurrence as well."""
     plain = PlainEngine()
     hard = plain.spin_kostka((11, 1), (1,) * 12)
     assert not hard.is_zero()
     assert cell_failures((11, 1), (1,) * 12, hard) == []
     assert failures(plain.spin_kostka, range(11, 14)) == []
+
+
+def test_invariants_leading_block_and_stability_to_weight_14():
+    """Every invariant, the leading-block factor 2 and stability for r = 1, 2
+    through the library engine on every cell of weight <= 14.  The engine
+    has no leading-block shortcut, so that check holds the recurrence's
+    i = 0 term, and the break after it, to the factor 2."""
+    assert failures(spin_kostka, range(1, 15), range(1, 15), grow=(1, 2)) == []
 
 
 def test_kostka_hook_values():
@@ -218,6 +227,9 @@ def test_save_cache_replaces_atomically(tmp_path, monkeypatch):
         '{"3,1|2,2": {"0": "four"}}',
         '{"3,x|2,2": {"0": 4}}',
         '{"3,1|2,2": [4]}',
+        '{"3,1|2,2": {"0": 4.9, "1": "4"}, "2|2": {"0": 2.5}}',  # not JSON ints
+        '{"3,1|2,2": {"0": 4.0, "1": 4}}',  # a float that is an integer
+        '{"|": {"0": true}}',  # a bool, on the empty cell, whose value is 1
     ],
 )
 def test_load_cache_rejects_malformed_file(tmp_path, text):
@@ -339,6 +351,110 @@ def _shifted_tableaux_by_corners(xi):
         if i == len(xi) - 1 or part - 1 > xi[i + 1]:
             total += _shifted_tableaux_by_corners(xi[:i] + ((part - 1,) if part > 1 else ()) + xi[i + 1:])
     return total
+
+
+def _inner_shapes(xi, k, above=None):
+    """The strict alpha inside xi with |xi| - |alpha| = k, padded with zeros
+    to the length of xi."""
+    if not xi:
+        if not k:
+            yield ()
+        return
+    for a in range(max(xi[0] - k, 0), xi[0] + 1):
+        if a and above is not None and a >= above:
+            continue
+        for tail in _inner_shapes(xi[1:], k - xi[0] + a, a):
+            yield (a,) + tail
+
+
+def _components(cells):
+    """Number of edge-connected components of a set of (row, column) cells."""
+    left, count = set(cells), 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            r, c = stack.pop()
+            for cell in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if cell in left:
+                    left.remove(cell)
+                    stack.append(cell)
+    return count
+
+
+@lru_cache(maxsize=None)
+def _marked_tableaux_by_letters(xi, mu):
+    """Marked shifted tableaux of shape xi and content mu, diagonal marks
+    free, by peeling the cells xi/alpha of the largest letter.  Those cells
+    take the letter k or k' exactly when no two of them sit at (r, c) and
+    (r+1, c+1), and then each edge-connected component has its marks fixed
+    but for one free cell, so the filling counts 2^components ways."""
+    if not mu:
+        return 0 if xi else 1
+    total = 0
+    for padded in _inner_shapes(xi, mu[-1]):
+        cells = {(r, r + c) for r, (a, x) in enumerate(zip(padded, xi)) for c in range(a, x)}
+        if any((r + 1, c + 1) in cells for r, c in cells):
+            continue
+        alpha = tuple(a for a in padded if a)
+        total += 2 ** _components(cells) * _marked_tableaux_by_letters(alpha, mu[:-1])
+    return total
+
+
+def _marked_tableaux_brute_force(xi, mu):
+    """Fill the shifted diagram of xi row by row with 1' < 1 < 2' < 2 < ...,
+    coded 2k - 1 for k' and 2k for k, keeping rows and columns weakly
+    increasing, each k' at most once in a row and each k at most once in a
+    column, and count the fillings of content mu."""
+    cells = [(r, c) for r, part in enumerate(xi) for c in range(r, r + part)]
+    filling, used = {}, [0] * (len(mu) + 1)
+
+    def fill(i):
+        if i == len(cells):
+            return 1
+        r, c = cells[i]
+        left, above = filling.get((r, c - 1)), filling.get((r - 1, c))
+        total = 0
+        for sym in range(max(left or 1, above or 1), 2 * len(mu) + 1):
+            letter, primed = (sym + 1) // 2, sym % 2
+            if used[letter] == mu[letter - 1]:
+                continue
+            if (primed and sym == left) or (not primed and sym == above):
+                continue
+            filling[r, c] = sym
+            used[letter] += 1
+            total += fill(i + 1)
+            used[letter] -= 1
+            del filling[r, c]
+        return total
+
+    return fill(0)
+
+
+def test_marked_tableaux_count_matches_brute_force():
+    """The peeling count against the direct enumeration of marked shifted
+    tableaux on every cell of weight <= 6."""
+    for n in range(7):
+        for xi in strict_partitions(n):
+            for mu in partitions(n):
+                want = _marked_tableaux_brute_force(xi, mu)
+                assert _marked_tableaux_by_letters(xi, mu) == want, (xi, mu)
+
+
+def test_value_at_one_counts_marked_tableaux():
+    """K^-_{xi,mu}(1), the coefficient of m_mu in Q_xi, is the number of
+    marked shifted tableaux of shape xi and content mu with the diagonal
+    marks free: the whole value at t = 1, against a count that shares no
+    algorithm with the engine, on every cell of weights 1-14, past the
+    oracle's cap."""
+    cells = 0
+    for n in range(1, 15):
+        for xi in strict_partitions(n):
+            for mu in partitions(n):
+                got = sum(spin_kostka(xi, mu).coefficients())
+                assert got == _marked_tableaux_by_letters(xi, mu), (xi, mu)
+                cells += 1
+    assert cells == 7566
 
 
 def test_slot_bound_premises():

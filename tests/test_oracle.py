@@ -21,6 +21,7 @@ from spinkostka.oracle import (
     Q_STAR_SPEC,
     S_MINUS_SPEC,
     S_PLUS_SPEC,
+    OperatorSpec,
     PExpansion,
     TruncationError,
     apply_component,
@@ -185,6 +186,19 @@ def test_apply_component_matches_the_ungrouped_reference():
             for i, F in enumerate(vectors):
                 got = apply_component(spec, m, F)
                 assert got == reference_apply_component(spec, m, F), (spec.name, m, i)
+
+
+def test_same_named_specs_keep_their_own_coefficients():
+    """Two specs with one name but different sequences each give their own
+    vector, whichever is applied first to a cold coefficient cache."""
+    vacuum = PExpansion.vacuum()
+    seven = OperatorSpec("H", lambda n: RatFunc(7), H_SPEC.annihilation)
+    assert reference_apply_component(seven, 2, vacuum) != reference_apply_component(H_SPEC, 2, vacuum)
+    for order in ((H_SPEC, seven), (seven, H_SPEC)):
+        oracle._coeff_cache.clear()
+        for spec in order:
+            want = reference_apply_component(spec, 2, vacuum)
+            assert apply_component(spec, 2, vacuum) == want, spec is H_SPEC
 
 
 def _clear_basis_caches():

@@ -9,11 +9,10 @@ from spinkostka.schur import (
     count_Ns,
     g_coeff,
     g_square,
-    g_square_alternating_sum,
     hook_arm,
 )
 
-from crosscheck import reference_b
+from crosscheck import g_square_alternating_sum, reference_b
 
 
 def test_worked_example():
