@@ -7,6 +7,11 @@ Stembridge coefficient), ``g2`` (square-shape g-coefficient), ``table``
 result and each relation's time).  Partitions are written as
 comma-separated parts, e.g. ``4,3,1``; ``-`` denotes the empty partition.
 
+Each command imports what it runs: only ``compute --oracle`` and
+``verify`` load the vertex-operator oracle, only the ``tables`` suite the
+published tables (``goldens``), and ``json`` is loaded where JSON is
+written.
+
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors (argparse's convention).
 """
@@ -15,14 +20,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
-from dataclasses import asdict
 
 from .engine import CacheError, SpinKostkaEngine, spin_kostka
-from .goldens import KNOWN_DISCREPANCIES, published_tables
 from .invariants import failures
-from .oracle import TruncationError, check_weight, oracle_spin_kostka, verify_relations
 from .partitions import as_partition, partitions, strict_partitions
 from .polynomial import LaurentPoly
 from .schur import b_coeff, g_square
@@ -102,6 +103,8 @@ def render_table(table, n, fmt, mode="spin"):
             lines.append('"%s",%s' % (format_partition(mu), cells))
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         data = {
             "n": n,
             "mode": mode,
@@ -122,6 +125,10 @@ def render_table(table, n, fmt, mode="spin"):
 
 
 def _suite_relations(args, out):
+    from dataclasses import asdict
+
+    from .oracle import verify_relations
+
     report = verify_relations(max_degree=args.max_degree, seed=args.seed)
     out.write(report.summary() + "\n")
     return {"ok": report.ok, "relations": [asdict(r) for r in report.results]}
@@ -131,6 +138,8 @@ def _suite_tables(args, out):
     """Every published cell must be reproduced, except the documented
     misprints, which must take their verified value; the cells that differ
     from the print must be exactly the documented ones."""
+    from .goldens import KNOWN_DISCREPANCIES, published_tables
+
     ok = True
     differing = set()
     for n, rows in published_tables().items():
@@ -176,6 +185,8 @@ def _suite_properties(args, out):
 
 
 def _suite_oracle(args, out):
+    from .oracle import oracle_spin_kostka
+
     bad = 0
     for n in range(0, args.max_n + 1):
         for xi in strict_partitions(n):
@@ -239,24 +250,32 @@ def build_parser():
     return parser
 
 
+def _check_oracle_weight(parser, n):
+    """Exit 2 with the oracle's message if weight ``n`` is past its cap."""
+    from .oracle import TruncationError, check_weight
+
+    try:
+        check_weight(n)
+    except TruncationError as exc:
+        parser.error(str(exc))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
-    try:
-        if args.command == "compute" and args.oracle:
-            check_weight(sum(args.xi))
-        if args.command == "verify" and args.suite in ("oracle", "all"):
-            check_weight(args.max_n)
-    except TruncationError as exc:
-        parser.error(str(exc))
 
     if args.command == "compute":
+        fn = spin_kostka
+        if args.oracle:
+            _check_oracle_weight(parser, sum(args.xi))
+            from .oracle import oracle_spin_kostka as fn
         if sum(args.xi) != sum(args.mu):
             parser.error("xi and mu must have equal weight")
-        fn = oracle_spin_kostka if args.oracle else spin_kostka
         poly = fn(args.xi, args.mu)
         if args.format == "json":
+            import json
+
             out.write(json.dumps(poly_json(args.xi, args.mu, poly)) + "\n")
         else:
             out.write("%s\n" % poly)
@@ -294,6 +313,8 @@ def main(argv=None):
         return 0
 
     if args.command == "verify":
+        if args.suite in ("oracle", "all"):
+            _check_oracle_weight(parser, args.max_n)
         names = list(SUITES) if args.suite == "all" else [args.suite]
         records = []
         for name in names:
@@ -306,6 +327,8 @@ def main(argv=None):
                 records.append({"suite": name, **record, "output": lines.getvalue().splitlines()})
         ok = all(record["ok"] for record in records)
         if args.format == "json":
+            import json
+
             out.write(json.dumps({"ok": ok, "suites": records}, indent=2) + "\n")
         return 0 if ok else 1
 

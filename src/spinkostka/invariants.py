@@ -14,14 +14,16 @@ from .partitions import (
     strict_partitions,
 )
 from .polynomial import LaurentPoly
+from .schur import b_coeff
 
 
 def cell_failures(xi, mu, value):
     """The invariants that ``value`` breaks as K^-_{xi,mu}(t), by name; empty
     when it keeps them all.  (xi, mu) must be a cell: xi strict and mu a
     partition of the same weight.  K^- vanishes unless xi dominates mu, is
-    divisible by 2^l(xi), takes 2^l(xi) delta_{xi,mu} at t = -1, is the
-    constant 2^l(xi) on the diagonal, and has its exponents in 0..n(mu)."""
+    divisible by 2^l(xi), takes 2^l(xi) delta_{xi,mu} at t = -1 and b_{xi,mu}
+    at t = 0 (as K_{lam,mu}(0) = delta_{lam,mu}), is the constant 2^l(xi) on
+    the diagonal, and has its exponents in 0..n(mu)."""
     if not (is_strict_partition(xi) and is_partition(mu) and sum(xi) == sum(mu)):
         return ["not a cell: xi strict, mu a partition, equal weights"]
     terms = value.terms
@@ -33,6 +35,8 @@ def cell_failures(xi, mu, value):
         found.append("divisibility by 2^l(xi)")
     if sum(-c if e % 2 else c for e, c in terms.items()) != (scale if xi == mu else 0):
         found.append("value 2^l(xi) delta at t = -1")
+    if terms.get(0, 0) != b_coeff(xi, mu):
+        found.append("value b_{xi,mu} at t = 0")
     if xi == mu and value != LaurentPoly.const(scale):
         found.append("diagonal value 2^l(xi)")
     if terms and (min(terms) < 0 or max(terms) > n_stat(mu)):

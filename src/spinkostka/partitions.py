@@ -9,8 +9,7 @@ tuples as well and keep their entries verbatim.
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import groupby
 from math import factorial
@@ -198,13 +197,7 @@ class ShapeKind(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ShapeClass:
-    kind: ShapeKind
-    lam1: int = 0
-    lam2: int = 0
-    m2: int = 0
-    m1: int = 0
+ShapeClass = namedtuple("ShapeClass", "kind lam1 lam2 m2 m1", defaults=(0, 0, 0, 0))
 
 
 def classify_shape(lam):

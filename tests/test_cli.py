@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import spinkostka
-from spinkostka import cli, schur
+from spinkostka import cli, goldens, schur
 from spinkostka.cli import (
     build_table,
     format_partition,
@@ -272,7 +275,7 @@ def test_verify_tables_rejects_stale_entries(capsys, monkeypatch):
     stale = dict(KNOWN_DISCREPANCIES)
     stale[(6, (5, 1), (5, 1))] = entry
     stale[(7, (7,), (7,))] = entry
-    monkeypatch.setattr(cli, "KNOWN_DISCREPANCIES", stale)
+    monkeypatch.setattr(goldens, "KNOWN_DISCREPANCIES", stale)
     assert main(["verify", "--suite", "tables"]) == 1
     out = capsys.readouterr().out
     assert "FAIL documented cell n=6 xi=5,1 mu=5,1" in out
@@ -321,3 +324,24 @@ def test_verify_json_reports_a_failing_suite(capsys, monkeypatch):
     assert suite["suite"] == "tables" and suite["ok"] is False
     assert any(line.startswith("FAIL cell n=6 xi=5,1 mu=2,1,1,1,1") for line in suite["output"])
     assert suite["output"][-1] == "tables: FAIL"
+
+
+def test_table_run_loads_only_the_layers_it_runs():
+    """A fresh process that imports the CLI and prints a table loads neither
+    the oracle nor the published tables, and adds neither ``dataclasses``
+    nor ``json`` to what the interpreter loaded at start."""
+    script = (
+        "import sys\n"
+        "start = set(sys.modules)\n"
+        "import spinkostka.cli\n"
+        "spinkostka.cli.main(['table', '--n', '4'])\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - start)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(spinkostka.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(proc.stderr.split())
+    assert "spinkostka.engine" in added and "| mu \\ xi |" in proc.stdout
+    assert not added & {"spinkostka.oracle", "spinkostka.goldens", "dataclasses", "json"}

@@ -1,12 +1,12 @@
 """Spin Kostka recurrence engine and closed forms."""
 
+import json
 import os
 import time
 from functools import lru_cache
 
 import pytest
 
-from spinkostka import engine as engine_module
 from spinkostka.engine import (
     CacheError,
     SpinKostkaEngine,
@@ -211,7 +211,7 @@ def test_save_cache_replaces_atomically(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     a.spin_kostka((4, 2), (2, 2, 1, 1))
-    monkeypatch.setattr(engine_module.json, "dump", interrupted)
+    monkeypatch.setattr(json, "dump", interrupted)
     with pytest.raises(KeyboardInterrupt):
         a.save_cache(str(path))
     assert path.read_text() == before
@@ -230,6 +230,7 @@ def test_save_cache_replaces_atomically(tmp_path, monkeypatch):
         '{"3,1|2,2": {"0": 4.9, "1": "4"}, "2|2": {"0": 2.5}}',  # not JSON ints
         '{"3,1|2,2": {"0": 4.0, "1": 4}}',  # a float that is an integer
         '{"|": {"0": true}}',  # a bool, on the empty cell, whose value is 1
+        '{"3,1|2,2": {"0": 8, "1": 8}}',  # twice the true value: t = 0 gives 8, b = 4
     ],
 )
 def test_load_cache_rejects_malformed_file(tmp_path, text):
@@ -253,7 +254,7 @@ def test_load_cache_rejects_malformed_file(tmp_path, text):
         ('{"3,1|1,3": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(1, 3)", "not a cell"),
         ('{"3,1|2,1": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(2, 1)", "not a cell"),
         (
-            '{"3,1|2,2": {"0": %d, "1": %d}}' % (4 + 2 ** 72, 4 + 2 ** 72),
+            '{"3,1|2,2": {"0": 4, "1": %d, "2": %d}}' % (4 + 2 ** 72, 2 ** 72),
             "xi=(3, 1) mu=(2, 2)",
             "past the 64-bit slot",
         ),

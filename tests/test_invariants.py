@@ -14,17 +14,28 @@ def test_poisoned_value():
     assert cell_failures((3, 1), (2, 2), LaurentPoly.const(999)) == [
         "divisibility by 2^l(xi)",
         "value 2^l(xi) delta at t = -1",
+        "value b_{xi,mu} at t = 0",
     ]
     found = failures(_with(((3, 1), (2, 2)), LaurentPoly.const(999)), [4])
     assert found == [
         "divisibility by 2^l(xi): xi=(3, 1) mu=(2, 2)",
         "value 2^l(xi) delta at t = -1: xi=(3, 1) mu=(2, 2)",
+        "value b_{xi,mu} at t = 0: xi=(3, 1) mu=(2, 2)",
     ]
+
+
+def test_multiple_of_the_true_value():
+    # K-_{(3,1),(2,2)} = 4t + 4; twice it keeps divisibility, the zero at
+    # t = -1 and the degree bound, but not the constant term b = 4
+    assert cell_failures((3, 1), (2, 2), LaurentPoly({1: 8, 0: 8})) == ["value b_{xi,mu} at t = 0"]
 
 
 def test_degree_above_n_mu():
     # n((2, 2)) = 2; 4t^3 + 4t^2 keeps divisibility and the value at t = -1
-    assert cell_failures((3, 1), (2, 2), LaurentPoly({3: 4, 2: 4})) == ["degree at most n(mu)"]
+    assert cell_failures((3, 1), (2, 2), LaurentPoly({3: 4, 2: 4})) == [
+        "value b_{xi,mu} at t = 0",
+        "degree at most n(mu)",
+    ]
     assert cell_failures((3, 1), (2, 2), LaurentPoly({0: 4, -1: 4})) == ["degree at most n(mu)"]
 
 
@@ -36,15 +47,16 @@ def test_nonzero_off_dominance():
 
 def test_diagonal():
     assert cell_failures((3, 1), (3, 1), LaurentPoly({1: 4, 0: 8})) == [
-        "diagonal value 2^l(xi)"
+        "value b_{xi,mu} at t = 0",
+        "diagonal value 2^l(xi)",
     ]
 
 
 def test_broken_leading_block():
-    # K-_{(4,2),(4,1,1)} must be 2 K-_{(2),(1,1)}; doubling it again keeps
-    # every per-cell invariant
+    # K-_{(4,2),(4,1,1)} must be 2 K-_{(2),(1,1)} = 4t + 4; adding
+    # 4t^2(1 + t) keeps every per-cell invariant
     cell = ((4, 2), (4, 1, 1))
-    wrong = 4 * spin_kostka((2,), (1, 1))
+    wrong = 2 * spin_kostka((2,), (1, 1)) + LaurentPoly({3: 4, 2: 4})
     assert cell_failures(*cell, wrong) == []
     found = failures(_with(cell, wrong), [6], [5], grow=(1,))
     assert "leading-block factor 2: xi=(4, 2) mu=(4, 1, 1)" in found
