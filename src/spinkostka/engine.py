@@ -237,9 +237,11 @@ class SpinKostkaEngine:
         key or value that ``invariants.cell_failures`` rejects, raises
         ``CacheError`` and leaves the memo as it was.  So does a value that
         the packed memo cannot hold and give back unchanged.  The value at
-        t = 0 must be b_{xi,mu}, so another multiple of a true value is refused
-        unless b_{xi,mu} = 0 (1,167 of the 2,289 nonzero cells of weights
-        1 to 12), where only the other invariants hold it."""
+        t = 0 must be b_{xi,mu} and the value at t = 1 the count of marked
+        shifted tableaux, so another multiple of a true value is refused.
+        A wrong value with the true values at t = 0, 1 and -1 still passes
+        when it keeps divisibility and the degree bound, such as the true
+        value plus 2^l(xi) t (t^2 - 1) when n(mu) >= 3."""
         import json
 
         with open(path) as fh:

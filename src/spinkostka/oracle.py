@@ -33,20 +33,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
-from .partitions import (
-    eps as parity,
-    multiplicities,
-    partitions,
-    strict_partitions,
-    vertical_strip_subshapes,
-    weak_compositions,
-    support_size,
-    u_stat,
-    z_stat,
-    z_t,
-)
+from .partitions import partitions, strict_partitions, vertical_strip_subshapes
 from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc
 
 DEFAULT_MAX_DEGREE = 12
@@ -71,6 +61,55 @@ def check_weight(n):
             "weight %d exceeds oracle truncation cap %d "
             "(raise SPIN_KOSTKA_MAX_DEGREE to override)" % (n, cap)
         )
+
+
+# -- partition statistics -----------------------------------------------
+
+
+def multiplicities(lam):
+    return Counter(lam)
+
+
+def z_stat(lam):
+    z = 1
+    for part, m in multiplicities(lam).items():
+        z *= part ** m * factorial(m)
+    return z
+
+
+def z_t(lam):
+    """z_lam(t) = z_lam / prod_i (1 - t^lam_i), the t-deformed Gram value
+    <p_lam, p_lam>_t, with one pole factor per part."""
+    return RatFunc(z_stat(lam), poles=lam)
+
+
+def eps(lam):
+    return -1 if (sum(lam) - len(lam)) % 2 else 1
+
+
+def u_stat(lam):
+    u = factorial(len(lam))
+    for m in multiplicities(lam).values():
+        u //= factorial(m)
+    return u
+
+
+def weak_compositions(k, positions):
+    """All vectors of `positions` nonnegative integers summing to k,
+    in lexicographic order: the gaps between positions - 1 bars placed
+    among k + positions - 1 slots."""
+    if positions == 0:
+        if k == 0:
+            yield ()
+        return
+    slots = k + positions - 1
+    for bars in combinations(range(slots), positions - 1):
+        ends = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def support_size(vec):
+    return sum(1 for x in vec if x > 0)
 
 
 # -- expansions in the power-sum basis ----------------------------------
@@ -759,7 +798,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                 q_lam = PExpansion.vacuum()
                 for part in lam:
                     q_lam = q_lam * hl_Q((part,))
-                rhs = rhs + q_lam.scale(parity(lam) * u_stat(lam))
+                rhs = rhs + q_lam.scale(eps(lam) * u_stat(lam))
             if not (lhs - rhs).is_zero():
                 return "n=%d" % n
         return None

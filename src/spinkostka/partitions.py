@@ -9,13 +9,11 @@ tuples as well and keep their entries verbatim.
 from __future__ import annotations
 
 import enum
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
 from math import factorial
 from operator import ge, gt
-
-from .polynomial import RatFunc
 
 
 def is_partition(seq):
@@ -36,14 +34,6 @@ def as_partition(seq, name, strict=False):
         kind = "strict partition" if strict else "partition"
         raise ValueError("%s must be a %s of ints, got %r" % (name, kind, seq))
     return parts
-
-
-def weight(lam):
-    return sum(lam)
-
-
-def multiplicities(lam):
-    return Counter(lam)
 
 
 def conjugate(lam):
@@ -100,25 +90,8 @@ def strict_partitions(n, max_part=None):
 # -- statistics ---------------------------------------------------------
 
 
-def z_stat(lam):
-    z = 1
-    for part, m in multiplicities(lam).items():
-        z *= part ** m * factorial(m)
-    return z
-
-
-def z_t(lam):
-    """z_lam(t) = z_lam / prod_i (1 - t^lam_i), the t-deformed Gram value
-    <p_lam, p_lam>_t, with one pole factor per part."""
-    return RatFunc(z_stat(lam), poles=lam)
-
-
 def n_stat(lam):
     return sum(i * part for i, part in enumerate(lam))
-
-
-def eps(lam):
-    return -1 if (weight(lam) - len(lam)) % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -134,30 +107,7 @@ def shifted_tableaux_count(xi):
     return num // den
 
 
-def u_stat(lam):
-    u = factorial(len(lam))
-    for m in multiplicities(lam).values():
-        u //= factorial(m)
-    return u
-
-
 # -- enumeration helpers ------------------------------------------------
-
-
-def weak_compositions(k, positions):
-    """All vectors of `positions` nonnegative integers summing to k,
-    in lexicographic order."""
-    if positions == 0:
-        if k == 0:
-            yield ()
-        return
-    for first in range(k + 1):
-        for rest in weak_compositions(k - first, positions - 1):
-            yield (first,) + rest
-
-
-def support_size(vec):
-    return sum(1 for x in vec if x > 0)
 
 
 @lru_cache(maxsize=None)

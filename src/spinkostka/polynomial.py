@@ -199,14 +199,6 @@ class LaurentPoly:
         """Substitute t -> -t."""
         return _raw({e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()})
 
-    def is_palindromic(self):
-        """True iff t**m * a(1/t) == a(t) for some integer m."""
-        if not self._terms:
-            return True
-        lo, hi = self.valuation(), self.degree()
-        seq = [self._terms.get(e, 0) for e in range(lo, hi + 1)]
-        return seq == seq[::-1]
-
     # -- canonical identity ---------------------------------------------
 
     def __eq__(self, other):
@@ -300,10 +292,12 @@ T = LaurentPoly.term(1, 1)
 #   unmarked ones (``partitions.shifted_tableaux_count``).  ``SpinKostkaEngine`` refuses a
 #   cell whose 2^n g^xi is not below SLOT_LIMIT before computing it; every
 #   cell of weight <= 27 fits.
-# * A straightened word nu carries N(nu) = sum_a |step_a|_1 N(child_a), with
+# * A straightened word nu has N(nu) = sum_a |step_a|_1 N(child_a), with
 #   N = 1 on a partition and 0 on an annihilated word, which bounds the L1
-#   norm of every coefficient; ``straighten_to_vacuum`` decodes only when
-#   N(nu) < SLOT_LIMIT.
+#   norm of every coefficient.  N is the straightener's own recursion with
+#   each move coefficient replaced by its L1 norm, so it is the norm
+#   straightening summed over lam.  Only ``straighten_to_vacuum`` computes
+#   it, and decodes only when N(nu) < SLOT_LIMIT.
 SLOT_BITS = 64
 SLOT_LIMIT = 1 << (SLOT_BITS - 1)
 _SLOT = 1 << SLOT_BITS

@@ -19,9 +19,11 @@ ascent order, primitive two-term relation) and the vertex-operator oracle.
 Every coefficient that arises is a polynomial in t with exponents >= 0.
 ``Straightener.straighten`` returns them packed (``polynomial.encode``), as
 the K^- engine consumes them; it reads the move coefficients from a packed
-table built from ``step_coeff``.  It also keeps, per word, the bound N(nu)
-on the L1 norm of each coefficient, and ``straighten_to_vacuum`` decodes to
-``LaurentPoly`` only when that bound fits the slot.
+table built from ``step_coeff``.  ``straighten_to_vacuum`` decodes to
+``LaurentPoly`` only when N(nu), a bound on the L1 norm of each coefficient,
+fits the slot.  N(nu) is the norm straightening: the same rewrites with each
+move coefficient replaced by its L1 norm, summed over the partitions reached.
+Only ``straighten_to_vacuum`` computes it.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ def step_coeff(gap, a):
 
 @lru_cache(maxsize=None)
 def _packed_moves(gap):
-    """(packed step_coeff(gap, a), its L1 norm) for a = 0..gap//2."""
-    moves = []
-    for a in range(gap // 2 + 1):
-        step = step_coeff(gap, a)
-        moves.append((encode(step), sum(map(abs, step.coefficients()))))
-    return tuple(moves)
+    """Packed step_coeff(gap, a) for a = 0..gap//2."""
+    return tuple(encode(step_coeff(gap, a)) for a in range(gap // 2 + 1))
+
+
+@lru_cache(maxsize=None)
+def _move_norms(gap):
+    """The L1 norm of step_coeff(gap, a) for a = 0..gap//2."""
+    return tuple(sum(map(abs, step_coeff(gap, a).coefficients())) for a in range(gap // 2 + 1))
 
 
 def _normalize(nu):
@@ -80,40 +84,44 @@ class Straightener:
     """Memoizing straightener: leftmost ascent first, closed-form move
     coefficients.  ``straighten`` returns {lam: packed coefficient}."""
 
+    _moves = staticmethod(_packed_moves)
+
     def __init__(self):
         self._memo = {}
-        self._norms = {}  # word -> N(word), see polynomial.SLOT_BITS
 
     def straighten(self, nu):
         nu = tuple(nu)
         hit = self._memo.get(nu)
         if hit is not None:
             return hit
-        result, self._norms[nu] = self._compute(nu)
-        self._memo[nu] = result
+        result = self._memo[nu] = self._compute(nu)
         return result
 
     def _compute(self, nu):
-        """(packed result, N(nu))."""
         stripped = _normalize(nu)
         if stripped is None:
-            return {}, 0
+            return {}
         if stripped != nu:
-            return self.straighten(stripped), self._norms[stripped]
+            return self.straighten(stripped)
         i = _leftmost_ascent(nu)
         if i is None:
             # weakly decreasing; entries are positive after normalization
-            return {nu: 1}, 1
+            return {nu: 1}
         lo, hi = nu[i], nu[i + 1]
         head, tail = nu[:i], nu[i + 2:]
         acc = {}
-        norm = 0
-        for a, (step, size) in enumerate(_packed_moves(hi - lo)):
+        for a, step in enumerate(self._moves(hi - lo)):
             child = head + (hi - a, lo + a) + tail
             for lam, c in self.straighten(child).items():
                 acc[lam] = acc.get(lam, 0) + step * c
-            norm += size * self._norms[child]
-        return {lam: c for lam, c in acc.items() if c}, norm
+        return {lam: c for lam, c in acc.items() if c}
+
+
+class _NormStraightener(Straightener):
+    """The norm straightening: each move coefficient replaced by its L1 norm.
+    Its values summed over lam give N(nu) (``polynomial.SLOT_BITS``)."""
+
+    _moves = staticmethod(_move_norms)
 
 
 def straighten_to_vacuum(nu):
@@ -126,14 +134,13 @@ def straighten_to_vacuum(nu):
     word = tuple(nu) if isinstance(nu, (list, tuple)) else (None,)
     if not {int}.issuperset(map(type, word)):
         raise ValueError("nu must be a vector of ints, got %r" % (nu,))
-    straightener = Straightener()
     try:
-        packed = straightener.straighten(word)
+        packed = Straightener().straighten(word)
+        bound = sum(_NormStraightener().straighten(word).values())
     except RecursionError:
         raise ValueError("nu=%r rewrites deeper than the recursion limit" % (word,)) from None
-    if straightener._norms[word] >= SLOT_LIMIT:
+    if bound >= SLOT_LIMIT:
         raise ValueError(
-            "nu=%r: coefficients may reach %d, past the %d-bit slot"
-            % (word, straightener._norms[word], SLOT_BITS)
+            "nu=%r: coefficients may reach %d, past the %d-bit slot" % (word, bound, SLOT_BITS)
         )
     return {lam: decode(c) for lam, c in packed.items()}

@@ -32,6 +32,13 @@ b-coefficients, the path that ``schur.g_square``'s closed forms replaced.
 ``reference_apply_component`` is the oracle's operator component without
 the grouping of the annihilation side: every (lam, sigma) term meets every
 creation term on its own.
+
+``is_palindromic`` tests a ``LaurentPoly`` for palindromic coefficients,
+a property that only the tests ask about.
+
+``reference_norm`` is the slot bound N(nu) by its own recursion, one
+number per word, where the library sums the values of the norm
+straightening over the partitions reached.
 """
 
 from collections import Counter
@@ -41,10 +48,11 @@ from itertools import combinations
 from math import factorial
 
 from spinkostka.engine import SpinKostkaEngine
-from spinkostka.oracle import PExpansion
-from spinkostka.partitions import is_hook, partitions, vertical_strip_subshapes, z_stat
+from spinkostka.oracle import PExpansion, z_stat
+from spinkostka.partitions import is_hook, partitions, vertical_strip_subshapes
 from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc
 from spinkostka.schur import b_coeff, hook_arm
+from spinkostka.straighten import _leftmost_ascent, _normalize, step_coeff
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
@@ -263,3 +271,34 @@ def reference_apply_component(spec, m, F):
                     term = scalar * _reference_exp_coeff(spec.creation, rho)
                     out[key] = out.get(key, RatFunc(0)) + term
     return PExpansion(out)
+
+
+def is_palindromic(p):
+    """True iff t**m * p(1/t) == p(t) for some integer m."""
+    if p.is_zero():
+        return True
+    terms = p.terms
+    seq = [terms.get(e, 0) for e in range(p.valuation(), p.degree() + 1)]
+    return seq == seq[::-1]
+
+
+@lru_cache(maxsize=None)
+def reference_norm(nu):
+    """N(nu) = sum_a |step_a|_1 N(child_a), with N = 1 on a partition and 0 on
+    an annihilated word: the bound on the L1 norm of each coefficient of the
+    straightened word nu (``polynomial.SLOT_BITS``)."""
+    stripped = _normalize(nu)
+    if stripped is None:
+        return 0
+    if stripped != nu:
+        return reference_norm(stripped)
+    i = _leftmost_ascent(nu)
+    if i is None:
+        return 1
+    lo, hi = nu[i], nu[i + 1]
+    head, tail = nu[:i], nu[i + 2:]
+    norm = 0
+    for a in range((hi - lo) // 2 + 1):
+        size = sum(map(abs, step_coeff(hi - lo, a).coefficients()))
+        norm += size * reference_norm(head + (hi - a, lo + a) + tail)
+    return norm

@@ -42,7 +42,13 @@ from spinkostka.schur import (
 )
 from spinkostka.straighten import straighten_to_vacuum
 
-from crosscheck import PlainEngine, ReferenceStraightener, g_square_alternating_sum, reference_b
+from crosscheck import (
+    PlainEngine,
+    ReferenceStraightener,
+    g_square_alternating_sum,
+    is_palindromic,
+    reference_b,
+)
 
 
 def _report(criterion, ok, elapsed, detail=""):
@@ -107,7 +113,7 @@ def test_criterion_2_worked_examples():
         spin_kostka((3, 1), (2, 2)) == LaurentPoly({1: 4, 0: 4})
         and spin_kostka((4, 3, 1), (3, 3, 2)) == LaurentPoly({2: 8, 1: 16, 0: 8})
         and spin_kostka((3, 2), (2, 1, 1, 1)) == LaurentPoly({4: 4, 3: 8, 2: 12, 1: 8})
-        and not spin_kostka((3, 2), (2, 1, 1, 1)).is_palindromic()
+        and not is_palindromic(spin_kostka((3, 2), (2, 1, 1, 1)))
     )
     elapsed = time.perf_counter() - t0
     _report(2, ok and elapsed < 1.0, elapsed)

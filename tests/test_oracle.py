@@ -26,6 +26,7 @@ from spinkostka.oracle import (
     TruncationError,
     apply_component,
     apply_word,
+    eps,
     g_general,
     hl_Q,
     htilde,
@@ -39,9 +40,11 @@ from spinkostka.oracle import (
     oracle_spin_via_bK,
     schur_q,
     schur_s,
+    u_stat,
     verify_relations,
+    z_t,
 )
-from spinkostka.partitions import eps, partitions, strict_partitions, u_stat, z_t
+from spinkostka.partitions import partitions, strict_partitions
 from spinkostka.polynomial import LaurentPoly, RatFunc, RF_ONE, RF_ZERO
 
 

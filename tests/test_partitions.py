@@ -7,25 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crosscheck import inverse_z_t, reference_conjugate, row_subset_strips
+from spinkostka.oracle import eps, multiplicities, support_size, u_stat, weak_compositions, z_stat, z_t
 from spinkostka.partitions import (
     ShapeKind,
     classify_shape,
     conjugate,
     dominates,
-    eps,
     is_hook,
     is_partition,
     is_strict_partition,
-    multiplicities,
     n_stat,
     partitions,
     strict_partitions,
-    support_size,
-    u_stat,
     vertical_strip_subshapes,
-    weak_compositions,
-    z_stat,
-    z_t,
 )
 from spinkostka.polynomial import ONE, T, LaurentPoly, RatFunc, RF_ZERO
 

@@ -25,7 +25,7 @@ from spinkostka.polynomial import (
     t_int,
 )
 
-from crosscheck import fraction_eval_at, fraction_exact_div
+from crosscheck import fraction_eval_at, fraction_exact_div, is_palindromic
 
 laurent = st.dictionaries(
     st.integers(min_value=-5, max_value=5),
@@ -221,9 +221,9 @@ def test_rendering_canonical():
 
 
 def test_palindromicity():
-    assert not LaurentPoly({4: 4, 3: 8, 2: 12, 1: 8}).is_palindromic()
-    assert LaurentPoly({2: 8, 1: 16, 0: 8}).is_palindromic()
-    assert ZERO.is_palindromic()
+    assert not is_palindromic(LaurentPoly({4: 4, 3: 8, 2: 12, 1: 8}))
+    assert is_palindromic(LaurentPoly({2: 8, 1: 16, 0: 8}))
+    assert is_palindromic(ZERO)
 
 
 def test_t_brackets():

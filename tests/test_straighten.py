@@ -11,7 +11,7 @@ from spinkostka.partitions import is_partition
 from spinkostka.polynomial import LaurentPoly, ONE, T, decode, encode
 from spinkostka.straighten import Straightener, step_coeff, straighten_to_vacuum
 
-from crosscheck import ReferenceStraightener
+from crosscheck import ReferenceStraightener, reference_norm
 
 vectors = st.lists(
     st.integers(min_value=-2, max_value=6), min_size=0, max_size=4
@@ -33,11 +33,12 @@ def test_step_coeff_boundaries():
 
 
 def test_packed_moves_are_built_from_step_coeff():
-    """The straightener's packed table holds step_coeff and its L1 norm."""
+    """The straightener's packed table holds step_coeff, and the norm
+    straightener's table its L1 norm."""
     for gap in range(1, 9):
-        moves = straighten_module._packed_moves(gap)
-        assert len(moves) == gap // 2 + 1
-        for a, (packed, size) in enumerate(moves):
+        moves, norms = straighten_module._packed_moves(gap), straighten_module._move_norms(gap)
+        assert len(moves) == len(norms) == gap // 2 + 1
+        for a, (packed, size) in enumerate(zip(moves, norms)):
             step = step_coeff(gap, a)
             assert decode(packed) == step
             assert size == sum(abs(c) for c in step.coefficients())
@@ -68,22 +69,35 @@ def test_wrapper_takes_int_vectors_within_the_depth_limit():
 
 
 def test_norm_bound_guards_decoding(monkeypatch):
-    """N(nu) bounds the L1 norm of each coefficient; straighten_to_vacuum
-    decodes only when N(nu) fits the slot.  With the slot narrowed to
-    N((1, 3)) = 3 the same word is refused."""
-    s = Straightener()
+    """N(nu), the norm straightening summed over lam, bounds the L1 norm of
+    each coefficient; straighten_to_vacuum decodes only when N(nu) fits the
+    slot.  With the slot narrowed to N((1, 3)) = 3 the same word is refused."""
+    norms = straighten_module._NormStraightener()
+
+    def bound(nu):
+        return sum(norms.straighten(nu).values())
+
     for length in range(5):
         for nu in product(range(-2, 5), repeat=length):
             decoded = straighten_to_vacuum(nu)
-            s.straighten(nu)
             total = sum(abs(c) for coeff in decoded.values() for c in coeff.coefficients())
-            assert total <= s._norms[nu], nu
-    s.straighten((0,) * 100 + (1,))
-    assert s._norms[(1, 3)] == 3 and s._norms[(0,) * 100 + (1,)] == 1
+            assert total <= bound(nu), nu
+    assert bound((1, 3)) == 3 and bound((0,) * 100 + (1,)) == 1
     monkeypatch.setattr(straighten_module, "SLOT_LIMIT", 3)
     with pytest.raises(ValueError, match=r"^nu=\(1, 3\): coefficients may reach 3, past the 64-bit slot"):
         straighten_to_vacuum((1, 3))
     assert straighten_to_vacuum((0,) * 100 + (1,)) == {(1,): LaurentPoly({100: 1})}
+
+
+def test_norm_straightening_matches_the_norm_recursion():
+    """The norm straightening, summed over lam, is the recursion N(nu) of
+    polynomial.SLOT_BITS, on every word of length <= 4 with entries in
+    [-4, 5] and on (1, ..., 10)."""
+    norms = straighten_module._NormStraightener()
+    words = [nu for length in range(5) for nu in product(range(-4, 6), repeat=length)]
+    for nu in words + [tuple(range(1, 11))]:
+        assert sum(norms.straighten(nu).values()) == reference_norm(nu), nu
+    assert reference_norm(tuple(range(1, 11))) == 2568823003575413
 
 
 @given(vectors)
