@@ -251,12 +251,13 @@ def build_parser():
 
 
 def _check_oracle_weight(parser, n):
-    """Exit 2 with the oracle's message if weight ``n`` is past its cap."""
+    """Exit 2 with the oracle's message if weight ``n`` is past its cap or
+    the cap variable is not an integer."""
     from .oracle import TruncationError, check_weight
 
     try:
         check_weight(n)
-    except TruncationError as exc:
+    except (TruncationError, ValueError) as exc:
         parser.error(str(exc))
 
 

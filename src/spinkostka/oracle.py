@@ -6,8 +6,9 @@ Every operator used here has the shape
 
 acting on symmetric functions written in the power-sum basis with
 coefficients in Q(t).  A single generic component-extraction routine
-realizes them all; named wrappers fix each operator's coefficient
-sequences and its z-power indexing convention.  Spin Kostka polynomials,
+realizes them all; each operator is one ``OperatorSpec``, which holds its
+coefficient sequences and, called as ``op(n, F)``, gives its component in
+the paper's indexing.  Spin Kostka polynomials,
 Stembridge coefficients and Kostka-Foulkes polynomials then come out as
 inner products of basis vectors, independently of the recurrence engine:
 of the package, this module imports only ``partitions`` and
@@ -45,8 +46,13 @@ DEFAULT_MAX_DEGREE = 12
 def max_degree_cap():
     """Largest weight the public entries accept, overridable by the
     ``SPIN_KOSTKA_MAX_DEGREE`` environment variable.  It bounds the cost of
-    a call; the vectors themselves are exact and never truncated."""
-    return int(os.environ.get("SPIN_KOSTKA_MAX_DEGREE", DEFAULT_MAX_DEGREE))
+    a call; the vectors themselves are exact and never truncated.  A value
+    that is not an integer raises ``ValueError``."""
+    value = os.environ.get("SPIN_KOSTKA_MAX_DEGREE", DEFAULT_MAX_DEGREE)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("SPIN_KOSTKA_MAX_DEGREE=%r is not an integer" % (value,)) from None
 
 
 class TruncationError(ArithmeticError):
@@ -183,27 +189,34 @@ class PExpansion:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSpec:
-    """Coefficient sequences of the two exponentials: ``creation(n)`` is the
-    coefficient of p_n z^n, ``annihilation(n)`` of d/dp_n z^-n.  Hashed by
-    identity, so no two specs share cached coefficients."""
+    """One vertex operator.  ``creation(n)`` is the coefficient of p_n z^n,
+    ``annihilation(n)`` of d/dp_n z^-n.  Called as ``op(n, F)``, it gives its
+    component in the paper's indexing: the z^n component when ``sign`` is +1
+    (H, Q, S+, htilde, e+), the z^-n one when it is -1, which only
+    ``adjoint_spec`` sets.  Hashed by identity, so no two specs share cached
+    coefficients."""
 
     name: str
     creation: object
     annihilation: object
+    sign: int = field(default=1, init=False)
+
+    def __call__(self, n, F):
+        return apply_component(self, self.sign * n, F)
 
 
 def _one_minus_tn(n):
     return LaurentPoly({0: 1, n: -1})
 
 
-H_SPEC = OperatorSpec("H", lambda n: RatFunc(_one_minus_tn(n), n), lambda n: RatFunc(-1))
-Q_SPEC = OperatorSpec("Q", lambda n: RatFunc(2, n) if n % 2 else RF_ZERO, lambda n: RatFunc(-1))
-S_PLUS_SPEC = OperatorSpec("S+", lambda n: RatFunc(1, n), lambda n: RatFunc(-1))
+op_H = OperatorSpec("H", lambda n: RatFunc(_one_minus_tn(n), n), lambda n: RatFunc(-1))
+op_Q = OperatorSpec("Q", lambda n: RatFunc(2, n) if n % 2 else RF_ZERO, lambda n: RatFunc(-1))
+op_S_plus = OperatorSpec("S+", lambda n: RatFunc(1, n), lambda n: RatFunc(-1))
 # creation (t^n - (-1)^n)/n, pure multiplication
-HTILDE_SPEC = OperatorSpec(
+op_htilde = OperatorSpec(
     "htilde", lambda n: RatFunc(LaurentPoly({0: -((-1) ** n), n: 1}), n), lambda n: RF_ZERO
 )
-E_PLUS_SPEC = OperatorSpec("e+", lambda n: RatFunc((-1) ** (n + 1), n), lambda n: RF_ZERO)
+op_e = OperatorSpec("e+", lambda n: RatFunc((-1) ** (n + 1), n), lambda n: RF_ZERO)
 
 
 def adjoint_spec(spec, form):
@@ -211,7 +224,8 @@ def adjoint_spec(spec, form):
 
     Under <,>_t the adjoint of multiplication by p_n is (n/(1-t^n)) d/dp_n,
     so creation and annihilation coefficients swap roles with the matching
-    Gram factors; the z-power flips sign, handled by the callers' indexing.
+    Gram factors; the z-power flips sign, so the adjoint's ``sign`` is the
+    opposite of ``spec``'s.
     """
     if form == "t":
         def creation(n, spec=spec):
@@ -227,37 +241,32 @@ def adjoint_spec(spec, form):
             return spec.creation(n) * n
     else:
         raise ValueError("unknown form %r" % form)
-    return OperatorSpec(spec.name + "*", creation, annihilation)
+    adjoint = OperatorSpec(spec.name + "*", creation, annihilation)
+    object.__setattr__(adjoint, "sign", -spec.sign)
+    return adjoint
 
 
-H_STAR_SPEC = adjoint_spec(H_SPEC, "t")
-Q_STAR_SPEC = adjoint_spec(Q_SPEC, "t")
-HTILDE_STAR_SPEC = adjoint_spec(HTILDE_SPEC, "t")
-S_MINUS_SPEC = adjoint_spec(S_PLUS_SPEC, "zero")
-E_MINUS_SPEC = adjoint_spec(E_PLUS_SPEC, "zero")
+op_H_star = adjoint_spec(op_H, "t")
+op_Q_star = adjoint_spec(op_Q, "t")
+op_htilde_star = adjoint_spec(op_htilde, "t")
+op_S_minus = adjoint_spec(op_S_plus, "zero")
+op_e_minus = adjoint_spec(op_e, "zero")
 
 
-_coeff_cache = {}
-
-
+@lru_cache(maxsize=None)
 def _exp_coeff(spec, side, rho):
     """Coefficient of p_rho z^|rho| in the creation exponential (side
     "creation"), or of d_rho z^-|rho| in the annihilation one (side
     "annihilation", d_rho a product of plain d/dp_k)."""
-    key = (spec, side, rho)
-    hit = _coeff_cache.get(key)
-    if hit is None:
-        seq = getattr(spec, side)
-        hit = RF_ONE
-        for part in rho:
-            hit = hit * seq(part)
-            if hit.is_zero():
-                break
-        if not hit.is_zero():
-            for m in Counter(rho).values():
-                hit = hit * RatFunc(1, factorial(m))
-        _coeff_cache[key] = hit
-    return hit
+    seq = getattr(spec, side)
+    coeff = RF_ONE
+    for part in rho:
+        coeff = coeff * seq(part)
+        if coeff.is_zero():
+            return coeff
+    for m in Counter(rho).values():
+        coeff = coeff * RatFunc(1, factorial(m))
+    return coeff
 
 
 def apply_component(spec, m, F):
@@ -307,49 +316,6 @@ def apply_component(spec, m, F):
             else:
                 out[key] = v
     return PExpansion(out)
-
-
-# -- named operator components (paper indexing) -------------------------
-
-
-def op_H(n, F):
-    return apply_component(H_SPEC, n, F)
-
-
-def op_H_star(n, F):
-    return apply_component(H_STAR_SPEC, -n, F)
-
-
-def op_Q(n, F):
-    return apply_component(Q_SPEC, n, F)
-
-
-def op_Q_star(n, F):
-    return apply_component(Q_STAR_SPEC, -n, F)
-
-
-def op_S_plus(n, F):
-    return apply_component(S_PLUS_SPEC, n, F)
-
-
-def op_S_minus(n, F):
-    return apply_component(S_MINUS_SPEC, -n, F)
-
-
-def op_htilde(n, F):
-    return apply_component(HTILDE_SPEC, n, F)
-
-
-def op_htilde_star(n, F):
-    return apply_component(HTILDE_STAR_SPEC, -n, F)
-
-
-def op_e(n, F):
-    return apply_component(E_PLUS_SPEC, n, F)
-
-
-def op_e_minus(n, F):
-    return apply_component(E_MINUS_SPEC, -n, F)
 
 
 def apply_word(op, indices, F):
@@ -536,12 +502,18 @@ def _random_pexp(rng, degree, odd_only=False):
     return PExpansion(coeffs)
 
 
-def _memoized_ops(memo):
-    """The operator components that ``verify_relations`` uses, memoized in
-    ``memo`` on (operator, index, identity of the vector).  The memo pins each
-    vector it keys on, so that no other vector can take its id while the memo
-    lives; a result it returns is the same object on every hit, so nested
-    applications hit as well."""
+def verify_relations(max_degree=3, seed=0, vector_degree=None):
+    """Check the quadratic operator relations and the iterative formulas on
+    pseudo-random vectors.  Failures become report entries, not exceptions;
+    each entry carries the seconds its check took.
+
+    The checks apply the same operators to the same vectors many times over,
+    so their operator applications share one memo, keyed on (operator, index,
+    identity of the vector).  The memo pins each vector it keys on, so that no
+    other vector can take its id while the memo lives; a result it returns is
+    the same object on every hit, so nested applications hit as well.  It is
+    local to the call and is dropped when the call returns or raises."""
+    memo = {}
 
     def memoized(op):
         def apply(n, F):
@@ -553,20 +525,9 @@ def _memoized_ops(memo):
 
         return apply
 
-    ops = (op_H, op_H_star, op_Q, op_Q_star, op_S_plus, op_S_minus, op_e, op_e_minus, op_htilde_star)
-    return [memoized(op) for op in ops]
-
-
-def verify_relations(max_degree=3, seed=0, vector_degree=None):
-    """Check the quadratic operator relations and the iterative formulas on
-    pseudo-random vectors.  Failures become report entries, not exceptions;
-    each entry carries the seconds its check took.
-
-    The checks apply the same operators to the same vectors many times over,
-    so their operator applications share one memo.  It is local to the call
-    and is dropped when the call returns or raises."""
-    (op_H, op_H_star, op_Q, op_Q_star, op_S_plus, op_S_minus, op_e, op_e_minus,
-     op_htilde_star) = _memoized_ops({})
+    H, H_star, Q, Q_star = map(memoized, (op_H, op_H_star, op_Q, op_Q_star))
+    S_plus, S_minus, e_plus, e_minus = map(memoized, (op_S_plus, op_S_minus, op_e, op_e_minus))
+    htilde_star = memoized(op_htilde_star)
     rng = random.Random(seed)
     if vector_degree is None:
         vector_degree = max_degree
@@ -591,46 +552,23 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
             passed, detail = witness is None, witness or ""
         report.record(name, passed, detail, time.perf_counter() - start)
 
-    def com1():
+    def exchange(A, B, a, b, delta=None):
+        """A_m B_n - t B_n A_m = t A_{m+a} B_{n+b} - B_{n+b} A_{m+a}, plus
+        delta * v when m = n."""
         for v in vectors:
             for m in rng_idx:
                 for n in rng_idx:
-                    lhs = op_H(m, op_H(n, v)) - op_H(n, op_H(m, v)).scale(t_rf)
-                    rhs = op_H(m + 1, op_H(n - 1, v)).scale(t_rf) - op_H(n - 1, op_H(m + 1, v))
-                    if not (lhs - rhs).is_zero():
-                        return "m=%d n=%d" % (m, n)
-        return None
-
-    def com2():
-        for v in vectors:
-            for m in rng_idx:
-                for n in rng_idx:
-                    lhs = op_H_star(m, op_H_star(n, v)) - op_H_star(n, op_H_star(m, v)).scale(t_rf)
-                    rhs = op_H_star(m - 1, op_H_star(n + 1, v)).scale(t_rf) - op_H_star(
-                        n + 1, op_H_star(m - 1, v)
-                    )
-                    if not (lhs - rhs).is_zero():
-                        return "m=%d n=%d" % (m, n)
-        return None
-
-    def com3():
-        for v in vectors:
-            for m in rng_idx:
-                for n in rng_idx:
-                    lhs = op_H(m, op_H_star(n, v)) - op_H_star(n, op_H(m, v)).scale(t_rf)
-                    rhs = op_H(m - 1, op_H_star(n - 1, v)).scale(t_rf) - op_H_star(
-                        n - 1, op_H(m - 1, v)
-                    )
-                    if m == n:
-                        one_minus_t = RatFunc(ONE - T)
-                        rhs = rhs + v.scale(one_minus_t * one_minus_t)
+                    lhs = A(m, B(n, v)) - B(n, A(m, v)).scale(t_rf)
+                    rhs = A(m + a, B(n + b, v)).scale(t_rf) - B(n + b, A(m + a, v))
+                    if delta is not None and m == n:
+                        rhs = rhs + v.scale(delta)
                     if not (lhs - rhs).is_zero():
                         return "m=%d n=%d" % (m, n)
         return None
 
     def com4():
         for n in range(0, max_degree + 1):
-            for op, adj in ((op_H, op_H_star), (op_Q, op_Q_star)):
+            for op, adj in ((H, H_star), (Q, Q_star)):
                 got = op(-n, vacuum)
                 want = vacuum if n == 0 else PExpansion.zero()
                 if not (got - want).is_zero():
@@ -644,7 +582,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for v in odd_vectors:
             for m in rng_idx:
                 for n in rng_idx:
-                    lhs = op_Q(m, op_Q(n, v)) + op_Q(n, op_Q(m, v))
+                    lhs = Q(m, Q(n, v)) + Q(n, Q(m, v))
                     if m == -n:
                         lhs = lhs - v.scale(2 * ((-1) ** abs(n)))
                     if not lhs.is_zero():
@@ -654,12 +592,12 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     def adjacent_swap():
         for v in vectors:
             for n in rng_idx:
-                lhs = op_H(n, op_H(n + 1, v))
-                rhs = op_H(n + 1, op_H(n, v)).scale(t_rf)
+                lhs = H(n, H(n + 1, v))
+                rhs = H(n + 1, H(n, v)).scale(t_rf)
                 if not (lhs - rhs).is_zero():
                     return "n=%d" % n
-                lhs = op_H_star(n, op_H_star(n - 1, v))
-                rhs = op_H_star(n - 1, op_H_star(n, v)).scale(t_rf)
+                lhs = H_star(n, H_star(n - 1, v))
+                rhs = H_star(n - 1, H_star(n, v)).scale(t_rf)
                 if not (lhs - rhs).is_zero():
                     return "adjoint n=%d" % n
         return None
@@ -670,11 +608,11 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for v in vectors:
             for n in rng_idx:
                 for m in rng_idx:
-                    lhs = op_H_star(n, op_Q(m, v))
+                    lhs = H_star(n, Q(m, v))
                     rhs = (
-                        op_H_star(n - 1, op_Q(m - 1, v)).scale(tinv)
-                        + op_Q(m, op_H_star(n, v)).scale(tinv)
-                        + op_Q(m - 1, op_H_star(n - 1, v)).scale(tinv)
+                        H_star(n - 1, Q(m - 1, v)).scale(tinv)
+                        + Q(m, H_star(n, v)).scale(tinv)
+                        + Q(m - 1, H_star(n - 1, v)).scale(tinv)
                     )
                     if m - n >= 0:
                         rhs = rhs + (htilde(m - n) * v).scale(two_1_tinv)
@@ -687,10 +625,10 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for v in vectors:
             for m in range(0, max_degree + 1):
                 for n in rng_idx:
-                    lhs = op_htilde_star(m, op_H(n, v))
-                    rhs = op_H(n, op_htilde_star(m, v))
+                    lhs = htilde_star(m, H(n, v))
+                    rhs = H(n, htilde_star(m, v))
                     for k in range(m):
-                        term = op_H(n - m + k, op_htilde_star(k, v)).scale(one_plus_t)
+                        term = H(n - m + k, htilde_star(k, v)).scale(one_plus_t)
                         shift = RatFunc(LaurentPoly.term(1, m - k - 1))
                         rhs = rhs + term.scale(shift)
                     if not (lhs - rhs).is_zero():
@@ -702,11 +640,11 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for v in vectors:
             for m in range(0, max_degree + 1):
                 for n in rng_idx:
-                    lhs = op_Q(n, htilde(m) * v)
-                    rhs = htilde(m) * op_Q(n, v)
+                    lhs = Q(n, htilde(m) * v)
+                    rhs = htilde(m) * Q(n, v)
                     for k in range(m):
                         sign = -1 if (m - k) % 2 else 1
-                        term = htilde(k) * op_Q(n - k + m, v)
+                        term = htilde(k) * Q(n - k + m, v)
                         rhs = rhs + term.scale(one_plus_t).scale(sign)
                     if not (lhs - rhs).is_zero():
                         return "m=%d n=%d" % (m, n)
@@ -718,14 +656,14 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
             if not xi:
                 continue
             for k in range(1, max_degree + 2):
-                lhs = op_star(k, apply_word(op_Q, xi, vacuum))
+                lhs = op_star(k, apply_word(Q, xi, vacuum))
                 rhs = PExpansion.zero()
                 for i, part in enumerate(xi):
                     if part - k < 0:
                         continue
                     sign = -1 if i % 2 else 1
                     xi_hat = xi[:i] + xi[i + 1:]
-                    term = gen(part - k) * apply_word(op_Q, xi_hat, vacuum)
+                    term = gen(part - k) * apply_word(Q, xi_hat, vacuum)
                     rhs = rhs + term.scale(2 * sign)
                 if not (lhs - rhs).is_zero():
                     return "xi=%r k=%d" % (xi, k)
@@ -737,12 +675,12 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
             if not mu:
                 continue
             for k in range(0, max_degree + 1):
-                lhs = op_htilde_star(k, apply_word(op_H, mu, vacuum))
+                lhs = htilde_star(k, apply_word(H, mu, vacuum))
                 rhs = PExpansion.zero()
                 for tau in weak_compositions(k, len(mu)):
                     l = support_size(tau)
                     vec = tuple(m - t for m, t in zip(mu, tau))
-                    term = apply_word(op_H, vec, vacuum)
+                    term = apply_word(H, vec, vacuum)
                     coeff = RatFunc(LaurentPoly.term(1, k - l))
                     for _ in range(l):
                         coeff = coeff * one_plus_t
@@ -754,10 +692,10 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     def gS_on_vacuum():
         for lam in partitions(min(max_degree + 2, 6)):
             for k in range(0, max_degree + 1):
-                lhs = op_e_minus(k, apply_word(op_S_plus, lam, vacuum))
+                lhs = e_minus(k, apply_word(S_plus, lam, vacuum))
                 rhs = PExpansion.zero()
                 for rho in vertical_strip_subshapes(lam, k):
-                    rhs = rhs + apply_word(op_S_plus, rho, vacuum)
+                    rhs = rhs + apply_word(S_plus, rho, vacuum)
                 if not (lhs - rhs).is_zero():
                     return "lam=%r k=%d" % (lam, k)
         return None
@@ -804,20 +742,23 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         return None
 
     checks = [
-        ("com1 (H quadratic relation)", com1),
-        ("com2 (H* quadratic relation)", com2),
-        ("com3 (H/H* cross relation with delta term)", com3),
+        ("com1 (H quadratic relation)", lambda: exchange(H, H, 1, -1)),
+        ("com2 (H* quadratic relation)", lambda: exchange(H_star, H_star, -1, 1)),
+        (
+            "com3 (H/H* cross relation with delta term)",
+            lambda: exchange(H, H_star, -1, -1, RatFunc(ONE - T) * RatFunc(ONE - T)),
+        ),
         ("com4 (vacuum annihilation)", com4),
         ("clifford (Q anticommutator)", clifford),
         ("adjacent swap (H / H*)", adjacent_swap),
         ("rel1 (H* past Q)", rel1),
         ("rel2 (htilde* past H)", rel2),
         ("rel3 (Q past htilde)", rel3),
-        ("iterative (H* through Q-word, on vacuum, k >= 1)", lambda: peel(op_H_star, htilde)),
+        ("iterative (H* through Q-word, on vacuum, k >= 1)", lambda: peel(H_star, htilde)),
         ("hH (htilde* through H-word, on vacuum)", hH_on_vacuum),
         (
             "iterative2 (S- through Q-word, on vacuum, k >= 1)",
-            lambda: peel(op_S_minus, lambda n: op_e(n, vacuum)),
+            lambda: peel(S_minus, lambda n: e_plus(n, vacuum)),
         ),
         ("gS (e- through S-word, on vacuum)", gS_on_vacuum),
         ("q norm <q_n,q_n> = 1-t", q_norm),

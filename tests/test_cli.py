@@ -110,6 +110,11 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
         main(["verify", "--suite", "oracle", "--max-n", "4"])
     assert exc.value.code == 2
     assert "weight 4 exceeds oracle truncation cap 3" in capsys.readouterr().err
+    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--xi", "3,1", "--mu", "2,2", "--oracle"])  # cap not an integer
+    assert exc.value.code == 2
+    assert "SPIN_KOSTKA_MAX_DEGREE='abc' is not an integer" in capsys.readouterr().err
 
 
 def test_table_matches_goldens_modulo_known_misprint():

@@ -11,16 +11,6 @@ import pytest
 from crosscheck import inverse_z_t, reference_apply_component
 from spinkostka import oracle
 from spinkostka.oracle import (
-    E_MINUS_SPEC,
-    E_PLUS_SPEC,
-    H_SPEC,
-    H_STAR_SPEC,
-    HTILDE_SPEC,
-    HTILDE_STAR_SPEC,
-    Q_SPEC,
-    Q_STAR_SPEC,
-    S_MINUS_SPEC,
-    S_PLUS_SPEC,
     OperatorSpec,
     PExpansion,
     TruncationError,
@@ -31,9 +21,16 @@ from spinkostka.oracle import (
     hl_Q,
     htilde,
     inner,
+    op_e,
+    op_e_minus,
     op_H,
     op_H_star,
+    op_htilde,
+    op_htilde_star,
     op_Q,
+    op_Q_star,
+    op_S_minus,
+    op_S_plus,
     oracle_b,
     oracle_kostka_foulkes,
     oracle_spin_kostka,
@@ -75,14 +72,23 @@ def test_schur_function_expansions():
     assert s11.coeffs[(1, 1)] == RatFunc(1, 2)
 
 
-def test_adjointness_of_H():
-    """<H_n u, v>_t = <u, H*_n v>_t on a spanning sample."""
-    for n in (1, 2):
-        for lam_u in partitions(2):
-            for lam_v in partitions(2 + n):
-                u = PExpansion({lam_u: RF_ONE})
-                v = PExpansion({lam_v: RF_ONE})
-                assert inner(op_H(n, u), v, "t") == inner(u, op_H_star(n, v), "t")
+def test_adjointness_of_each_operator_pair():
+    """<A_n u, v> = <u, A*_n v> on a spanning sample, for each operator and
+    its adjoint under the form it was built for."""
+    pairs = (
+        (op_H, op_H_star, "t"),
+        (op_Q, op_Q_star, "t"),
+        (op_htilde, op_htilde_star, "t"),
+        (op_S_plus, op_S_minus, "zero"),
+        (op_e, op_e_minus, "zero"),
+    )
+    for op, adj, form in pairs:
+        for n in (1, 2, 3):
+            for lam_u in (lam for d in range(3) for lam in partitions(d)):
+                for lam_v in partitions(sum(lam_u) + n):
+                    u = PExpansion({lam_u: RF_ONE})
+                    v = PExpansion({lam_v: RF_ONE})
+                    assert inner(op(n, u), v, form) == inner(u, adj(n, v), form), (op.name, n, lam_u, lam_v)
 
 
 def test_oracle_spin_kostka_values():
@@ -121,6 +127,10 @@ def test_truncation_cap(monkeypatch):
         with pytest.raises(TruncationError, match="weight 5 exceeds oracle truncation cap 4"):
             entry(*args)
     assert oracle_spin_kostka((4,), (4,)) == LaurentPoly.const(2)
+    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "abc")
+    for entry, args in entries:
+        with pytest.raises(ValueError, match="SPIN_KOSTKA_MAX_DEGREE='abc' is not an integer"):
+            entry(*args)
 
 
 def test_q_word_antisymmetry():
@@ -163,18 +173,9 @@ def _random_vector(rng, degree=5, terms=5):
     return PExpansion(coeffs)
 
 
-ALL_SPECS = (
-    H_SPEC,
-    H_STAR_SPEC,
-    Q_SPEC,
-    Q_STAR_SPEC,
-    S_PLUS_SPEC,
-    S_MINUS_SPEC,
-    HTILDE_SPEC,
-    HTILDE_STAR_SPEC,
-    E_PLUS_SPEC,
-    E_MINUS_SPEC,
-)
+# Every operator the oracle defines, so that one added later is compared
+# with the reference too.
+ALL_SPECS = {name: value for name, value in vars(oracle).items() if isinstance(value, OperatorSpec)}
 
 
 def test_apply_component_matches_the_ungrouped_reference():
@@ -184,7 +185,11 @@ def test_apply_component_matches_the_ungrouped_reference():
     vectors = [PExpansion.vacuum(), PExpansion.zero()] + [_random_vector(rng) for _ in range(3)]
     assert any(len({sum(lam) for lam in v.coeffs}) > 1 for v in vectors)
     assert any(len(set(lam)) < len(lam) for v in vectors for lam in v.coeffs)
-    for spec in ALL_SPECS:
+    assert set(ALL_SPECS) == {
+        "op_H", "op_H_star", "op_Q", "op_Q_star", "op_S_plus", "op_S_minus",
+        "op_htilde", "op_htilde_star", "op_e", "op_e_minus",
+    }
+    for spec in ALL_SPECS.values():
         for m in range(-4, 5):
             for i, F in enumerate(vectors):
                 got = apply_component(spec, m, F)
@@ -195,13 +200,13 @@ def test_same_named_specs_keep_their_own_coefficients():
     """Two specs with one name but different sequences each give their own
     vector, whichever is applied first to a cold coefficient cache."""
     vacuum = PExpansion.vacuum()
-    seven = OperatorSpec("H", lambda n: RatFunc(7), H_SPEC.annihilation)
-    assert reference_apply_component(seven, 2, vacuum) != reference_apply_component(H_SPEC, 2, vacuum)
-    for order in ((H_SPEC, seven), (seven, H_SPEC)):
-        oracle._coeff_cache.clear()
+    seven = OperatorSpec("H", lambda n: RatFunc(7), op_H.annihilation)
+    assert reference_apply_component(seven, 2, vacuum) != reference_apply_component(op_H, 2, vacuum)
+    for order in ((op_H, seven), (seven, op_H)):
+        oracle._exp_coeff.cache_clear()
         for spec in order:
             want = reference_apply_component(spec, 2, vacuum)
-            assert apply_component(spec, 2, vacuum) == want, spec is H_SPEC
+            assert apply_component(spec, 2, vacuum) == want, spec is op_H
 
 
 def _clear_basis_caches():
@@ -241,9 +246,9 @@ def test_verify_relations_reports_a_broken_relation(monkeypatch):
     """A wrong creation coefficient for H fails the relations built on it,
     memo or not."""
     def creation(n):
-        return H_SPEC.creation(n) * (2 if n == 2 else 1)
+        return op_H.creation(n) * (2 if n == 2 else 1)
 
-    monkeypatch.setattr(oracle, "H_SPEC", replace(H_SPEC, name="H-perturbed", creation=creation))
+    monkeypatch.setattr(oracle, "op_H", replace(op_H, name="H-perturbed", creation=creation))
     _clear_basis_caches()
     try:
         report = verify_relations(max_degree=2, seed=0, vector_degree=3)
