@@ -2,15 +2,15 @@
 
 Subcommands: ``compute`` (one spin Kostka polynomial), ``b`` (one
 Stembridge coefficient), ``g2`` (square-shape g-coefficient), ``table``
-(full table for a given weight, optionally with a persisted memo) and
-``verify`` (the self-check suites; ``--format json`` gives each suite's
-result and each relation's time).  Partitions are written as
-comma-separated parts, e.g. ``4,3,1``; ``-`` denotes the empty partition.
+(full table for a given weight) and ``verify`` (the self-check suites;
+``--format json`` gives each suite's result and each relation's time).
+Partitions are written as comma-separated parts, e.g. ``4,3,1``; ``-``
+denotes the empty partition.
 
 Each command imports what it runs: only ``compute --oracle`` and
 ``verify`` load the vertex-operator oracle, only the ``tables`` suite the
-published tables (``goldens``), and ``json`` is loaded where JSON is
-written.
+published tables (``goldens``), only the ``properties`` suite the
+invariants, and ``json`` is loaded where JSON is written.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors (argparse's convention).
@@ -22,8 +22,7 @@ import argparse
 import io
 import sys
 
-from .engine import CacheError, SpinKostkaEngine, spin_kostka
-from .invariants import failures
+from .engine import spin_kostka
 from .partitions import as_partition, partitions, strict_partitions
 from .polynomial import LaurentPoly
 from .schur import b_coeff, g_square
@@ -55,33 +54,19 @@ def poly_json(xi, mu, poly):
 # -- table generation ----------------------------------------------------
 
 
-def build_table(n, mode="spin", threads=1, cache=None):
-    """{mu: {xi: LaurentPoly}} for all row/column pairs of weight n.  With
-    ``cache`` (spin mode only) the memo is loaded from that file, if it
-    exists, and saved back to it if the table added to it."""
+def build_table(n, mode="spin", threads=1):
+    """{mu: {xi: LaurentPoly}} for all row/column pairs of weight n: the K^-
+    values of the shared engine, or in mode "b" the constants b_{xi,mu}."""
     # threads remains only because perfbench/worker.py passes threads=1
     if threads != 1:
         raise ValueError("build_table runs serially; threads must be 1")
-    if cache and mode != "spin":
-        raise ValueError("a memo cache applies only to mode 'spin'")
-    compute = spin_kostka
-    if cache:
-        engine = SpinKostkaEngine()
-        try:
-            engine.load_cache(cache)
-        except FileNotFoundError:
-            pass
-        loaded = engine.memo_size()
-        compute = engine.spin_kostka
     table = {}
     for mu in partitions(n):
         if mu:
             table[mu] = {
-                xi: compute(xi, mu) if mode == "spin" else LaurentPoly.const(b_coeff(xi, mu))
+                xi: spin_kostka(xi, mu) if mode == "spin" else LaurentPoly.const(b_coeff(xi, mu))
                 for xi in strict_partitions(n)
             }
-    if cache and engine.memo_size() > loaded:
-        engine.save_cache(cache)
     return table
 
 
@@ -176,6 +161,8 @@ def _suite_tables(args, out):
 
 def _suite_properties(args, out):
     """Structural corollaries of the spin Kostka recurrence, exhaustively."""
+    from .invariants import failures
+
     weights, stable = range(1, args.max_n + 1), range(1, max(1, args.max_n - 2))
     found = failures(spin_kostka, weights, stable, grow=(1, 2))
     for f in found:
@@ -235,7 +222,6 @@ def build_parser():
     p.add_argument("--mode", choices=("spin", "b"), default="spin")
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out", default=None)
-    p.add_argument("--cache", default=None)
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument(
@@ -273,7 +259,10 @@ def main(argv=None):
             from .oracle import oracle_spin_kostka as fn
         if sum(args.xi) != sum(args.mu):
             parser.error("xi and mu must have equal weight")
-        poly = fn(args.xi, args.mu)
+        try:
+            poly = fn(args.xi, args.mu)
+        except ValueError as exc:  # the engine's slot guard
+            parser.error(str(exc))
         if args.format == "json":
             import json
 
@@ -299,12 +288,7 @@ def main(argv=None):
     if args.command == "table":
         if args.n < 1:
             parser.error("n must be >= 1")
-        if args.cache and args.mode != "spin":
-            parser.error("--cache applies only to --mode spin")
-        try:
-            table = build_table(args.n, args.mode, cache=args.cache)
-        except CacheError as exc:
-            parser.error(str(exc))
+        table = build_table(args.n, args.mode)
         text = render_table(table, args.n, args.format, args.mode)
         if args.out:
             with open(args.out, "w") as fh:

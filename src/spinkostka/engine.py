@@ -21,14 +21,11 @@ Inside the engine every coefficient is packed into one int
 memo of K^- values.  A public answer is decoded once and kept per cell.
 Its coefficients lie in 0..2^n g^xi, so the engine refuses a cell whose
 bound does not fit the slot before computing it (the proof is at
-``polynomial.SLOT_BITS``).  The memo file holds decoded values.
+``polynomial.SLOT_BITS``).
 """
 
 from __future__ import annotations
 
-import os
-
-from .invariants import cell_failures
 from .partitions import as_partition, dominates, n_stat, shifted_tableaux_count
 from .polynomial import SLOT_BITS, SLOT_LIMIT, ZERO, LaurentPoly, decode, encode, t_binomial
 from .straighten import Straightener
@@ -204,78 +201,6 @@ class SpinKostkaEngine:
                 if sub:
                     acc += scale * coeff * sub
         return acc
-
-    # -- memo persistence ------------------------------------------------
-
-    def memo_size(self):
-        """Number of (xi, mu) values in the memo."""
-        return len(self._memo)
-
-    def save_cache(self, path):
-        """Write the memo, decoded, as JSON.  The data goes to a temporary
-        file in the same directory first, so an interrupted save leaves the
-        old file."""
-        import json
-        import tempfile
-
-        data = {
-            "%s|%s" % (",".join(map(str, xi)), ",".join(map(str, mu))): decode(packed).to_json()
-            for (xi, mu), packed in self._memo.items()
-        }
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(data, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-    def load_cache(self, path):
-        """Merge a memo written by ``save_cache``.  A missing file raises
-        ``FileNotFoundError``.  A truncated or malformed file, or one with a
-        key or value that ``invariants.cell_failures`` rejects, raises
-        ``CacheError`` and leaves the memo as it was.  So does a value that
-        the packed memo cannot hold and give back unchanged.  The value at
-        t = 0 must be b_{xi,mu} and the value at t = 1 the count of marked
-        shifted tableaux, so another multiple of a true value is refused.
-        A wrong value with the true values at t = 0, 1 and -1 still passes
-        when it keeps divisibility and the degree bound, such as the true
-        value plus 2^l(xi) t (t^2 - 1) when n(mu) >= 3."""
-        import json
-
-        with open(path) as fh:
-            try:
-                entries = [
-                    (_parse_key(key), LaurentPoly.from_json(poly))
-                    for key, poly in json.load(fh).items()
-                ]
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise CacheError("malformed memo file %s: %s" % (path, exc)) from None
-        packed = {}
-        for (xi, mu), value in entries:
-            problems = cell_failures(xi, mu, value)
-            if not problems:
-                packed[xi, mu] = encode(value)
-                if decode(packed[xi, mu]) != value:
-                    problems = ["coefficients past the %d-bit slot" % SLOT_BITS]
-            if problems:
-                raise CacheError(
-                    "memo file %s, cell xi=%r mu=%r: %s"
-                    % (path, xi, mu, "; ".join(problems))
-                )
-        self._memo.update(packed)
-        for key in packed:
-            self._answers.pop(key, None)
-
-
-class CacheError(ValueError):
-    """A memo file that cannot be read back, or that holds a wrong value."""
-
-
-def _parse_key(key):
-    xi_s, mu_s = key.split("|")
-    return tuple(int(x) for x in xi_s.split(",") if x), tuple(int(x) for x in mu_s.split(",") if x)
 
 
 _default_engine = SpinKostkaEngine()

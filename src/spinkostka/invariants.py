@@ -1,9 +1,9 @@
 """Structural invariants of the spin Kostka polynomials K^-_{xi,mu}(t): per
 cell (``cell_failures``), and across cells the leading-block factor and
-stability (``failures``).  ``verify --suite properties``, the acceptance
-tests and ``SpinKostkaEngine.load_cache`` all check through this module.
-The value at t = 1 is held to a count of marked shifted tableaux
-(``_marked_tableaux_by_letters``) that shares no algorithm with the engine."""
+stability (``failures``).  ``verify --suite properties`` and the
+acceptance tests check through this module.  The value at t = 1 is held to
+a count of marked shifted tableaux (``_marked_tableaux_by_letters``) that
+shares no algorithm with the engine."""
 
 from __future__ import annotations
 

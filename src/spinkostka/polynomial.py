@@ -240,10 +240,6 @@ class LaurentPoly:
     def to_json(self):
         return {str(e): c for e, c in sorted(self._terms.items())}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({int(e): c for e, c in data.items()})
-
 
 def _raw(terms):
     p = LaurentPoly.__new__(LaurentPoly)

@@ -39,8 +39,12 @@ a property that only the tests ask about.
 ``reference_norm`` is the slot bound N(nu) by its own recursion, one
 number per word, where the library sums the values of the norm
 straightening over the partitions reached.
+
+``package_imports`` names the package modules a source file imports, for
+the tests that hold a module to the layers it may use.
 """
 
+import ast
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -302,3 +306,27 @@ def reference_norm(nu):
         size = sum(map(abs, step_coeff(hi - lo, a).coefficients()))
         norm += size * reference_norm(head + (hi - a, lo + a) + tail)
     return norm
+
+
+def package_imports(path):
+    """The spinkostka modules a source file imports, by their short names;
+    "" stands for the package itself, whose __init__ imports the engine."""
+    found = set()
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "spinkostka":
+                    found.add(rest.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module and node.module.partition(".")[0] == "spinkostka":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                found.add(module.partition(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found

@@ -84,7 +84,7 @@ def test_g2_prints_the_closed_form_only(capsys):
     assert capsys.readouterr().out == "-1\n"
 
 
-def test_usage_errors_exit_2(monkeypatch, capsys):
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--xi", "2,2", "--mu", "1,1,1,1"])
     assert exc.value.code == 2
@@ -115,6 +115,16 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
         main(["compute", "--xi", "3,1", "--mu", "2,2", "--oracle"])  # cap not an integer
     assert exc.value.code == 2
     assert "SPIN_KOSTKA_MAX_DEGREE='abc' is not an integer" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--xi", "11,8,5,3,1", "--mu", "28"])  # past the slot
+    assert exc.value.code == 2
+    assert "past the 64-bit slot" in capsys.readouterr().err
+    memo = tmp_path / "memo.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "4", "--cache", str(memo)])  # no such option
+    assert exc.value.code == 2
+    assert "--cache" in capsys.readouterr().err
+    assert not memo.exists()
 
 
 def test_table_matches_goldens_modulo_known_misprint():
@@ -167,78 +177,6 @@ def test_table_serial_only(tmp_path):
     with pytest.raises(ValueError, match="threads must be 1"):
         build_table(5, threads=2)
     assert build_table(5, threads=1) == build_table(5)
-
-
-def test_table_cache(tmp_path, capsys):
-    cache = str(tmp_path / "memo.json")
-    main(["table", "--n", "4", "--cache", cache])
-    first = capsys.readouterr().out
-    with open(cache) as fh:
-        memo = json.load(fh)
-    table = build_table(4)
-    for mu, row in table.items():
-        for xi, value in row.items():
-            key = "%s|%s" % (",".join(map(str, xi)), ",".join(map(str, mu)))
-            assert LaurentPoly.from_json(memo[key]) == value, key
-    main(["table", "--n", "4", "--cache", cache])
-    assert capsys.readouterr().out == first
-
-
-def test_table_cache_saves_only_new_cells(tmp_path, capsys):
-    """A run that computes nothing new leaves the memo file alone; a run
-    that adds cells rewrites it with every cell."""
-    cache = tmp_path / "memo.json"
-    main(["table", "--n", "4", "--cache", str(cache)])
-    before = cache.stat()
-    main(["table", "--n", "4", "--cache", str(cache)])
-    after = cache.stat()
-    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
-    main(["table", "--n", "5", "--cache", str(cache)])
-    capsys.readouterr()
-    assert cache.stat().st_ino != before.st_ino
-    memo = json.loads(cache.read_text())
-    for n in (4, 5):
-        for mu, row in build_table(n).items():
-            for xi, value in row.items():
-                key = "%s|%s" % (format_partition(xi), format_partition(mu))
-                assert LaurentPoly.from_json(memo[key]) == value, key
-
-
-def test_table_cache_needs_spin_mode(tmp_path, capsys):
-    """A memo cache holds K- values only; asking for one with the b table is
-    a usage error, not a silently ignored option."""
-    cache = tmp_path / "memo.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--n", "4", "--mode", "b", "--cache", str(cache)])
-    assert exc.value.code == 2
-    assert "--cache" in capsys.readouterr().err
-    assert not cache.exists()
-    with pytest.raises(ValueError, match="mode 'spin'"):
-        build_table(4, "b", cache=str(cache))
-
-
-def test_table_poisoned_cache_exits_2(tmp_path, capsys):
-    cache = tmp_path / "memo.json"
-    cache.write_text('{"3,1|2,2": {"0": 999}}')
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--n", "4", "--cache", str(cache)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(cache) in captured.err and "xi=(3, 1) mu=(2, 2)" in captured.err
-
-
-def test_table_malformed_cache_exits_2(tmp_path, capsys):
-    cache = tmp_path / "memo.json"
-    main(["table", "--n", "4", "--cache", str(cache)])
-    capsys.readouterr()
-    cache.write_text(cache.read_text()[:-7])  # truncated, as by an interrupted write
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--n", "4", "--cache", str(cache)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(cache) in captured.err
 
 
 def test_table_out_file(tmp_path, capsys):
@@ -332,9 +270,9 @@ def test_verify_json_reports_a_failing_suite(capsys, monkeypatch):
 
 
 def test_table_run_loads_only_the_layers_it_runs():
-    """A fresh process that imports the CLI and prints a table loads neither
-    the oracle nor the published tables, and adds neither ``dataclasses``
-    nor ``json`` to what the interpreter loaded at start."""
+    """A fresh process that imports the CLI and prints a table loads none of
+    the oracle, the published tables and the invariants, and adds neither
+    ``dataclasses`` nor ``json`` to what the interpreter loaded at start."""
     script = (
         "import sys\n"
         "start = set(sys.modules)\n"
@@ -349,4 +287,6 @@ def test_table_run_loads_only_the_layers_it_runs():
     )
     added = set(proc.stderr.split())
     assert "spinkostka.engine" in added and "| mu \\ xi |" in proc.stdout
-    assert not added & {"spinkostka.oracle", "spinkostka.goldens", "dataclasses", "json"}
+    assert not added & {
+        "spinkostka.oracle", "spinkostka.goldens", "spinkostka.invariants", "dataclasses", "json"
+    }

@@ -1,14 +1,12 @@
 """Spin Kostka recurrence engine and closed forms."""
 
-import json
-import os
 import time
 from functools import lru_cache
 
 import pytest
 
+from spinkostka import engine
 from spinkostka.engine import (
-    CacheError,
     SpinKostkaEngine,
     htilde_expand,
     kostka_hook,
@@ -23,7 +21,13 @@ from spinkostka.polynomial import SLOT_LIMIT, LaurentPoly, ONE, ZERO, encode, t_
 from spinkostka.schur import b_coeff
 from spinkostka.straighten import Straightener
 
-from crosscheck import ColumnlessEngine, PlainEngine, ReferenceStraightener, is_palindromic
+from crosscheck import (
+    ColumnlessEngine,
+    PlainEngine,
+    ReferenceStraightener,
+    is_palindromic,
+    package_imports,
+)
 
 
 def test_worked_examples():
@@ -180,94 +184,6 @@ def test_kostka_hook_against_oracle():
             lam = (n - k,) + (1,) * k
             for mu in partitions(n):
                 assert kostka_hook(n, k, mu) == oracle_kostka_foulkes(lam, mu)
-
-
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "memo.json")
-    a = SpinKostkaEngine()
-    value = a.spin_kostka((4, 2), (2, 2, 1, 1))
-    a.save_cache(path)
-    b = SpinKostkaEngine()
-    b.load_cache(path)
-    assert b._memo[((4, 2), (2, 2, 1, 1))] == encode(value)
-    assert b.spin_kostka((4, 2), (2, 2, 1, 1)) == value
-
-
-def test_save_cache_replaces_atomically(tmp_path, monkeypatch):
-    path = tmp_path / "memo.json"
-    a = SpinKostkaEngine()
-    a.spin_kostka((3, 1), (2, 2))
-    a.save_cache(str(path))
-    before = path.read_text()
-
-    def interrupted(data, fh):
-        fh.write('{"3,1|2,2": {"0"')
-        raise KeyboardInterrupt
-
-    a.spin_kostka((4, 2), (2, 2, 1, 1))
-    monkeypatch.setattr(json, "dump", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        a.save_cache(str(path))
-    assert path.read_text() == before
-    assert os.listdir(tmp_path) == ["memo.json"]
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"3,1|2,2": {"0": 4, "1"',  # truncated
-        "[1, 2]",
-        '{"3,1": {"0": 4}}',
-        '{"3,1|2,2": {"0": "four"}}',
-        '{"3,x|2,2": {"0": 4}}',
-        '{"3,1|2,2": [4]}',
-        '{"3,1|2,2": {"0": 4.9, "1": "4"}, "2|2": {"0": 2.5}}',  # not JSON ints
-        '{"3,1|2,2": {"0": 4.0, "1": 4}}',  # a float that is an integer
-        '{"|": {"0": true}}',  # a bool, on the empty cell, whose value is 1
-        '{"3,1|2,2": {"0": 8, "1": 8}}',  # twice the true value: t = 0 gives 8, b = 4
-        '{"2,1|1,1,1": {"1": 8, "2": 8}}',  # twice the true value, b = 0: t = 1 gives 16, not 8
-    ],
-)
-def test_load_cache_rejects_malformed_file(tmp_path, text):
-    path = tmp_path / "memo.json"
-    path.write_text(text)
-    eng = SpinKostkaEngine()
-    eng.spin_kostka((2, 1), (1, 1, 1))
-    memo = dict(eng._memo)
-    with pytest.raises(CacheError, match="memo.json"):
-        eng.load_cache(str(path))
-    assert eng._memo == memo
-
-
-@pytest.mark.parametrize(
-    "text, cell, problem",
-    [
-        ('{"3,1|2,2": {"0": 999}}', "xi=(3, 1) mu=(2, 2)", "divisibility"),
-        ('{"3,1|2,2": {"0": 4, "3": 4}}', "xi=(3, 1) mu=(2, 2)", "degree"),
-        ('{"2,1|3": {"0": 4, "1": 4}}', "xi=(2, 1) mu=(3,)", "vanishing"),
-        ('{"2,2|3,1": {"0": 4, "1": 4}}', "xi=(2, 2) mu=(3, 1)", "not a cell"),
-        ('{"3,1|1,3": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(1, 3)", "not a cell"),
-        ('{"3,1|2,1": {"0": 4, "1": 4}}', "xi=(3, 1) mu=(2, 1)", "not a cell"),
-        (
-            '{"2,1|1,1,1": {"1": %d, "2": 4, "3": %d}}' % (4 - 2 ** 72, 2 ** 72),
-            "xi=(2, 1) mu=(1, 1, 1)",
-            "past the 64-bit slot",
-        ),
-    ],
-    ids=["poison-999", "degree", "off-dominance", "xi-not-strict", "mu-not-partition", "weights", "slot"],
-)
-def test_load_cache_rejects_wrong_values(tmp_path, text, cell, problem):
-    """A memo value that breaks an invariant, or a key that is not a cell,
-    is refused before it can be served."""
-    path = tmp_path / "memo.json"
-    path.write_text(text)
-    eng = SpinKostkaEngine()
-    with pytest.raises(CacheError) as exc:
-        eng.load_cache(str(path))
-    message = str(exc.value)
-    assert "memo.json" in message and cell in message and problem in message
-    assert eng._memo == {}
-    assert eng.spin_kostka((3, 1), (2, 2)) == LaurentPoly({1: 4, 0: 4})
 
 
 def test_stability_and_leading_block():
@@ -454,3 +370,12 @@ def test_slot_guard_refuses_a_cell_before_any_work():
     assert eng.spin_kostka((40,), (40,)) == LaurentPoly.const(2)
     assert spin_kostka((40,), (20, 20)) == spin_kostka_one_row((20, 20))
     assert spin_kostka((40,), (40,)) == LaurentPoly.const(2)
+
+
+def test_engine_imports_only_partitions_polynomial_and_straighten():
+    """The invariants check the engine's values, so the engine does not
+    import them: of the package it imports only partitions, polynomial and
+    straighten."""
+    found = package_imports(engine.__file__)
+    assert "straighten" in found
+    assert found <= {"partitions", "polynomial", "straighten"}, found

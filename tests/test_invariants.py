@@ -1,5 +1,7 @@
 """The invariant checker names every invariant a wrong value breaks."""
 
+import pytest
+
 from spinkostka.engine import spin_kostka
 from spinkostka.invariants import cell_failures, failures
 from spinkostka.polynomial import LaurentPoly
@@ -48,6 +50,7 @@ def test_degree_above_n_mu():
         "degree at most n(mu)",
     ]
     assert cell_failures((3, 1), (2, 2), LaurentPoly({0: 4, -1: 4})) == ["degree at most n(mu)"]
+    assert cell_failures((3, 1), (2, 2), LaurentPoly({3: 4, 0: 4})) == ["degree at most n(mu)"]
 
 
 def test_nonzero_off_dominance():
@@ -75,3 +78,14 @@ def test_broken_leading_block():
     assert "leading-block factor 2: xi=(4, 2) mu=(4, 1, 1)" in found
     assert "stability r=1: xi=(3, 2) mu=(3, 1, 1)" in found
     assert all("xi=(4, 2) mu=(4, 1, 1)" in line or "xi=(3, 2) mu=(3, 1, 1)" in line for line in found)
+
+
+@pytest.mark.parametrize(
+    "xi, mu",
+    [((2, 2), (3, 1)), ((3, 1), (1, 3)), ((3, 1), (2, 1))],
+    ids=["xi-not-strict", "mu-not-partition", "weights"],
+)
+def test_not_a_cell(xi, mu):
+    assert cell_failures(xi, mu, LaurentPoly({1: 4, 0: 4})) == [
+        "not a cell: xi strict, mu a partition, equal weights"
+    ]

@@ -1,6 +1,5 @@
 """Vertex-operator oracle: expansions, inner products and relations."""
 
-import ast
 import gc
 import random
 from dataclasses import replace
@@ -8,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from crosscheck import inverse_z_t, reference_apply_component
+from crosscheck import inverse_z_t, package_imports, reference_apply_component
 from spinkostka import oracle
 from spinkostka.oracle import (
     OperatorSpec,
@@ -269,34 +268,10 @@ def test_verify_relations_quick():
     assert any("hH" in n for n in names)
 
 
-def _package_imports(path):
-    """The spinkostka modules a source file imports, by their short names;
-    "" stands for the package itself, whose __init__ imports the engine."""
-    found = set()
-    for node in ast.walk(ast.parse(open(path).read())):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                head, _, rest = alias.name.partition(".")
-                if head == "spinkostka":
-                    found.add(rest.partition(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                module = node.module
-            elif node.module and node.module.partition(".")[0] == "spinkostka":
-                module = node.module.partition(".")[2]
-            else:
-                continue
-            if module:
-                found.add(module.partition(".")[0])
-            else:
-                found.update(alias.name for alias in node.names)
-    return found
-
-
 def test_oracle_imports_only_partitions_and_polynomial():
     """The oracle checks the engine, so it shares no algorithm with it: of
     the package it imports only partitions and polynomial."""
-    found = _package_imports(oracle.__file__)
+    found = package_imports(oracle.__file__)
     assert "polynomial" in found
     assert not found & {"engine", "straighten", "schur", "invariants"}, found
     assert found <= {"partitions", "polynomial"}, found

@@ -209,7 +209,13 @@ def test_subs_neg_t_involutive(a):
 
 @given(laurent)
 def test_json_roundtrip(a):
-    assert LaurentPoly.from_json(a.to_json()) == a
+    assert LaurentPoly({int(e): c for e, c in a.to_json().items()}) == a
+
+
+@pytest.mark.parametrize("c", [4.9, "4", 4.0, True], ids=["float", "str", "integral-float", "bool"])
+def test_coefficients_must_be_int(c):
+    with pytest.raises(TypeError, match="coefficients must be int"):
+        LaurentPoly({0: 4, 1: c})
 
 
 def test_rendering_canonical():
