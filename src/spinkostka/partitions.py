@@ -12,28 +12,55 @@ import enum
 from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
-from math import factorial
-from operator import ge, gt
+from math import factorial, inf
+
+
+# One rule, three entries: each part is at most the part before it
+# (strictly below it, when strict), and the last part is at least 1.  Each
+# loop starts from prev = inf, above every number, so the first part passes
+# the order test and the empty sequence passes both.
 
 
 def is_partition(seq):
-    return all(map(ge, seq, seq[1:])) and (not seq or seq[-1] >= 1)
+    prev = inf
+    for part in seq:
+        if part > prev:
+            return False
+        prev = part
+    return prev >= 1
 
 
 def is_strict_partition(seq):
-    return all(map(gt, seq, seq[1:])) and (not seq or seq[-1] >= 1)
+    prev = inf
+    for part in seq:
+        if part >= prev:
+            return False
+        prev = part
+    return prev >= 1
 
 
 def as_partition(seq, name, strict=False):
     """``tuple(seq)`` if ``seq`` is a list or tuple of ints (not bools) forming
     a partition, strict when asked; else ``ValueError`` naming ``name`` and
-    ``seq``.  The library's one validity check, made once per public call."""
-    parts = tuple(seq) if isinstance(seq, (list, tuple)) else (None,)
-    valid = is_strict_partition if strict else is_partition
-    if not {int}.issuperset(map(type, parts)) or not valid(parts):
-        kind = "strict partition" if strict else "partition"
-        raise ValueError("%s must be a %s of ints, got %r" % (name, kind, seq))
-    return parts
+    ``seq``.  The library's one validity check, made once per public call,
+    in one pass: on ints, ``part + 1 > prev`` is ``part >= prev``."""
+    if type(seq) is tuple:
+        parts = seq
+    elif isinstance(seq, (list, tuple)):
+        parts = tuple(seq)
+    else:
+        parts = (None,)
+    gap = 1 if strict else 0
+    prev = inf
+    for part in parts:
+        if type(part) is not int or part + gap > prev:
+            break
+        prev = part
+    else:
+        if prev >= 1:
+            return parts
+    kind = "strict partition" if strict else "partition"
+    raise ValueError("%s must be a %s of ints, got %r" % (name, kind, seq))
 
 
 def conjugate(lam):

@@ -47,19 +47,21 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
+                if type(e) is not int:
+                    raise TypeError("LaurentPoly exponents must be int, got %r" % (e,))
                 if type(c) is not int:
                     raise TypeError("LaurentPoly coefficients must be int, got %r" % (c,))
                 if c:
-                    clean[int(e)] = clean.get(int(e), 0) + c
-                    if not clean[int(e)]:
-                        del clean[int(e)]
+                    clean[e] = c
         self._terms = clean
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def const(cls, c):
-        return cls({0: c})
+        if type(c) is not int:
+            raise TypeError("LaurentPoly coefficients must be int, got %r" % (c,))
+        return _raw({0: c} if c else {})
 
     @classmethod
     def term(cls, coeff, exp):
@@ -202,9 +204,9 @@ class LaurentPoly:
     # -- canonical identity ---------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
 

@@ -42,6 +42,11 @@ straightening over the partitions reached.
 
 ``package_imports`` names the package modules a source file imports, for
 the tests that hold a module to the layers it may use.
+
+``reference_as_partition``, ``reference_is_partition`` and
+``reference_is_strict_partition`` are the boundary check and the validity
+predicates as set-of-types and pairwise-``map`` formulas, where
+``partitions`` checks each part in one loop.
 """
 
 import ast
@@ -50,6 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import ge, gt
 
 from spinkostka.engine import SpinKostkaEngine
 from spinkostka.oracle import PExpansion, z_stat
@@ -330,3 +336,20 @@ def package_imports(path):
             else:
                 found.update(alias.name for alias in node.names)
     return found
+
+
+def reference_is_partition(seq):
+    return all(map(ge, seq, seq[1:])) and (not seq or seq[-1] >= 1)
+
+
+def reference_is_strict_partition(seq):
+    return all(map(gt, seq, seq[1:])) and (not seq or seq[-1] >= 1)
+
+
+def reference_as_partition(seq, name, strict=False):
+    parts = tuple(seq) if isinstance(seq, (list, tuple)) else (None,)
+    valid = reference_is_strict_partition if strict else reference_is_partition
+    if not {int}.issuperset(map(type, parts)) or not valid(parts):
+        kind = "strict partition" if strict else "partition"
+        raise ValueError("%s must be a %s of ints, got %r" % (name, kind, seq))
+    return parts

@@ -4,6 +4,8 @@
 import ast
 import glob
 import os
+from collections import namedtuple
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,19 @@ from spinkostka import (
     spin_kostka,
     straighten_to_vacuum,
 )
-from spinkostka.partitions import as_partition, partitions, strict_partitions
+from spinkostka.partitions import (
+    as_partition,
+    is_partition,
+    is_strict_partition,
+    partitions,
+    strict_partitions,
+)
+
+from crosscheck import (
+    reference_as_partition,
+    reference_is_partition,
+    reference_is_strict_partition,
+)
 
 STRICT, PARTITION, VECTOR = "strict", "partition", "vector"
 
@@ -87,6 +101,56 @@ def test_as_partition():
     for seq in [(2, 2), (1, 3), (3, 0), (2.0,), (True,), "21", 2, None]:
         with pytest.raises(ValueError, match=r"^xi must be a strict partition of ints, got "):
             as_partition(seq, "xi", strict=True)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the type and message of the TypeError or ValueError
+    it raised."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class _Parts(list):
+    pass
+
+
+def _corpus():
+    """(sequences, others): every int vector of length <= 5 with entries in
+    -1..4, and each with a bool, a float, a str or None spliced in, all as a
+    tuple and as a list; a namedtuple, a list subclass, a str and ranges;
+    then non-sequences.  The splice position turns with the vector and the
+    odd value, so every position of every length is met."""
+    vectors = [v for k in range(6) for v in product(range(-1, 5), repeat=k)]
+    spliced = [
+        v[:i] + (odd,) + v[i:]
+        for j, v in enumerate(vectors)
+        for k, odd in enumerate((True, 1.0, "1", None))
+        for i in [(j + k) % (len(v) + 1)]
+    ]
+    pair = namedtuple("Pair", "first second")
+    sequences = [kind(v) for v in vectors + spliced for kind in (tuple, list)]
+    sequences += [pair(2, 1), pair(1, 1), _Parts([3, 1]), _Parts([1, 3]), "21", range(3, 0, -1), range(3)]
+    return sequences, [3, None, {2: 1}, {}, (p for p in (2, 1))]
+
+
+def test_the_check_accepts_and_rejects_what_the_reference_does():
+    """as_partition returns the reference's plain tuple or raises its
+    ValueError with the same message, for both values of strict.  The predicates give
+    the pairwise formulas' value, or raise the same type, on every sequence;
+    the formulas slice their argument, so a dict or a generator is left out."""
+    sequences, others = _corpus()
+    for seq in sequences + others:
+        for strict in (False, True):
+            new = _outcome(as_partition, seq, "xi", strict=strict)
+            assert new == _outcome(reference_as_partition, seq, "xi", strict=strict), (seq, strict)
+            assert new[0] is ValueError or type(new[1]) is tuple, (seq, strict)
+    predicates = [(is_partition, reference_is_partition), (is_strict_partition, reference_is_strict_partition)]
+    for seq in sequences:
+        for mine, theirs in predicates:
+            new, old = _outcome(mine, seq), _outcome(theirs, seq)
+            assert new == old if new[0] == "value" else new[0] == old[0], (mine, seq, new, old)
 
 
 VALIDITY_CHECKS = {"is_partition", "is_strict_partition"}

@@ -218,6 +218,20 @@ def test_coefficients_must_be_int(c):
         LaurentPoly({0: 4, 1: c})
 
 
+@pytest.mark.parametrize("e", [1.5, 1.0, True, "2"], ids=["float", "integral-float", "bool", "str"])
+def test_exponents_must_be_int(e):
+    with pytest.raises(TypeError, match="exponents must be int, got %r" % (e,)):
+        LaurentPoly({0: 4, e: 3})
+
+
+def test_equality_with_ints_never_raises():
+    assert ONE == 1 and ZERO == 0 and T != 1
+    assert not ONE == True  # noqa: E712 - a bool is not an int constant here
+    assert ONE != True  # noqa: E712
+    assert True not in [ONE, ZERO]
+    assert ONE != 1.0 and ONE != "1"
+
+
 def test_rendering_canonical():
     p = LaurentPoly({4: 4, 3: 8, 2: 12, 1: 8})
     assert str(p) == "4*t^4 + 8*t^3 + 12*t^2 + 8*t"
