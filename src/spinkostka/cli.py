@@ -236,17 +236,6 @@ def build_parser():
     return parser
 
 
-def _check_oracle_weight(parser, n):
-    """Exit 2 with the oracle's message if weight ``n`` is past its cap or
-    the cap variable is not an integer."""
-    from .oracle import TruncationError, check_weight
-
-    try:
-        check_weight(n)
-    except (TruncationError, ValueError) as exc:
-        parser.error(str(exc))
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -255,7 +244,6 @@ def main(argv=None):
     if args.command == "compute":
         fn = spin_kostka
         if args.oracle:
-            _check_oracle_weight(parser, sum(args.xi))
             from .oracle import oracle_spin_kostka as fn
         if sum(args.xi) != sum(args.mu):
             parser.error("xi and mu must have equal weight")
@@ -298,8 +286,6 @@ def main(argv=None):
         return 0
 
     if args.command == "verify":
-        if args.suite in ("oracle", "all"):
-            _check_oracle_weight(parser, args.max_n)
         names = list(SUITES) if args.suite == "all" else [args.suite]
         records = []
         for name in names:

@@ -65,7 +65,12 @@ def htilde_expand(k, mu, straightener):
 
 
 def spin_kostka_one_row(mu):
-    """Closed form for xi = (n): t^n(mu) * prod_i (1 + t^(1-i))."""
+    """Closed form for xi = (|mu|), mu a partition (``as_partition``)."""
+    return _one_row(as_partition(mu, "mu"))
+
+
+def _one_row(mu):
+    """spin_kostka_one_row on a tuple: t^n(mu) * prod_i (1 + t^(1-i))."""
     out = LaurentPoly({n_stat(mu): 1})
     for i in range(1, len(mu) + 1):
         out = out + out.shift(1 - i)
@@ -73,10 +78,11 @@ def spin_kostka_one_row(mu):
 
 
 def spin_kostka_two_part(xi, mu):
-    """Closed form for mu with at most two parts."""
+    """Closed form for mu with at most two parts, xi strict
+    (``as_partition``); 0 if weights differ."""
+    xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
     if len(mu) > 2:
         raise ValueError("two-part closed form needs l(mu) <= 2")
-    xi, mu = tuple(xi), tuple(mu)
     if sum(xi) != sum(mu):
         return ZERO
     if xi == mu:
@@ -176,7 +182,7 @@ class SpinKostkaEngine:
 
     def _fast_path(self, xi, mu):
         if len(xi) == 1:
-            return encode(spin_kostka_one_row(mu))
+            return encode(_one_row(mu))
         if mu[0] == 1:
             return spin_kostka_column_packed(xi)
         return None

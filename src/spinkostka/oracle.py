@@ -20,14 +20,11 @@ The only poles the operators and the Gram factors z_lam(t) bring are the
 factors 1 - t^n, so the arithmetic stays over the integers.
 
 Vectors are exact and never truncated, so the basis caches are keyed on
-the shape alone.  The one cap is on the weight asked of the public entries
-(``check_weight``, ``SPIN_KOSTKA_MAX_DEGREE``, default 12), which bounds
-the cost of a call.
+the shape alone, and an entry runs at any weight it is asked for.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from collections import Counter
@@ -39,34 +36,6 @@ from math import factorial
 
 from .partitions import partitions, strict_partitions, vertical_strip_subshapes
 from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc
-
-DEFAULT_MAX_DEGREE = 12
-
-
-def max_degree_cap():
-    """Largest weight the public entries accept, overridable by the
-    ``SPIN_KOSTKA_MAX_DEGREE`` environment variable.  It bounds the cost of
-    a call; the vectors themselves are exact and never truncated.  A value
-    that is not an integer raises ``ValueError``."""
-    value = os.environ.get("SPIN_KOSTKA_MAX_DEGREE", DEFAULT_MAX_DEGREE)
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError("SPIN_KOSTKA_MAX_DEGREE=%r is not an integer" % (value,)) from None
-
-
-class TruncationError(ArithmeticError):
-    """A public entry was asked for a weight above ``max_degree_cap()``."""
-
-
-def check_weight(n):
-    """Raise ``TruncationError`` if the weight ``n`` exceeds the cap."""
-    cap = max_degree_cap()
-    if n > cap:
-        raise TruncationError(
-            "weight %d exceeds oracle truncation cap %d "
-            "(raise SPIN_KOSTKA_MAX_DEGREE to override)" % (n, cap)
-        )
 
 
 # -- partition statistics -----------------------------------------------
@@ -376,25 +345,22 @@ def oracle_spin_kostka(xi, mu):
     xi, mu = tuple(xi), tuple(mu)
     if sum(xi) != sum(mu):
         return LaurentPoly()
-    check_weight(sum(xi))
     return inner(hl_Q(mu), schur_q(xi), "t").to_laurent()
+
+
+# The entries take lists; the values are cached on tuples, so that
+# oracle_spin_via_bK computes each b and each K_{lam,mu}(t) once.
 
 
 def oracle_b(xi, lam):
     """b_{xi,lam} = <s_lam, Q_xi> under the canonical form."""
-    xi, lam = tuple(xi), tuple(lam)
-    if sum(xi) != sum(lam):
-        return 0
-    check_weight(sum(xi))
-    return _b_value(xi, lam)
-
-
-# The inner products are cached behind the entries, so that the weight
-# check still runs on every call.
+    return _b_value(tuple(xi), tuple(lam))
 
 
 @lru_cache(maxsize=None)
 def _b_value(xi, lam):
+    if sum(xi) != sum(lam):
+        return 0
     value = inner(schur_s(lam), schur_q(xi), "zero").to_fraction()
     if value.denominator != 1:
         raise ArithmeticError("non-integer b value %s" % value)
@@ -403,15 +369,13 @@ def _b_value(xi, lam):
 
 def oracle_kostka_foulkes(lam, mu):
     """K_{lam,mu}(t) = <s_lam, Q_mu(x;t)> under the t-deformed form."""
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) != sum(mu):
-        return LaurentPoly()
-    check_weight(sum(lam))
-    return _kostka_foulkes_value(lam, mu)
+    return _kostka_foulkes_value(tuple(lam), tuple(mu))
 
 
 @lru_cache(maxsize=None)
 def _kostka_foulkes_value(lam, mu):
+    if sum(lam) != sum(mu):
+        return LaurentPoly()
     return inner(schur_s(lam), hl_Q(mu), "t").to_laurent()
 
 
@@ -441,7 +405,6 @@ def g_general(mu, lam):
     mu, lam = tuple(mu), tuple(lam)
     if sum(mu) != sum(lam):
         return 0
-    check_weight(sum(mu))
     P = hl_P(mu)
     S = schur_s(lam)
     total = Fraction(0)

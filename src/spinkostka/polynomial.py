@@ -211,7 +211,11 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a constant equals its int, so it hashes as that int (ZERO as 0)
+        terms = self._terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return bool(self._terms)
@@ -252,7 +256,7 @@ def _raw(terms):
 def _as_laurent(x):
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return LaurentPoly.const(x)
     raise TypeError("cannot coerce %r to LaurentPoly" % (x,))
 

@@ -67,8 +67,8 @@ def g_coeff(xi, lam):
 
 def count_Ns(lam, s, brute_force=False):
     """Number of hook subshapes rho of lam^(1) (lam minus its first row)
-    with lam^(1)/rho a vertical s-strip."""
-    lam = tuple(lam)
+    with lam^(1)/rho a vertical s-strip; lam a partition (``as_partition``)."""
+    lam = as_partition(lam, "lam")
     if brute_force:
         return sum(1 for rho in vertical_strip_subshapes(lam[1:], s) if is_hook(rho))
     shape = classify_shape(lam)
@@ -88,10 +88,11 @@ def count_Ns(lam, s, brute_force=False):
 
 
 def b_two_row(n, m, lam):
-    """b_{(n-m,m),lam} for 1 <= m < n/2 via the N^(s) counts."""
+    """b_{(n-m,m),lam} for 1 <= m < n/2 via the N^(s) counts; lam a
+    partition of n (``as_partition``)."""
+    lam = as_partition(lam, "lam")
     if not (1 <= m and 2 * m < n):
         raise ValueError("need 1 <= m < n/2")
-    lam = tuple(lam)
     if sum(lam) != n:
         raise ValueError("lam must have weight n")
     lam1 = lam[0]

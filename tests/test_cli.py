@@ -65,6 +65,12 @@ def test_compute_oracle_agrees(capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_compute_oracle_has_no_weight_cap(capsys):
+    """compute --oracle runs at any weight, as table does."""
+    assert main(["compute", "--xi", "13", "--mu", "13", "--oracle"]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_b_and_g2(capsys):
     assert main(["b", "--xi", "4,3", "--lambda", "2,2,2,1"]) == 0
     assert capsys.readouterr().out == "4\n"
@@ -84,7 +90,7 @@ def test_g2_prints_the_closed_form_only(capsys):
     assert capsys.readouterr().out == "-1\n"
 
 
-def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--xi", "2,2", "--mu", "1,1,1,1"])
     assert exc.value.code == 2
@@ -100,21 +106,6 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["b", "--xi", "2,2", "--lambda", "2,1,1"])  # xi not strict
     assert exc.value.code == 2
-    monkeypatch.delenv("SPIN_KOSTKA_MAX_DEGREE", raising=False)
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "--xi", "13", "--mu", "13", "--oracle"])  # above the cap
-    assert exc.value.code == 2
-    assert "weight 13 exceeds oracle truncation cap 12" in capsys.readouterr().err
-    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "3")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "oracle", "--max-n", "4"])
-    assert exc.value.code == 2
-    assert "weight 4 exceeds oracle truncation cap 3" in capsys.readouterr().err
-    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "--xi", "3,1", "--mu", "2,2", "--oracle"])  # cap not an integer
-    assert exc.value.code == 2
-    assert "SPIN_KOSTKA_MAX_DEGREE='abc' is not an integer" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--xi", "11,8,5,3,1", "--mu", "28"])  # past the slot
     assert exc.value.code == 2

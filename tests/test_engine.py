@@ -309,8 +309,8 @@ def test_value_at_one_counts_marked_tableaux():
     """K^-_{xi,mu}(1), the coefficient of m_mu in Q_xi, is the number of
     marked shifted tableaux of shape xi and content mu with the diagonal
     marks free: the whole value at t = 1, against a count that shares no
-    algorithm with the engine, on every cell of weights 1-14, past the
-    oracle's cap."""
+    algorithm with the engine, on every cell of weights 1-14, beyond the
+    weights the tests run the oracle at."""
     cells = 0
     for n in range(1, 15):
         for xi in strict_partitions(n):

@@ -12,7 +12,6 @@ from spinkostka import oracle
 from spinkostka.oracle import (
     OperatorSpec,
     PExpansion,
-    TruncationError,
     apply_component,
     apply_word,
     eps,
@@ -110,26 +109,9 @@ def test_three_paths_agree():
                 assert oracle_spin_via_bK(xi, mu) == oracle_spin_kostka(xi, mu)
 
 
-def test_truncation_cap(monkeypatch):
-    """The cap applies on every call, also to a value already cached."""
-    entries = (
-        (oracle_spin_kostka, ((5,), (5,))),
-        (oracle_b, ((5,), (5,))),
-        (oracle_kostka_foulkes, ((5,), (5,))),
-        (oracle_spin_via_bK, ((5,), (5,))),
-        (g_general, ((3, 2), (5,))),
-    )
-    for entry, args in entries:
-        entry(*args)
-    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "4")
-    for entry, args in entries:
-        with pytest.raises(TruncationError, match="weight 5 exceeds oracle truncation cap 4"):
-            entry(*args)
-    assert oracle_spin_kostka((4,), (4,)) == LaurentPoly.const(2)
-    monkeypatch.setenv("SPIN_KOSTKA_MAX_DEGREE", "abc")
-    for entry, args in entries:
-        with pytest.raises(ValueError, match="SPIN_KOSTKA_MAX_DEGREE='abc' is not an integer"):
-            entry(*args)
+def test_no_weight_cap():
+    """An entry runs at any weight it is asked for."""
+    assert oracle_spin_kostka((13,), (13,)) == LaurentPoly.const(2) == 2
 
 
 def test_q_word_antisymmetry():

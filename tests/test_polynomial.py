@@ -232,6 +232,31 @@ def test_equality_with_ints_never_raises():
     assert ONE != 1.0 and ONE != "1"
 
 
+def test_constants_hash_as_their_ints():
+    """Equal objects hash equal, so a constant and its int find each other
+    in a set; a bool is still not a constant."""
+    assert 1 in {ONE} and ONE in {1} and 0 in {ZERO} and ZERO in {0}
+    assert hash(ZERO) == hash(0) and hash(LaurentPoly.const(-7)) == hash(-7)
+    assert True not in {ONE}
+    assert hash(T) == hash(frozenset({(1, 1)}))
+
+
+@pytest.mark.parametrize(
+    "combine, x",
+    [
+        (lambda p, x: p + x, True),
+        (lambda p, x: p * x, True),
+        (lambda p, x: p - x, False),
+        (lambda p, x: x - p, True),
+        (lambda p, x: p + x, 1.5),
+    ],
+    ids=["add-True", "mul-True", "sub-False", "rsub-True", "add-float"],
+)
+def test_a_bool_operand_is_not_coerced(combine, x):
+    with pytest.raises(TypeError, match=r"^cannot coerce %r to LaurentPoly$" % (x,)):
+        combine(ONE, x)
+
+
 def test_rendering_canonical():
     p = LaurentPoly({4: 4, 3: 8, 2: 12, 1: 8})
     assert str(p) == "4*t^4 + 8*t^3 + 12*t^2 + 8*t"
