@@ -9,7 +9,12 @@ recurses on xi without xi_i against each partition of the result.
 cells of h~_k over the positions gives weight 1 to a position taking none
 and t^(c-1)(1+t) to a position taking c > 0, so the expansion is a product
 of one-position steps; after each step the suffix is straightened back to
-the partition basis and equal states merge.
+the partition basis and equal states merge.  The states after a suffix of
+mu depend only on that suffix and on the cap on cells used, so each engine
+keeps them per suffix, built with the largest k asked so far: every k of
+one rest, and every mu sharing a tail, reuse one sweep.  Only the first
+position runs per k, taking exactly the cells left, so a cold cell
+straightens no word that the sweep for its own k would not.
 
 Two closed forms are used as fast paths: one-row xi and the column mu = 1^n.
 The leading-block factor 2 (xi_1 = mu_1) is no fast path: it is the
@@ -26,12 +31,12 @@ bound does not fit the slot before computing it (the proof is at
 
 from __future__ import annotations
 
-from .partitions import as_partition, dominates, n_stat, shifted_tableaux_count
+from .partitions import _dominates, as_partition, n_stat, shifted_tableaux_count
 from .polynomial import SLOT_BITS, SLOT_LIMIT, ZERO, LaurentPoly, decode, encode, t_binomial
 from .straighten import Straightener
 
 
-def htilde_expand(k, mu, straightener):
+def htilde_expand(k, mu, straightener, sweeps=None):
     """{lam: packed coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1.
 
     Equivalent to summing t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)
@@ -42,16 +47,36 @@ def htilde_expand(k, mu, straightener):
     Degree pruning: H_mu_j...H_mu_r.1 has degree mu_j + ... + mu_r, and a
     word of negative degree is 0.  A state's suffix weighs
     sum(mu[j+1:]) - used, so position j takes at most sum(mu[j:]) - used
-    cells, and at j = 0 a state that cannot place all its remaining cells
-    is dropped."""
-    states = {(0, ()): 1}
-    tail = 0
-    for j in range(len(mu) - 1, -1, -1):
+    cells, and h~_k H_mu.1 = 0 for k > |mu|.
+
+    ``sweeps`` maps a suffix mu[j:], j >= 1, to (cap, its states built with
+    at most cap cells used); without it, a one-shot memo.  The walk starts
+    from the longest suffix whose entry has cap >= k, and rebuilds the
+    shorter ones with cap k.  So caps only grow, and a suffix of an entry
+    has at least the entry's cap.  Reuse under a larger cap is exact: each
+    step takes at most cap - used cells and used only grows, so the states
+    with used <= k are exactly those that cap k builds; the others are
+    skipped.  Position 0 runs per k and takes exactly the k - used cells
+    left, as a one-shot sweep does, so it straightens no extra word."""
+    if not 0 <= k <= sum(mu):
+        return {}
+    if sweeps is None:
+        sweeps = {}
+    start, states = len(mu), {(0, ()): 1}
+    for j in range(1, len(mu)):
+        entry = sweeps.get(mu[j:])
+        if entry is not None and entry[0] >= k:
+            start, states = j, entry[1]
+            break
+    tail = sum(mu[start:])
+    for j in range(start - 1, -1, -1):
         tail += mu[j]
         merged = {}
         get = merged.get
         for (used, suffix), coeff in states.items():
             free = k - used
+            if free < 0:
+                continue
             top = min(free, tail - used)
             coeff_1t = coeff + (coeff << SLOT_BITS)
             for take in range(free if j == 0 else 0, top + 1):
@@ -61,7 +86,9 @@ def htilde_expand(k, mu, straightener):
                     key = (used + take, lam)
                     merged[key] = get(key, 0) + weight * b
         states = {key: c for key, c in merged.items() if c}
-    return {lam: coeff for (used, lam), coeff in states.items() if used == k}
+        if j:
+            sweeps[mu[j:]] = (k, states)
+    return {lam: coeff for (used, lam), coeff in states.items()}
 
 
 def spin_kostka_one_row(mu):
@@ -87,7 +114,7 @@ def spin_kostka_two_part(xi, mu):
         return ZERO
     if xi == mu:
         return LaurentPoly.const(2 ** len(xi))
-    if not dominates(xi, mu):
+    if not _dominates(xi, mu):
         return ZERO
     scale = 2 if len(xi) == 1 else 4
     d = xi[0] - mu[0]
@@ -136,11 +163,13 @@ def kostka_hook(n, k, mu):
 
 class SpinKostkaEngine:
     """Memoized recurrence engine.  Instances are cheap; each owns its memo
-    tables (packed values and h~_k expansions, decoded answers)."""
+    tables (packed values, h~_k expansions and their sweep states per suffix,
+    decoded answers)."""
 
     def __init__(self):
         self._memo = {}
         self._expansions = {}
+        self._sweeps = {}
         self._answers = {}
         self._straightener = Straightener()
 
@@ -191,7 +220,7 @@ class SpinKostkaEngine:
         key = (k, rest)
         hit = self._expansions.get(key)
         if hit is None:
-            hit = self._expansions[key] = htilde_expand(k, rest, self._straightener)
+            hit = self._expansions[key] = htilde_expand(k, rest, self._straightener, self._sweeps)
         return hit
 
     def _recurrence(self, xi, mu):

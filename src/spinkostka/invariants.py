@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .partitions import (
-    dominates,
+    _dominates,
     is_partition,
     is_strict_partition,
     n_stat,
@@ -33,7 +33,7 @@ def cell_failures(xi, mu, value):
     if not (is_strict_partition(xi) and is_partition(mu) and sum(xi) == sum(mu)):
         return ["not a cell: xi strict, mu a partition, equal weights"]
     terms = value.terms
-    if not dominates(xi, mu):
+    if not _dominates(xi, mu):
         return ["vanishing unless xi dominates mu"] if terms else []
     scale = 2 ** len(xi)
     found = []

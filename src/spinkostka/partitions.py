@@ -64,7 +64,12 @@ def as_partition(seq, name, strict=False):
 
 
 def conjugate(lam):
-    """The transpose of lam, in O(l(lam) + lam_1): read bottom up, row i
+    """The transpose of the partition lam (``as_partition``)."""
+    return _conjugate(as_partition(lam, "lam"))
+
+
+def _conjugate(lam):
+    """conjugate on a tuple, in O(l(lam) + lam_1): read bottom up, row i
     (1-based) adds lam_i - lam_(i+1) columns of length i."""
     out, below = [], 0
     for rows in range(len(lam), 0, -1):
@@ -75,7 +80,12 @@ def conjugate(lam):
 
 
 def dominates(lam, mu):
-    """lam >= mu in dominance order (equal weights, partial sums)."""
+    """lam >= mu in dominance order, lam and mu partitions (``as_partition``)."""
+    return _dominates(as_partition(lam, "lam"), as_partition(mu, "mu"))
+
+
+def _dominates(lam, mu):
+    """dominates on tuples: equal weights and partial sums."""
     if sum(lam) != sum(mu):
         return False
     total_l = total_m = 0
@@ -164,7 +174,13 @@ def vertical_strip_subshapes(lam, k):
 
 
 def is_hook(lam):
-    """Hook shapes (lam_1, 1^m); the empty partition counts as a hook."""
+    """Hook shapes (lam_1, 1^m), lam a partition (``as_partition``); the
+    empty partition counts as a hook."""
+    return _is_hook(as_partition(lam, "lam"))
+
+
+def _is_hook(lam):
+    """is_hook on a tuple."""
     return all(part == 1 for part in lam[1:])
 
 
@@ -179,8 +195,8 @@ ShapeClass = namedtuple("ShapeClass", "kind lam1 lam2 m2 m1", defaults=(0, 0, 0,
 
 def classify_shape(lam):
     """Hook (lam1, 1^m1), proper double hook (lam1, lam2, 2^m2, 1^m1) with
-    lam2 >= 2, or Other."""
-    if is_hook(lam):
+    lam2 >= 2, or Other; lam a checked tuple."""
+    if _is_hook(lam):
         lam1 = lam[0] if lam else 0
         return ShapeClass(ShapeKind.HOOK, lam1=lam1, m1=len(lam) - 1 if lam else 0)
     # here len(lam) >= 2 and lam[1] >= 2

@@ -223,22 +223,20 @@ class LaurentPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        parts = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
+        words = []
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             if e == 0:
-                body = str(abs(c))
+                words.append("%d" % c)
+            elif e == 1:
+                words.append("t" if c == 1 else "-t" if c == -1 else "%d*t" % c)
             else:
-                tpow = "t" if e == 1 else "t^%d" % e
-                body = tpow if abs(c) == 1 else "%d*%s" % (abs(c), tpow)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+                words.append("t^%d" % e if c == 1 else "-t^%d" % e if c == -1 else "%d*t^%d" % (c, e))
+        # a word carries a sign only when negative, so "+ -" marks each negative term
+        return " + ".join(words).replace("+ -", "- ")
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self

@@ -18,10 +18,10 @@ from functools import lru_cache
 
 from .partitions import (
     ShapeKind,
+    _conjugate,
+    _is_hook,
     as_partition,
     classify_shape,
-    conjugate,
-    is_hook,
     vertical_strip_subshapes,
 )
 
@@ -43,7 +43,7 @@ def _b(xi, lam):
     if not xi:
         return 1
     if lam[0] < len(lam):
-        return _b(xi, conjugate(lam))
+        return _b(xi, _conjugate(lam))
     lam1, rest = lam[0], lam[1:]
     total = 0
     for i, part in enumerate(xi):
@@ -70,7 +70,7 @@ def count_Ns(lam, s, brute_force=False):
     with lam^(1)/rho a vertical s-strip; lam a partition (``as_partition``)."""
     lam = as_partition(lam, "lam")
     if brute_force:
-        return sum(1 for rho in vertical_strip_subshapes(lam[1:], s) if is_hook(rho))
+        return sum(1 for rho in vertical_strip_subshapes(lam[1:], s) if _is_hook(rho))
     shape = classify_shape(lam)
     if shape.kind is ShapeKind.OTHER:
         return 0
@@ -102,7 +102,7 @@ def b_two_row(n, m, lam):
 def hook_arm(lam):
     """j such that lam = (|lam|-j, 1^j), or None when lam is not a hook."""
     lam = tuple(lam)
-    if not lam or not is_hook(lam):
+    if not lam or not _is_hook(lam):
         return None
     return len(lam) - 1
 

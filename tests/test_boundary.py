@@ -16,9 +16,12 @@ from spinkostka import (
     SpinKostkaEngine,
     b_coeff,
     b_two_row,
+    conjugate,
     count_Ns,
+    dominates,
     g_coeff,
     g_square,
+    is_hook,
     kostka_hook,
     spin_kostka,
     spin_kostka_one_row,
@@ -63,6 +66,9 @@ def _entries(n, k, xi, mu, lam):
         (spin_kostka_two_part, (xi, two_parts), cell),
         (b_two_row, (2 * n + 1, k + 1, lam + (1,)), [(2, "lam", PARTITION)]),
         (count_Ns, (lam, k), [(0, "lam", PARTITION)]),
+        (conjugate, (mu,), [(0, "lam", PARTITION)]),
+        (dominates, (xi, mu), [(0, "lam", PARTITION), (1, "mu", PARTITION)]),
+        (is_hook, (mu,), [(0, "lam", PARTITION)]),
     ]
 
 
@@ -81,9 +87,6 @@ EXEMPT = {
     "t_factorial": "takes an int",
     "t_double_factorial": "takes an int",
     "t_binomial": "takes two ints",
-    "conjugate": "shape helper the b recursion calls on checked tuples; unchecked",
-    "dominates": "shape helper the engine calls on checked tuples; unchecked",
-    "is_hook": "shape helper schur calls on checked tuples; unchecked",
 }
 
 

@@ -129,14 +129,34 @@ def _htilde_by_weak_compositions(k, mu, straightener):
 
 
 def test_htilde_expand_matches_weak_composition_sum():
-    """k runs past |mu|, where the expansion drops every state at j = 0.  The
-    reference sum straightens with ``ReferenceStraightener``."""
+    """k runs past |mu|, where the expansion is empty.  Each expansion is
+    checked without a memo, then through one suffix memo that every mu
+    shares: the partitions of n <= 8 share tails, as (3, 1, 1), (2, 1, 1)
+    and (1, 1, 1) do.  Per mu, k first ascends, so a larger k rebuilds the
+    entries, then descends, so a smaller k reuses them filtered by cells
+    used.  The reference sum straightens with ``ReferenceStraightener``."""
     ours, ref = Straightener(), ReferenceStraightener("leftmost", "table")
+    sweeps = {}
     for n in range(9):
         for mu in partitions(n):
-            for k in range(max(6, n + 2)):
-                want = _htilde_by_weak_compositions(k, mu, ref)
-                assert htilde_expand(k, mu, ours) == _packed(want), (k, mu)
+            ks = range(max(6, n + 2))
+            want = {k: _packed(_htilde_by_weak_compositions(k, mu, ref)) for k in ks}
+            for k in ks:
+                assert htilde_expand(k, mu, ours) == want[k], (k, mu)
+            for k in list(ks) + list(reversed(ks)):
+                assert htilde_expand(k, mu, ours, sweeps) == want[k], (k, mu, "memo")
+    assert sweeps[(1, 1)][0] == 8  # the largest k <= |mu|; a larger k returns at once
+
+
+def test_memo_order_cannot_change_a_value():
+    """Every weight-10 cell on a fresh engine equals the same cell from one
+    engine asked in reverse table order, whose suffix memo then serves
+    each rest from entries that other cells built, under other caps."""
+    cells = [(xi, mu) for mu in partitions(10) for xi in strict_partitions(10)]
+    shared = SpinKostkaEngine()
+    reverse = {cell: shared.spin_kostka(*cell) for cell in reversed(cells)}
+    for cell in cells:
+        assert SpinKostkaEngine().spin_kostka(*cell) == reverse[cell], cell
 
 
 def test_structural_invariants_at_weights_11_to_13():

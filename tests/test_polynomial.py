@@ -263,6 +263,10 @@ def test_rendering_canonical():
     assert str(ZERO) == "0"
     assert str(LaurentPoly({0: -1, 1: 1})) == "t - 1"
     assert str(LaurentPoly({-1: 2, 0: 2})) == "2 + 2*t^-1"
+    assert str(LaurentPoly({0: -1})) == "-1"
+    assert str(LaurentPoly({1: -1})) == "-t"
+    assert str(LaurentPoly({3: -1, 2: -5, 1: 1, 0: 7, -2: -1})) == "-t^3 - 5*t^2 + t + 7 - t^-2"
+    assert str(LaurentPoly({5: -12, 1: -3, -1: 1})) == "-12*t^5 - 3*t + t^-1"
 
 
 def test_palindromicity():
