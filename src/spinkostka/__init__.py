@@ -29,7 +29,6 @@ from .partitions import (
     partitions,
     strict_partitions,
 )
-from .straighten import Straightener, straighten_to_vacuum
 from .engine import (
     SpinKostkaEngine,
     kostka_hook,
@@ -50,7 +49,6 @@ __all__ = [
     "LaurentPoly",
     "PoleError",
     "SpinKostkaEngine",
-    "Straightener",
     "b_coeff",
     "b_two_row",
     "conjugate",
@@ -66,7 +64,6 @@ __all__ = [
     "spin_kostka",
     "spin_kostka_one_row",
     "spin_kostka_two_part",
-    "straighten_to_vacuum",
     "strict_partitions",
     "t_binomial",
     "t_double_factorial",

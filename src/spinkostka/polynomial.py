@@ -15,8 +15,8 @@ instances.  ``LaurentPoly`` values are canonical; ``RatFunc`` values compare
 by value.
 
 The K^- engine and the straightener compute in a third form, a polynomial
-packed into one Python int by ``encode``, and hand their results out
-through ``decode``; the slot width and why it suffices are set out at
+packed into one Python int by ``encode``; the engine hands its answers out
+through ``decode``.  The slot width and why it suffices are set out at
 ``SLOT_BITS``.
 """
 
@@ -281,23 +281,16 @@ T = LaurentPoly.term(1, 1)
 # large its coefficients grow on the way.  Only ``decode`` needs a bound: it
 # reads the balanced base-2^SLOT_BITS digits of the int, which are the
 # coefficients exactly when each has absolute value below SLOT_LIMIT.
-# Each caller that decodes proves that bound first:
-#
-# * K^-_{xi,mu}(t) = sum_lam b_{xi,lam} K_{lam,mu}(t) with every b >= 0 and
-#   every K_{lam,mu}(t) in N[t].  So its coefficients are >= 0 and each is
-#   at most K^-_{xi,mu}(1) = sum_lam b_{xi,lam} K_{lam,mu}
-#   <= sum_lam b_{xi,lam} f^lam = K^-_{xi,1^n}(1) = 2^n g^xi.  The last two
-#   both count the coefficient of x_1...x_n in Q_xi = sum_lam b_{xi,lam} s_lam:
-#   the marked standard shifted tableaux of shape xi, 2^n for each of the g^xi
-#   unmarked ones (``partitions.shifted_tableaux_count``).  ``SpinKostkaEngine`` refuses a
-#   cell whose 2^n g^xi is not below SLOT_LIMIT before computing it; every
-#   cell of weight <= 27 fits.
-# * A straightened word nu has N(nu) = sum_a |step_a|_1 N(child_a), with
-#   N = 1 on a partition and 0 on an annihilated word, which bounds the L1
-#   norm of every coefficient.  N is the straightener's own recursion with
-#   each move coefficient replaced by its L1 norm, so it is the norm
-#   straightening summed over lam.  Only ``straighten_to_vacuum`` computes
-#   it, and decodes only when N(nu) < SLOT_LIMIT.
+# Its one caller, the engine's answer for a cell, proves that bound first.
+# K^-_{xi,mu}(t) = sum_lam b_{xi,lam} K_{lam,mu}(t) with every b >= 0 and
+# every K_{lam,mu}(t) in N[t].  So its coefficients are >= 0 and each is at
+# most K^-_{xi,mu}(1) = sum_lam b_{xi,lam} K_{lam,mu}
+# <= sum_lam b_{xi,lam} f^lam = K^-_{xi,1^n}(1) = 2^n g^xi.  The last two
+# both count the coefficient of x_1...x_n in Q_xi = sum_lam b_{xi,lam} s_lam:
+# the marked standard shifted tableaux of shape xi, 2^n for each of the g^xi
+# unmarked ones (``partitions.shifted_tableaux_count``).  ``SpinKostkaEngine``
+# refuses a cell whose 2^n g^xi is not below SLOT_LIMIT before computing it;
+# every cell of weight <= 27 fits.
 SLOT_BITS = 64
 SLOT_LIMIT = 1 << (SLOT_BITS - 1)
 _SLOT = 1 << SLOT_BITS

@@ -99,14 +99,6 @@ def b_two_row(n, m, lam):
     return 4 * (count_Ns(lam, n - m - lam1) - count_Ns(lam, m - lam1))
 
 
-def hook_arm(lam):
-    """j such that lam = (|lam|-j, 1^j), or None when lam is not a hook."""
-    lam = tuple(lam)
-    if not lam or not _is_hook(lam):
-        return None
-    return len(lam) - 1
-
-
 def g_square(r, lam):
     """g_{(r,r),lam}: coefficient of s_lam in the Schur P-function of the
     square shape at t = -1, by the closed forms; r an int, lam a partition."""
@@ -117,10 +109,9 @@ def g_square(r, lam):
     if shape.kind is ShapeKind.OTHER:
         return 0
     if shape.kind is ShapeKind.HOOK:
-        j = hook_arm(lam)
-        if j < r:
+        if shape.m1 < r:
             return 0
-        return -1 if (r + j) % 2 else 1
+        return -1 if (r + shape.m1) % 2 else 1
     if shape.lam2 + shape.m1 - 1 <= shape.lam1 <= shape.lam2 + shape.m1 + 1:
         return 1
     return 0

@@ -1,6 +1,6 @@
 """Straightening of Hall-Littlewood operator words applied to the vacuum.
 
-``straighten_to_vacuum`` rewrites H_{nu_1}...H_{nu_r}.1 (nu an arbitrary
+``Straightener.straighten`` rewrites H_{nu_1}...H_{nu_r}.1 (nu an arbitrary
 integer vector) into the basis {H_lam.1 : lam a partition}.  The rules:
 
 * a trailing zero entry drops (H_0.1 = 1);
@@ -18,19 +18,15 @@ ascent order, primitive two-term relation) and the vertex-operator oracle.
 
 Every coefficient that arises is a polynomial in t with exponents >= 0.
 ``Straightener.straighten`` returns them packed (``polynomial.encode``), as
-the K^- engine consumes them; it reads the move coefficients from a packed
-table built from ``step_coeff``.  ``straighten_to_vacuum`` decodes to
-``LaurentPoly`` only when N(nu), a bound on the L1 norm of each coefficient,
-fits the slot.  N(nu) is the norm straightening: the same rewrites with each
-move coefficient replaced by its L1 norm, summed over the partitions reached.
-Only ``straighten_to_vacuum`` computes it.
+the K^- engine consumes them, and reads the move coefficients from a packed
+table built from ``step_coeff``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .polynomial import SLOT_BITS, SLOT_LIMIT, LaurentPoly, T, decode, encode
+from .polynomial import LaurentPoly, T, encode
 
 
 def step_coeff(gap, a):
@@ -51,12 +47,6 @@ def step_coeff(gap, a):
 def _packed_moves(gap):
     """Packed step_coeff(gap, a) for a = 0..gap//2."""
     return tuple(encode(step_coeff(gap, a)) for a in range(gap // 2 + 1))
-
-
-@lru_cache(maxsize=None)
-def _move_norms(gap):
-    """The L1 norm of step_coeff(gap, a) for a = 0..gap//2."""
-    return tuple(sum(map(abs, step_coeff(gap, a).coefficients())) for a in range(gap // 2 + 1))
 
 
 def _normalize(nu):
@@ -84,8 +74,6 @@ class Straightener:
     """Memoizing straightener: leftmost ascent first, closed-form move
     coefficients.  ``straighten`` returns {lam: packed coefficient}."""
 
-    _moves = staticmethod(_packed_moves)
-
     def __init__(self):
         self._memo = {}
 
@@ -110,37 +98,9 @@ class Straightener:
         lo, hi = nu[i], nu[i + 1]
         head, tail = nu[:i], nu[i + 2:]
         acc = {}
-        for a, step in enumerate(self._moves(hi - lo)):
+        for a, step in enumerate(_packed_moves(hi - lo)):
             child = head + (hi - a, lo + a) + tail
             for lam, c in self.straighten(child).items():
                 acc[lam] = acc.get(lam, 0) + step * c
         return {lam: c for lam, c in acc.items() if c}
 
-
-class _NormStraightener(Straightener):
-    """The norm straightening: each move coefficient replaced by its L1 norm.
-    Its values summed over lam give N(nu) (``polynomial.SLOT_BITS``)."""
-
-    _moves = staticmethod(_move_norms)
-
-
-def straighten_to_vacuum(nu):
-    """{lam: LaurentPoly} for a list or tuple of ints, by a one-shot
-    :class:`Straightener`; anything else raises ``ValueError``.  So does a
-    word whose rewrite chain outgrows the recursion limit: at the default
-    1000, from top level, ``(0,)*248 + (1,)`` straightens and
-    ``(0,)*249 + (1,)`` does not.  So does a word whose coefficient bound
-    N(nu) is not below 2^(SLOT_BITS - 1)."""
-    word = tuple(nu) if isinstance(nu, (list, tuple)) else (None,)
-    if not {int}.issuperset(map(type, word)):
-        raise ValueError("nu must be a vector of ints, got %r" % (nu,))
-    try:
-        packed = Straightener().straighten(word)
-        bound = sum(_NormStraightener().straighten(word).values())
-    except RecursionError:
-        raise ValueError("nu=%r rewrites deeper than the recursion limit" % (word,)) from None
-    if bound >= SLOT_LIMIT:
-        raise ValueError(
-            "nu=%r: coefficients may reach %d, past the %d-bit slot" % (word, bound, SLOT_BITS)
-        )
-    return {lam: decode(c) for lam, c in packed.items()}

@@ -3,7 +3,10 @@
 ``ReferenceStraightener`` rewrites H_nu.1 into the partition basis like
 ``spinkostka.straighten`` but shares no code with it.  It can rewrite the
 rightmost ascent first, and it can use the primitive two-term form of the
-quadratic relation instead of the closed-form move table.
+quadratic relation instead of the closed-form move table.  It returns
+``LaurentPoly`` coefficients: the tests compare them packed with the
+library's, and hand them on to the oracle, so no test decodes a
+straightened word.
 
 ``PlainEngine`` is the K^- recurrence with the closed-form fast paths
 switched off, and ``ColumnlessEngine`` the engine with only the mu = 1^n
@@ -27,7 +30,8 @@ loops that ``conjugate`` and ``LaurentPoly.eval_at`` replaced.
 division.
 
 ``g_square_alternating_sum`` is g_{(r,r),lam} from one- and two-row
-b-coefficients, the path that ``schur.g_square``'s closed forms replaced.
+b-coefficients and a hook term with its own arm, the path that
+``schur.g_square``'s closed forms replaced.
 
 ``reference_apply_component`` is the oracle's operator component without
 the grouping of the annihilation side: every (lam, sigma) term meets every
@@ -36,9 +40,8 @@ creation term on its own.
 ``is_palindromic`` tests a ``LaurentPoly`` for palindromic coefficients,
 a property that only the tests ask about.
 
-``reference_norm`` is the slot bound N(nu) by its own recursion, one
-number per word, where the library sums the values of the norm
-straightening over the partitions reached.
+``packed`` encodes the ``LaurentPoly`` values of a {lam: coefficient}
+map, the form in which the straightener and ``htilde_expand`` answer.
 
 ``package_imports`` names the package modules a source file imports, for
 the tests that hold a module to the layers it may use.
@@ -60,9 +63,8 @@ from operator import ge, gt
 from spinkostka.engine import SpinKostkaEngine
 from spinkostka.oracle import PExpansion, z_stat
 from spinkostka.partitions import is_hook, partitions, vertical_strip_subshapes
-from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc
-from spinkostka.schur import b_coeff, hook_arm
-from spinkostka.straighten import _leftmost_ascent, _normalize, step_coeff
+from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc, encode
+from spinkostka.schur import b_coeff
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
@@ -210,8 +212,8 @@ def g_square_alternating_sum(r, lam):
         xi = (n,) if i == 0 else (n - i, i)
         sign = -1 if (i + r + 1) % 2 else 1
         total += Fraction(sign * b_coeff(xi, lam), 4)
-    j = hook_arm(lam)
-    if j is not None:
+    if is_hook(lam):
+        j = len(lam) - 1
         total += Fraction(-1 if (r + j) % 2 else 1, 2)
     if total.denominator != 1:
         raise ArithmeticError("non-integer g value %s for lam=%r" % (total, lam))
@@ -292,26 +294,8 @@ def is_palindromic(p):
     return seq == seq[::-1]
 
 
-@lru_cache(maxsize=None)
-def reference_norm(nu):
-    """N(nu) = sum_a |step_a|_1 N(child_a), with N = 1 on a partition and 0 on
-    an annihilated word: the bound on the L1 norm of each coefficient of the
-    straightened word nu (``polynomial.SLOT_BITS``)."""
-    stripped = _normalize(nu)
-    if stripped is None:
-        return 0
-    if stripped != nu:
-        return reference_norm(stripped)
-    i = _leftmost_ascent(nu)
-    if i is None:
-        return 1
-    lo, hi = nu[i], nu[i + 1]
-    head, tail = nu[:i], nu[i + 2:]
-    norm = 0
-    for a in range((hi - lo) // 2 + 1):
-        size = sum(map(abs, step_coeff(hi - lo, a).coefficients()))
-        norm += size * reference_norm(head + (hi - a, lo + a) + tail)
-    return norm
+def packed(terms):
+    return {lam: encode(c) for lam, c in terms.items()}
 
 
 def package_imports(path):

@@ -40,13 +40,14 @@ from spinkostka.schur import (
     g_coeff,
     g_square,
 )
-from spinkostka.straighten import straighten_to_vacuum
+from spinkostka.straighten import Straightener
 
 from crosscheck import (
     PlainEngine,
     ReferenceStraightener,
     g_square_alternating_sum,
     is_palindromic,
+    packed,
     reference_b,
 )
 
@@ -243,11 +244,12 @@ def test_criterion_9_straightening():
     while len(samples) < 250:
         length = rng.randint(0, 4)
         samples.add(tuple(rng.randint(-2, 6) for _ in range(length)))
+    reference = {}
     for nu in sorted(samples):
-        left = straighten_to_vacuum(nu)
-        right = ReferenceStraightener("rightmost", "table").straighten(nu)
+        left = Straightener().straighten(nu)
+        right = reference[nu] = ReferenceStraightener("rightmost", "table").straighten(nu)
         primitive = ReferenceStraightener("leftmost", "primitive").straighten(nu)
-        if not (left == right == primitive):
+        if not (right == primitive and left == packed(right)):
             bad.append(("confluence", nu))
     from spinkostka.oracle import PExpansion, apply_word, hl_Q, op_H
     from spinkostka.polynomial import RatFunc
@@ -256,7 +258,7 @@ def test_criterion_9_straightening():
     for nu in oracle_sample[:40]:
         direct = apply_word(op_H, nu, PExpansion.vacuum())
         combo = PExpansion.zero()
-        for lam, coeff in straighten_to_vacuum(nu).items():
+        for lam, coeff in reference[nu].items():
             combo = combo + hl_Q(lam).scale(RatFunc(coeff))
         if direct != combo:
             bad.append(("oracle", nu))

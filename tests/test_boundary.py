@@ -26,7 +26,6 @@ from spinkostka import (
     spin_kostka,
     spin_kostka_one_row,
     spin_kostka_two_part,
-    straighten_to_vacuum,
 )
 from spinkostka.partitions import (
     as_partition,
@@ -42,15 +41,14 @@ from crosscheck import (
     reference_is_strict_partition,
 )
 
-STRICT, PARTITION, VECTOR = "strict", "partition", "vector"
+STRICT, PARTITION = "strict", "partition"
 
 
 def _entries(n, k, xi, mu, lam):
     """Every public entry as (function, valid arguments, the partition
-    arguments as (position, name, kind)).  lam has weight 2n, for g_square;
-    the words of straighten_to_vacuum may hold any ints.  The closed forms
-    get arguments inside their own limits: (n - k, k) has at most two parts,
-    and b_two_row's m = k + 1 lies in [1, (2n + 1)/2)."""
+    arguments as (position, name, kind)).  lam has weight 2n, for g_square.
+    The closed forms get arguments inside their own limits: (n - k, k) has
+    at most two parts, and b_two_row's m = k + 1 lies in [1, (2n + 1)/2)."""
     cell = [(0, "xi", STRICT), (1, "mu", PARTITION)]
     b_cell = [(0, "xi", STRICT), (1, "lam", PARTITION)]
     two_parts = tuple(sorted((p for p in (n - k, k) if p), reverse=True))
@@ -61,7 +59,6 @@ def _entries(n, k, xi, mu, lam):
         (g_coeff, (xi, mu), b_cell),
         (g_square, (n, lam), [(1, "lam", PARTITION)]),
         (kostka_hook, (n, k, mu), [(2, "mu", PARTITION)]),
-        (straighten_to_vacuum, (mu,), [(0, "nu", VECTOR)]),
         (spin_kostka_one_row, (mu,), [(0, "mu", PARTITION)]),
         (spin_kostka_two_part, (xi, two_parts), cell),
         (b_two_row, (2 * n + 1, k + 1, lam + (1,)), [(2, "lam", PARTITION)]),
@@ -78,7 +75,6 @@ EXEMPT = {
     "InexactDivisionError": "an exception type",
     "PoleError": "an exception type",
     "LaurentPoly": "takes an exponent -> int dict, checked in test_polynomial",
-    "Straightener": "takes no argument; its words are any int vectors, as straighten_to_vacuum's",
     "partitions": "takes an int n",
     "strict_partitions": "takes an int n",
     "is_partition": "a predicate: answers for any sequence",
@@ -92,12 +88,11 @@ EXEMPT = {
 
 def _defects(parts, kind):
     """Inputs an argument of this kind must reject, made from the valid
-    list ``parts``: wrong types, then (for partitions) zero, negative and
-    increasing parts, and for strict ones a repeated part."""
+    list ``parts``: wrong types, then zero, negative and increasing parts,
+    and for strict ones a repeated part."""
     head, last = parts[:-1], (parts or [1])[-1]
-    bad = [None, 3, "1", head + [float(last)], head + [True], head + [str(last)], head + [None]]
-    if kind != VECTOR:
-        bad += [parts + [0], parts + [-1], parts + [parts[0] + 1] if parts else [1, 2]]
+    bad = [None, 3, "1", head + [float(last)], head + [True], head + [str(last)], head + [None],
+           parts + [0], parts + [-1], parts + [parts[0] + 1] if parts else [1, 2]]
     if kind == STRICT:
         bad.append(parts + parts[-1:] if parts else [1, 1])
     return bad

@@ -17,7 +17,7 @@ from spinkostka.engine import (
 from spinkostka.invariants import _marked_tableaux_by_letters, cell_failures, failures
 from spinkostka.oracle import support_size, weak_compositions
 from spinkostka.partitions import n_stat, partitions, shifted_tableaux_count, strict_partitions
-from spinkostka.polynomial import SLOT_LIMIT, LaurentPoly, ONE, ZERO, encode, t_int
+from spinkostka.polynomial import SLOT_LIMIT, LaurentPoly, ONE, ZERO, t_int
 from spinkostka.schur import b_coeff
 from spinkostka.straighten import Straightener
 
@@ -27,6 +27,7 @@ from crosscheck import (
     ReferenceStraightener,
     is_palindromic,
     package_imports,
+    packed,
 )
 
 
@@ -100,18 +101,14 @@ def test_fast_paths_match_plain_recurrence():
                 assert fast.spin_kostka(xi, mu) == plain.spin_kostka(xi, mu), (xi, mu)
 
 
-def _packed(expansion):
-    return {lam: encode(c) for lam, c in expansion.items()}
-
-
 def test_htilde_expand():
     s = Straightener()
     assert htilde_expand(-1, (2, 1), s) == {}
     # tau in {(1,0), (0,1)}, each with weight 1+t; straightening (0,1) gives t*H_(1)
-    assert htilde_expand(1, (1, 1), s) == _packed({(1,): LaurentPoly({0: 1, 1: 2, 2: 1})})
+    assert htilde_expand(1, (1, 1), s) == packed({(1,): LaurentPoly({0: 1, 1: 2, 2: 1})})
     # k = 2 over one position: tau = (2), coefficient t^(2-1)(1+t)
-    assert htilde_expand(2, (3,), s) == _packed({(1,): LaurentPoly({1: 1, 2: 1})})
-    assert htilde_expand(0, (), s) == _packed({(): ONE})
+    assert htilde_expand(2, (3,), s) == packed({(1,): LaurentPoly({1: 1, 2: 1})})
+    assert htilde_expand(0, (), s) == packed({(): ONE})
     assert htilde_expand(1, (), s) == {}
 
 
@@ -140,7 +137,7 @@ def test_htilde_expand_matches_weak_composition_sum():
     for n in range(9):
         for mu in partitions(n):
             ks = range(max(6, n + 2))
-            want = {k: _packed(_htilde_by_weak_compositions(k, mu, ref)) for k in ks}
+            want = {k: packed(_htilde_by_weak_compositions(k, mu, ref)) for k in ks}
             for k in ks:
                 assert htilde_expand(k, mu, ours) == want[k], (k, mu)
             for k in list(ks) + list(reversed(ks)):

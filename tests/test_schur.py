@@ -9,7 +9,6 @@ from spinkostka.schur import (
     count_Ns,
     g_coeff,
     g_square,
-    hook_arm,
 )
 
 from crosscheck import g_square_alternating_sum, reference_b
@@ -94,13 +93,6 @@ def test_two_row_formula_vs_recursion():
                 continue
             for lam in partitions(n):
                 assert b_two_row(n, m, lam) == b_coeff((n - m, m), lam), (n, m, lam)
-
-
-def test_hook_arm():
-    assert hook_arm((4, 1, 1)) == 2
-    assert hook_arm((5,)) == 0
-    assert hook_arm((3, 2)) is None
-    assert hook_arm(()) is None
 
 
 def test_square_closed_forms_on_hooks():
