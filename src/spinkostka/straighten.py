@@ -1,20 +1,31 @@
 """Straightening of Hall-Littlewood operator words applied to the vacuum.
 
 ``Straightener.straighten`` rewrites H_{nu_1}...H_{nu_r}.1 (nu an arbitrary
-integer vector) into the basis {H_lam.1 : lam a partition}.  The rules:
+integer vector) into the basis {H_lam.1 : lam a partition}.  It works tail
+first:
 
-* a trailing zero entry drops (H_0.1 = 1);
-* a negative suffix sum annihilates the whole term: H_{nu_j}...H_{nu_r}.1
-  is homogeneous of degree nu_j + ... + nu_r, so it is 0 when that is
-  negative;
-* at an ascent nu_i < nu_{i+1} with gap g = nu_{i+1} - nu_i, the pair is
-  replaced by sum over a = 0..g//2 of a quadratic-relation coefficient
-  times the pair (nu_{i+1} - a, nu_i + a).
+* () is the vacuum, and a word of negative weight is 0:
+  H_{nu_1}...H_{nu_r}.1 is homogeneous of degree nu_1 + ... + nu_r;
+* otherwise nu[1:] is straightened first, and nu_1 meets each partition rho
+  of the result.  If rho is empty or nu_1 >= rho_1, (nu_1,) + rho is a
+  basis word (H_0.1 = 1 drops a zero head);
+* else (nu_1, rho_1) is an ascent with gap g = rho_1 - nu_1, replaced by
+  the sum over a = 0..g//2 of a quadratic-relation coefficient times
+  (rho_1 - a, nu_1 + a) + rho[1:]: the word (nu_1 + a,) + rho[1:] is
+  straightened to partitions sigma, and then each (rho_1 - a,) + sigma.
 
-The leftmost ascent is rewritten first.  The statistic sum(i * nu_i)
-strictly decreases at every rewrite, so the procedure terminates.  The
-tests check the result against a separate reference straightener (other
-ascent order, primitive two-term relation) and the vertex-operator oracle.
+So the memo holds words (y,) + partition, which every prefix of a word
+shares.  Termination: the tail is a shorter word, and a word with a
+negative suffix sum is 0 through its tails before any move.  On the other
+words the statistic sum(i * nu_i), the sum of the suffix sums, is >= 0;
+a rewrite at an ascent (x, x+g) lowers it by g - a > 0, and dropping zeros
+or a zero head leaves it.  The word (rho_1 - a,) + sigma is reached from nu
+by rewrites in the tail, the move at position 0 and rewrites in the tail
+again, so its statistic is strictly lower than nu's.
+
+The tests check the result against a separate reference straightener
+(leftmost or rightmost ascent first, primitive two-term relation) and the
+vertex-operator oracle.
 
 Every coefficient that arises is a polynomial in t with exponents >= 0.
 ``Straightener.straighten`` returns them packed (``polynomial.encode``), as
@@ -49,30 +60,9 @@ def _packed_moves(gap):
     return tuple(encode(step_coeff(gap, a)) for a in range(gap // 2 + 1))
 
 
-def _normalize(nu):
-    """Strip trailing zeros; None signals an annihilated term (a negative
-    suffix sum)."""
-    i = len(nu)
-    while i and nu[i - 1] == 0:
-        i -= 1
-    total = 0
-    for j in range(i - 1, -1, -1):
-        total += nu[j]
-        if total < 0:
-            return None
-    return nu[:i]
-
-
-def _leftmost_ascent(nu):
-    for i in range(len(nu) - 1):
-        if nu[i] < nu[i + 1]:
-            return i
-    return None
-
-
 class Straightener:
-    """Memoizing straightener: leftmost ascent first, closed-form move
-    coefficients.  ``straighten`` returns {lam: packed coefficient}."""
+    """Memoizing straightener: tail first, closed-form move coefficients.
+    ``straighten`` returns {lam: packed coefficient}."""
 
     def __init__(self):
         self._memo = {}
@@ -86,21 +76,21 @@ class Straightener:
         return result
 
     def _compute(self, nu):
-        stripped = _normalize(nu)
-        if stripped is None:
+        if not nu:
+            return {(): 1}
+        if sum(nu) < 0:
             return {}
-        if stripped != nu:
-            return self.straighten(stripped)
-        i = _leftmost_ascent(nu)
-        if i is None:
-            # weakly decreasing; entries are positive after normalization
-            return {nu: 1}
-        lo, hi = nu[i], nu[i + 1]
-        head, tail = nu[:i], nu[i + 2:]
+        head = nu[0]
         acc = {}
-        for a, step in enumerate(_packed_moves(hi - lo)):
-            child = head + (hi - a, lo + a) + tail
-            for lam, c in self.straighten(child).items():
-                acc[lam] = acc.get(lam, 0) + step * c
+        for rho, c in self.straighten(nu[1:]).items():
+            if not rho or head >= rho[0]:
+                lam = (head,) + rho if head else rho
+                acc[lam] = acc.get(lam, 0) + c
+                continue
+            top, low = rho[0], rho[1:]
+            for a, step in enumerate(_packed_moves(top - head)):
+                for sigma, d in self.straighten((head + a,) + low).items():
+                    scale = step * c * d
+                    for lam, e in self.straighten((top - a,) + sigma).items():
+                        acc[lam] = acc.get(lam, 0) + scale * e
         return {lam: c for lam, c in acc.items() if c}
-

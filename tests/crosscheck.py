@@ -1,12 +1,13 @@
 """Reference paths that the library keeps only one of, for cross-checks.
 
 ``ReferenceStraightener`` rewrites H_nu.1 into the partition basis like
-``spinkostka.straighten`` but shares no code with it.  It can rewrite the
-rightmost ascent first, and it can use the primitive two-term form of the
-quadratic relation instead of the closed-form move table.  It returns
-``LaurentPoly`` coefficients: the tests compare them packed with the
-library's, and hand them on to the oracle, so no test decodes a
-straightened word.
+``spinkostka.straighten`` but shares no code with it.  It rewrites whole
+words at an ascent, the leftmost or the rightmost first, where the library
+straightens the tail first, so both strategies are independent of it.  It
+can use the primitive two-term form of the quadratic relation instead of
+the closed-form move table.  It returns ``LaurentPoly`` coefficients: the
+tests compare them packed with the library's, and hand them on to the
+oracle, so no test decodes a straightened word.
 
 ``PlainEngine`` is the K^- recurrence with the closed-form fast paths
 switched off, and ``ColumnlessEngine`` the engine with only the mu = 1^n
@@ -92,8 +93,9 @@ def _primitive_moves(lo, hi):
 
 
 class ReferenceStraightener:
-    """Memoizing straightener with a choice of ascent ('leftmost' or
-    'rightmost') and of rule ('table' or 'primitive')."""
+    """Memoizing whole-word straightener with a choice of ascent
+    ('leftmost' or 'rightmost', rewritten first) and of rule ('table' or
+    'primitive').  Neither order is the library's tail-first rule."""
 
     def __init__(self, strategy, rule):
         if strategy not in ("leftmost", "rightmost") or rule not in ("table", "primitive"):

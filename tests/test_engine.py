@@ -358,9 +358,9 @@ def test_slot_bound_premises():
 
 
 def test_column_fast_path_at_weights_17_to_27():
-    """Past the recurrence's reach, every column value K^-_{xi,1^n}(t) up to
-    the slot's last weight keeps the per-cell invariants and sums to 2^n g^xi,
-    with g^xi counted by removing corners, not by the engine."""
+    """Every column value K^-_{xi,1^n}(t) from weight 17 up to the slot's
+    last weight keeps the per-cell invariants and sums to 2^n g^xi, with
+    g^xi counted by removing corners, not by the engine."""
     cells = 0
     for n in range(17, 28):
         for xi in strict_partitions(n):
@@ -369,6 +369,20 @@ def test_column_fast_path_at_weights_17_to_27():
             assert sum(value.coefficients()) == 2 ** n * _shifted_tableaux_by_corners(xi), xi
             cells += 1
     assert cells == 1092
+
+
+def test_recurrence_past_weight_17():
+    """The recurrence itself, not a closed form, on mu = (2, 1^(n-2)) for
+    every strict xi at n = 20 and at the slot's last weight, 27: each value
+    keeps the per-cell invariants, the t = 1 count of marked shifted
+    tableaux and b at t = 0 included."""
+    cells = 0
+    for n in (20, 27):
+        mu = (2,) + (1,) * (n - 2)
+        for xi in strict_partitions(n):
+            assert cell_failures(xi, mu, spin_kostka(xi, mu)) == [], xi
+            cells += 1
+    assert cells == 256
 
 
 def test_slot_guard_refuses_a_cell_before_any_work():

@@ -60,10 +60,13 @@ def test_vacuum_rules():
 
 
 def test_straightening_depth_is_bounded_by_the_length_of_mu(monkeypatch):
-    """A cold engine nests Straightener.straighten at most 2 l(mu) + 1 deep,
-    on every cell of weight <= 12 and on xi = (10, 7, 3, 2), mu = (2^3, 1^16).
-    So the words the engine straightens stay far below the recursion limit.
-    The deepest cells read 19 at l(mu) = 9 and 31 on the long cell."""
+    """A cold engine nests Straightener.straighten at most 3 deep, a
+    constant and so within 2 l(mu) + 1 for every nonempty mu, on every cell
+    of weight <= 12 and on five long cells up to the slot's last weight, 27.
+    Every partition that a memoized word straightens to is a memoized word
+    itself, so the tail of each word the engine asks hits the memo one
+    level down.  So the words the engine straightens stay far below the
+    recursion limit, whatever l(mu)."""
     original = Straightener.straighten
     depth = deepest = 0
 
@@ -79,11 +82,47 @@ def test_straightening_depth_is_bounded_by_the_length_of_mu(monkeypatch):
     monkeypatch.setattr(Straightener, "straighten", counted)
     cells = [(xi, mu) for n in range(13) for mu in partitions(n) for xi in strict_partitions(n)]
     cells.append(((10, 7, 3, 2), (2, 2, 2) + (1,) * 16))
+    cells += [((n, 2), (2,) + (1,) * n) for n in (18, 20, 25)]
+    cells.append(((11, 6, 4, 2, 1), (2,) * 6 + (1,) * 12))
     for xi, mu in cells:
         deepest = 0
         SpinKostkaEngine().spin_kostka(xi, mu)
-        assert deepest <= 2 * len(mu) + 1, (xi, mu, deepest)
-    assert deepest > 0  # the counter saw the long cell's words
+        assert deepest <= 3, (xi, mu, deepest)
+    assert deepest > 0  # the counter saw the last long cell's words
+
+
+def test_a_cold_engine_memoizes_few_words():
+    """The straightener memoizes words (y,) + partition, not every word its
+    rewrites pass through: 187 words for the cell (18, 2), (2, 1^18), which
+    whole-word memoization by leftmost-ascent rewriting took to 118,929, and
+    155 for the weight-10 table, against 1,495."""
+    eng = SpinKostkaEngine()
+    eng.spin_kostka((18, 2), (2,) + (1,) * 18)
+    assert len(eng._straightener._memo) <= 187
+    eng = SpinKostkaEngine()
+    for mu in partitions(10):
+        for xi in strict_partitions(10):
+            eng.spin_kostka(xi, mu)
+    assert len(eng._straightener._memo) <= 155
+
+
+def test_every_engine_form_matches_both_references():
+    """Every word (y,) + lam with lam a partition of m <= 8 and
+    -m-1 <= y <= lam_1, the forms that htilde_expand asks, straightens as
+    the leftmost-ascent table reference and the rightmost-ascent primitive
+    reference do."""
+    ours = Straightener()
+    refs = [ReferenceStraightener("leftmost", "table"), ReferenceStraightener("rightmost", "primitive")]
+    words = 0
+    for m in range(9):
+        for lam in partitions(m):
+            for y in range(-m - 1, (lam[0] if lam else 0) + 1):
+                nu = (y,) + lam
+                got = ours.straighten(nu)
+                for ref in refs:
+                    assert got == packed(ref.straighten(nu)), nu
+                words += 1
+    assert words == 767
 
 
 def test_straighten_imports_only_polynomial():
@@ -104,8 +143,10 @@ def test_results_are_partitions_of_same_weight(nu):
 @given(vectors)
 @settings(max_examples=150)
 def test_confluence_leftmost_rightmost(nu):
-    """The library rewrites the leftmost ascent first; the reference
-    straightener, rewriting the rightmost, reaches the same result."""
+    """The library straightens the tail first; the reference straightener,
+    rewriting the rightmost ascent first, reaches the same result.  The
+    leftmost reference, in the primitive rule's test and the others, is
+    independent of the library too."""
     left = Straightener().straighten(nu)
     right = ReferenceStraightener("rightmost", "table").straighten(nu)
     assert left == packed(right)
