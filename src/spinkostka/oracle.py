@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .partitions import partitions, strict_partitions, vertical_strip_subshapes
+from .partitions import as_partition, partitions, strict_partitions, vertical_strip_subshapes
 from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc
 
 
@@ -52,6 +52,7 @@ def z_stat(lam):
     return z
 
 
+@lru_cache(maxsize=None)
 def z_t(lam):
     """z_lam(t) = z_lam / prod_i (1 - t^lam_i), the t-deformed Gram value
     <p_lam, p_lam>_t, with one pole factor per part."""
@@ -238,46 +239,72 @@ def _exp_coeff(spec, side, rho):
     return coeff
 
 
+@lru_cache(maxsize=None)
+def _sub_multisets(lam):
+    """(|sigma|, sigma, lam - sigma, deriv) for every sub-multiset sigma of
+    the partition lam, by |sigma| and then in the order of ``partitions``,
+    where d_sigma p_lam = deriv * p_(lam - sigma): deriv is the product over
+    the parts of sigma of the falling factorial of their multiplicity in lam."""
+    out = [(0, (), (), 1)]
+    for part, have in Counter(lam).items():
+        grown = []
+        for s, sigma, base, deriv in out:
+            for k in range(have + 1):
+                grown.append((s + k * part, sigma + (part,) * k, base + (part,) * (have - k), deriv))
+                deriv *= have - k
+        out = grown
+    return sorted(out, key=lambda term: (term[0], [-part for part in term[1]]))
+
+
+@lru_cache(maxsize=None)
+def _annihilation_terms(spec, lam):
+    """(|sigma|, lam - sigma, coefficient of d_sigma times deriv) for each
+    sub-multiset sigma of lam whose annihilation coefficient is not zero."""
+    out = []
+    for s, sigma, base, deriv in _sub_multisets(lam):
+        bc = _exp_coeff(spec, "annihilation", sigma)
+        if bc:
+            out.append((s, base, bc * deriv))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _creation_terms(spec, r):
+    """(rho, coefficient of p_rho) for each rho |- r whose creation
+    coefficient is not zero."""
+    out = []
+    for rho in partitions(r):
+        ac = _exp_coeff(spec, "creation", rho)
+        if ac:
+            out.append((rho, ac))
+    return out
+
+
 def apply_component(spec, m, F):
     """The z^m component of the operator applied to F (m in the unified
     indexing where creation carries positive powers of z).
 
-    The annihilation side runs first: d_sigma p_lam = deriv * p_(lam - sigma),
-    with s = |sigma| taken off and r = m + s left for the creation side.  Its
-    terms are summed per (lam - sigma, r), so each group is multiplied once
-    by the creation coefficient of every rho |- r.  The group carries r, not
-    lam - sigma alone, because F may mix weights."""
+    The annihilation side runs first: d_sigma p_lam = deriv * p_(lam - sigma)
+    for each sub-multiset sigma of lam, with s = |sigma| taken off and
+    r = m + s left for the creation side.  Its terms are summed per
+    (lam - sigma, r), so each group is multiplied once by the creation
+    coefficient of every rho |- r.  The group carries r, not lam - sigma
+    alone, because F may mix weights.  Both sides read cached term tables
+    that hold only the nonzero coefficients, so the even parts of Q's
+    creation side and every sigma but () on the annihilation side of htilde
+    and e+ are never visited."""
     groups = {}
     for lam, c in F.coeffs.items():
-        lam_mult = Counter(lam)
-        for s in range(max(0, -m), sum(lam) + 1):
-            for sigma in partitions(s):
-                deriv = 1
-                for part, k in Counter(sigma).items():
-                    have = lam_mult.get(part, 0)
-                    if have < k:
-                        deriv = 0
-                        break
-                    for j in range(k):
-                        deriv *= have - j
-                if not deriv:
-                    continue
-                bc = _exp_coeff(spec, "annihilation", sigma)
-                if bc.is_zero():
-                    continue
-                base = list(lam)
-                for part in sigma:
-                    base.remove(part)
-                key = (tuple(base), m + s)
-                groups[key] = groups.get(key, RF_ZERO) + c * bc * deriv
+        for s, base, bd in _annihilation_terms(spec, lam):
+            if s + m < 0:
+                continue
+            key = (base, m + s)
+            groups[key] = groups.get(key, RF_ZERO) + c * bd
     out = {}
     for (base, r), scalar in groups.items():
         if scalar.is_zero():
             continue
-        for rho in partitions(r):
-            ac = _exp_coeff(spec, "creation", rho)
-            if ac.is_zero():
-                continue
+        for rho, ac in _creation_terms(spec, r):
             key = tuple(sorted(base + rho, reverse=True))
             v = out.get(key, RF_ZERO) + scalar * ac
             if v.is_zero():
@@ -329,7 +356,9 @@ def htilde(n):
 
 
 def inner(F, G, form="t"):
-    """<F, G> with Gram values z_lam(t) ('t') or z_lam ('zero')."""
+    """<F, G> with Gram values z_lam(t) ('t') or z_lam ('zero'), summed
+    term by term so that each partial sum cancels what it can; one sum over
+    a common pole map and den measured slower (README, Layout)."""
     total = RF_ZERO
     for lam, a in F.coeffs.items():
         b = G.coeffs.get(lam)
@@ -341,20 +370,22 @@ def inner(F, G, form="t"):
 
 
 def oracle_spin_kostka(xi, mu):
-    """K^-_{xi,mu}(t) = <H_mu.1, Q_xi.1> under the t-deformed form."""
-    xi, mu = tuple(xi), tuple(mu)
+    """K^-_{xi,mu}(t) = <H_mu.1, Q_xi.1> under the t-deformed form, xi
+    strict (``as_partition``); 0 if weights differ."""
+    xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
     if sum(xi) != sum(mu):
         return LaurentPoly()
     return inner(hl_Q(mu), schur_q(xi), "t").to_laurent()
 
 
-# The entries take lists; the values are cached on tuples, so that
-# oracle_spin_via_bK computes each b and each K_{lam,mu}(t) once.
+# The entries check their arguments (``as_partition``); the values are
+# cached on the checked tuples, so that oracle_spin_via_bK computes each b
+# and each K_{lam,mu}(t) once.
 
 
 def oracle_b(xi, lam):
-    """b_{xi,lam} = <s_lam, Q_xi> under the canonical form."""
-    return _b_value(tuple(xi), tuple(lam))
+    """b_{xi,lam} = <s_lam, Q_xi> under the canonical form, xi strict."""
+    return _b_value(as_partition(xi, "xi", strict=True), as_partition(lam, "lam"))
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +400,7 @@ def _b_value(xi, lam):
 
 def oracle_kostka_foulkes(lam, mu):
     """K_{lam,mu}(t) = <s_lam, Q_mu(x;t)> under the t-deformed form."""
-    return _kostka_foulkes_value(tuple(lam), tuple(mu))
+    return _kostka_foulkes_value(as_partition(lam, "lam"), as_partition(mu, "mu"))
 
 
 @lru_cache(maxsize=None)
@@ -380,16 +411,16 @@ def _kostka_foulkes_value(lam, mu):
 
 
 def oracle_spin_via_bK(xi, mu):
-    """Third path: K^- = sum_lam b_{xi,lam} K_{lam,mu}(t)."""
-    xi, mu = tuple(xi), tuple(mu)
+    """Third path: K^- = sum_lam b_{xi,lam} K_{lam,mu}(t), xi strict."""
+    xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
     n = sum(xi)
     if n != sum(mu):
         return LaurentPoly()
     total = LaurentPoly()
     for lam in partitions(n):
-        b = oracle_b(xi, lam)
+        b = _b_value(xi, lam)
         if b:
-            total = total + b * oracle_kostka_foulkes(lam, mu)
+            total = total + b * _kostka_foulkes_value(lam, mu)
     return total
 
 
@@ -402,7 +433,7 @@ def hl_P(mu):
 
 def g_general(mu, lam):
     """Coefficient of s_lam in P_mu(x;-1), for arbitrary partitions mu."""
-    mu, lam = tuple(mu), tuple(lam)
+    mu, lam = as_partition(mu, "mu"), as_partition(lam, "lam")
     if sum(mu) != sum(lam):
         return 0
     P = hl_P(mu)

@@ -403,6 +403,13 @@ class RatFunc:
     partial cancellation between factors, such as (1 + t) / (1 - t^2), which
     ``eval_at`` resolves at t = 1 and t = -1.  Equality is equality of
     values, and the type is not hashable.
+
+    Two operations skip the pole trials and still give the form the full
+    reduction would.  A product by an int or by a pole-free constant c/d
+    (on either side) keeps the poles as they are, since a nonzero constant
+    cannot change which 1 - t^n divide the numerator, and reduces the
+    content by gcd(c, den) and gcd(d, content of num) alone.  A sum of two
+    pole-free values with den 1 is the sum of their numerators.
     """
 
     __slots__ = ("num", "den", "poles")
@@ -482,6 +489,8 @@ class RatFunc:
         if not self.num:
             return other
         a, b, poles = self.num, other.num, self.poles
+        if not poles and not other.poles and self.den == other.den == 1:
+            return _made(a + b, 1, poles)
         if poles != other.poles:
             poles = dict(poles)
             for n, e in other.poles.items():
@@ -498,9 +507,15 @@ class RatFunc:
         return self + (-_as_ratfunc(other))
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _times_const(self, other, 1)
         other = _as_ratfunc(other)
         if not self.num or not other.num:
             return RF_ZERO
+        if not other.poles and other.num._terms.keys() == {0}:
+            return _times_const(self, other.num._terms[0], other.den)
+        if not self.poles and self.num._terms.keys() == {0}:
+            return _times_const(other, self.num._terms[0], self.den)
         poles = self.poles
         if other.poles:
             poles = dict(poles)
@@ -552,6 +567,32 @@ def _ratfunc(num, den, poles):
         poles = kept
     rf.num, rf.den, rf.poles = num, den, poles
     return rf
+
+
+def _made(num, den, poles):
+    """A RatFunc from parts already in canonical form (0 as 0, 1, {})."""
+    rf = RatFunc.__new__(RatFunc)
+    rf.num, rf.den, rf.poles = num, den, poles
+    return rf
+
+
+def _times_const(x, c, d):
+    """x * c/d for a canonical x, an int c and an int d > 0 prime to c.  A
+    nonzero constant does not change which 1 - t^n divide the numerator, so
+    the poles stay as they are, and the content is reduced by gcd(c, x.den)
+    and gcd(d, content of x.num) alone: the rest of c is prime to d and to
+    x.den, and the rest of d to c and to the content of x.num."""
+    if not c:
+        return RF_ZERO
+    num, den = x.num, x.den
+    g = gcd(c, den)
+    if g != 1:
+        c, den = c // g, den // g
+    if d != 1:
+        g = gcd(d, *num._terms.values())
+        if g != 1:
+            num, d = _raw({e: v // g for e, v in num._terms.items()}), d // g
+    return _made(_scale(num, c), den * d, x.poles)
 
 
 def _over_one_minus_tn(p, n):

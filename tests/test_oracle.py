@@ -109,6 +109,39 @@ def test_three_paths_agree():
                 assert oracle_spin_via_bK(xi, mu) == oracle_spin_kostka(xi, mu)
 
 
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        (oracle_spin_kostka, ((1, 2), (2, 1))),
+        (oracle_spin_kostka, ((2, 0), (2,))),
+        (oracle_spin_kostka, ((2.0,), (2,))),
+        (oracle_spin_kostka, ((2, 2), (3, 1))),
+        (oracle_spin_kostka, ((3, 1), (1, 3))),
+        (oracle_b, ((1, 2), (2, 1))),
+        (oracle_b, ((2, 1), (1, 2))),
+        (oracle_kostka_foulkes, ((1, 2), (2, 1))),
+        (oracle_kostka_foulkes, ((2, 1), (2, 1, 0))),
+        (oracle_spin_via_bK, ((1, 2), (2, 1))),
+        (oracle_spin_via_bK, ((2, 1), (True, 2))),
+        (g_general, ((1, 2), (2, 1))),
+        (g_general, ((2, 2), (3, 1.0))),
+    ],
+)
+def test_oracle_entries_check_their_partitions(entry, args):
+    """Every entry raises where the engine does: xi strict, lam and mu
+    partitions of ints."""
+    with pytest.raises(ValueError, match="must be a"):
+        entry(*args)
+
+
+def test_oracle_entries_take_lists():
+    assert oracle_spin_kostka([3, 1], [2, 2]) == oracle_spin_kostka((3, 1), (2, 2))
+    assert oracle_spin_via_bK([3, 1], [2, 2]) == oracle_spin_kostka((3, 1), (2, 2))
+    assert oracle_b([3], [1, 1, 1]) == 2
+    assert oracle_kostka_foulkes([3], [1, 1, 1]) == LaurentPoly({3: 1})
+    assert g_general([2, 2], [2, 2]) == g_general((2, 2), (2, 2))
+
+
 def test_no_weight_cap():
     """An entry runs at any weight it is asked for."""
     assert oracle_spin_kostka((13,), (13,)) == LaurentPoly.const(2) == 2
@@ -143,6 +176,14 @@ def test_schur_q_orthogonality_at_minus_one():
                 assert value == want, (lam, xi)
 
 
+def _clear_oracle_caches():
+    """Clear every cache the oracle module defines: the basis vectors, the
+    coefficient and term tables and z_t."""
+    for value in vars(oracle).values():
+        if hasattr(value, "cache_clear") and value.__module__ == oracle.__name__:
+            value.cache_clear()
+
+
 def _random_vector(rng, degree=5, terms=5):
     """A p-expansion over partitions of mixed weights <= degree, with
     rational coefficients that carry pole factors."""
@@ -161,18 +202,26 @@ ALL_SPECS = {name: value for name, value in vars(oracle).items() if isinstance(v
 
 def test_apply_component_matches_the_ungrouped_reference():
     """The grouped annihilation side gives the term-by-term result on every
-    operator, on the vacuum, the zero vector and vectors of mixed weight."""
+    operator, from cold caches, on the vacuum, the zero vector, vectors of
+    mixed weight and basis vectors of weight 6.  These hold every partition
+    of 6 (1^6 among them), so the sub-multisets meet every multiplicity
+    pattern; for them m runs down to -6, where only sigma = lam survives,
+    and stops at 1, past which the term-by-term reference grows slow."""
+    _clear_oracle_caches()
     rng = random.Random(9)
     vectors = [PExpansion.vacuum(), PExpansion.zero()] + [_random_vector(rng) for _ in range(3)]
+    basis = [hl_Q((1,) * 6), schur_q((3, 2, 1)), schur_s((2, 2, 1, 1))]
+    assert set(partitions(6)) <= {lam for F in basis for lam in F.coeffs}
     assert any(len({sum(lam) for lam in v.coeffs}) > 1 for v in vectors)
     assert any(len(set(lam)) < len(lam) for v in vectors for lam in v.coeffs)
     assert set(ALL_SPECS) == {
         "op_H", "op_H_star", "op_Q", "op_Q_star", "op_S_plus", "op_S_minus",
         "op_htilde", "op_htilde_star", "op_e", "op_e_minus",
     }
+    cases = [(F, range(-4, 5)) for F in vectors] + [(F, range(-6, 2)) for F in basis]
     for spec in ALL_SPECS.values():
-        for m in range(-4, 5):
-            for i, F in enumerate(vectors):
+        for i, (F, indices) in enumerate(cases):
+            for m in indices:
                 got = apply_component(spec, m, F)
                 assert got == reference_apply_component(spec, m, F), (spec.name, m, i)
 
@@ -184,15 +233,10 @@ def test_same_named_specs_keep_their_own_coefficients():
     seven = OperatorSpec("H", lambda n: RatFunc(7), op_H.annihilation)
     assert reference_apply_component(seven, 2, vacuum) != reference_apply_component(op_H, 2, vacuum)
     for order in ((op_H, seven), (seven, op_H)):
-        oracle._exp_coeff.cache_clear()
+        _clear_oracle_caches()
         for spec in order:
             want = reference_apply_component(spec, 2, vacuum)
             assert apply_component(spec, 2, vacuum) == want, spec is op_H
-
-
-def _clear_basis_caches():
-    for cache in (hl_Q, schur_q, schur_s, htilde):
-        cache.cache_clear()
 
 
 def test_verify_relations_memo_lives_in_one_call(monkeypatch):
@@ -206,7 +250,7 @@ def test_verify_relations_memo_lives_in_one_call(monkeypatch):
         return original(spec, m, F)
 
     def live_vectors():
-        _clear_basis_caches()
+        _clear_oracle_caches()
         gc.collect()
         return sum(isinstance(obj, PExpansion) for obj in gc.get_objects())
 
@@ -230,11 +274,11 @@ def test_verify_relations_reports_a_broken_relation(monkeypatch):
         return op_H.creation(n) * (2 if n == 2 else 1)
 
     monkeypatch.setattr(oracle, "op_H", replace(op_H, name="H-perturbed", creation=creation))
-    _clear_basis_caches()
+    _clear_oracle_caches()
     try:
         report = verify_relations(max_degree=2, seed=0, vector_degree=3)
     finally:
-        _clear_basis_caches()
+        _clear_oracle_caches()
     status = {r.name: r.passed for r in report.results}
     assert not report.ok
     assert not status["com1 (H quadratic relation)"]

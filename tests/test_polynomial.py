@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinkostka.polynomial import (
@@ -17,6 +17,7 @@ from spinkostka.polynomial import (
     SLOT_BITS,
     SLOT_LIMIT,
     ZERO,
+    _ratfunc,
     decode,
     encode,
     t_binomial,
@@ -432,3 +433,39 @@ def test_ratfunc_to_fraction():
 @given(laurent)
 def test_ratfunc_from_laurent_roundtrip(a):
     assert RatFunc(a).to_laurent() == a
+
+
+def _triple(x):
+    return x.num, x.den, x.poles
+
+
+def _unreduced_product(x, y):
+    """``_ratfunc`` on the product's numerators, dens and summed poles."""
+    poles = dict(x.poles)
+    for n, e in y.poles.items():
+        poles[n] = poles.get(n, 0) + e
+    return _ratfunc(x.num * y.num, x.den * y.den, poles)
+
+
+coprime_fraction = st.tuples(
+    st.integers(min_value=-12, max_value=12).filter(bool),
+    st.integers(min_value=2, max_value=12),
+).filter(lambda cd: math.gcd(*cd) == 1)
+
+
+@given(rational, st.integers(min_value=-12, max_value=12), coprime_fraction, laurent, laurent)
+@example((LaurentPoly({0: 2, 1: 4}), 9, [2, 3], []), -6, (-3, 4), ZERO, ZERO)
+@settings(max_examples=150)
+def test_fast_paths_keep_the_canonical_form(a, k, cd, p, q):
+    """Products by an int or by a pole-free constant c/d (on either side),
+    and sums of pole-free values with den 1, skip the full reduction; each
+    gives the (num, den, poles) that ``_ratfunc`` gives on the unreduced
+    product or sum."""
+    x = _build(*a)
+    const = RatFunc(*cd)
+    assert (const.num, const.den, const.poles) == (LaurentPoly.const(cd[0]), cd[1], {})
+    assert _triple(x * k) == _triple(_ratfunc(x.num * k, x.den, x.poles))
+    assert _triple(x * const) == _triple(_unreduced_product(x, const))
+    assert _triple(const * x) == _triple(_unreduced_product(const, x))
+    assert _triple(RatFunc(p) + RatFunc(q)) == _triple(_ratfunc(p + q, 1, {}))
+    assert _triple(RatFunc(p) + RatFunc(-p)) == (ZERO, 1, {})
