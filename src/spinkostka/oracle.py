@@ -15,9 +15,24 @@ of the package, this module imports only ``partitions`` and
 ``polynomial``, and shares only the output type ``LaurentPoly`` with the
 engine.
 
+The paper defines K^-_{xi,mu}(t) = <Q_mu(x;t), Q_xi>_t and K_{lam,mu}(t) =
+<s_lam, Q_mu(x;t)>_t under the t-deformed form.  The entries compute them as
+<Q'_mu, Q_xi> and <s_lam, Q'_mu> under the canonical (Hall) form, where
+Q'_mu = Q_mu[X/(1-t)] = sum_lam K_{lam,mu}(t) s_lam is built by Jing's
+modified vertex operator H'(z) (Jing, Adv. Math. 1991; Macdonald III.7).
+The coefficient of p_lam in Q'_mu is that in Q_mu over prod_i (1 - t^lam_i),
+and z_lam(t) = z_lam / prod_i (1 - t^lam_i), so the two pairings agree term
+by term.  H's creation coefficients (1 - t^n)/n put into Q_mu the factors
+that z_lam(t) divides out again; H' has the creation coefficients 1/n and
+the annihilation coefficients -(1 - t^n), so Q'_mu has polynomial
+coefficients over integer dens, the Hall form's Gram values z_lam are
+integers, and neither path meets a pole.
+
 The coefficients are ``RatFunc`` values num / (den * prod (1 - t^n)^e_n).
 The only poles the operators and the Gram factors z_lam(t) bring are the
-factors 1 - t^n, so the arithmetic stays over the integers.
+factors 1 - t^n, so the arithmetic stays over the integers.  They arise in
+the adjoints under the t-deformed form and in that form's pairings, which
+the relation checks use.
 
 Vectors are exact and never truncated, so the basis caches are keyed on
 the shape alone, and an entry runs at any weight it is asked for.
@@ -162,7 +177,7 @@ class OperatorSpec:
     """One vertex operator.  ``creation(n)`` is the coefficient of p_n z^n,
     ``annihilation(n)`` of d/dp_n z^-n.  Called as ``op(n, F)``, it gives its
     component in the paper's indexing: the z^n component when ``sign`` is +1
-    (H, Q, S+, htilde, e+), the z^-n one when it is -1, which only
+    (H, H', Q, S+, htilde, e+), the z^-n one when it is -1, which only
     ``adjoint_spec`` sets.  Hashed by identity, so no two specs share cached
     coefficients."""
 
@@ -180,6 +195,9 @@ def _one_minus_tn(n):
 
 
 op_H = OperatorSpec("H", lambda n: RatFunc(_one_minus_tn(n), n), lambda n: RatFunc(-1))
+# Jing's H'(z), which is H(z) conjugated by X -> X/(1 - t): p_n -> p_n/(1 - t^n)
+# takes the creation coefficient to 1/n and d/dp_n to (1 - t^n) d/dp_n
+op_H_prime = OperatorSpec("H'", lambda n: RatFunc(1, n), lambda n: RatFunc(-_one_minus_tn(n)))
 op_Q = OperatorSpec("Q", lambda n: RatFunc(2, n) if n % 2 else RF_ZERO, lambda n: RatFunc(-1))
 op_S_plus = OperatorSpec("S+", lambda n: RatFunc(1, n), lambda n: RatFunc(-1))
 # creation (t^n - (-1)^n)/n, pure multiplication
@@ -335,6 +353,13 @@ def hl_Q(mu):
 
 
 @lru_cache(maxsize=None)
+def hl_Q_prime(mu):
+    """Modified Hall-Littlewood Q'_mu = Q_mu[X/(1-t)] = H'_mu1 ... H'_mul . 1,
+    whose coefficient of p_lam is that of Q_mu over prod_i (1 - t^lam_i)."""
+    return op_H_prime(mu[0], hl_Q_prime(mu[1:])) if mu else PExpansion.vacuum()
+
+
+@lru_cache(maxsize=None)
 def schur_q(xi):
     """Schur Q-function Q_xi = Q_xi1 ... Q_xil . 1."""
     return op_Q(xi[0], schur_q(xi[1:])) if xi else PExpansion.vacuum()
@@ -358,7 +383,9 @@ def htilde(n):
 def inner(F, G, form="t"):
     """<F, G> with Gram values z_lam(t) ('t') or z_lam ('zero'), summed
     term by term so that each partial sum cancels what it can; one sum over
-    a common pole map and den measured slower (README, Layout)."""
+    a common pole map and den measured slower (README, Layout).  The K^- and
+    K entries pair pole-free vectors under 'zero', whose Gram values are
+    integers, so their sums hold no pole and make no pole trial."""
     total = RF_ZERO
     for lam, a in F.coeffs.items():
         b = G.coeffs.get(lam)
@@ -370,12 +397,13 @@ def inner(F, G, form="t"):
 
 
 def oracle_spin_kostka(xi, mu):
-    """K^-_{xi,mu}(t) = <H_mu.1, Q_xi.1> under the t-deformed form, xi
-    strict (``as_partition``); 0 if weights differ."""
+    """K^-_{xi,mu}(t) = <Q_mu(x;t), Q_xi>_t, computed as <Q'_mu, Q_xi> under
+    the canonical form, which equals it; xi strict (``as_partition``); 0 if
+    weights differ."""
     xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
     if sum(xi) != sum(mu):
         return LaurentPoly()
-    return inner(hl_Q(mu), schur_q(xi), "t").to_laurent()
+    return inner(hl_Q_prime(mu), schur_q(xi), "zero").to_laurent()
 
 
 # The entries check their arguments (``as_partition``); the values are
@@ -399,7 +427,8 @@ def _b_value(xi, lam):
 
 
 def oracle_kostka_foulkes(lam, mu):
-    """K_{lam,mu}(t) = <s_lam, Q_mu(x;t)> under the t-deformed form."""
+    """K_{lam,mu}(t) = <s_lam, Q_mu(x;t)>_t, computed as <s_lam, Q'_mu> under
+    the canonical form, which equals it."""
     return _kostka_foulkes_value(as_partition(lam, "lam"), as_partition(mu, "mu"))
 
 
@@ -407,7 +436,7 @@ def oracle_kostka_foulkes(lam, mu):
 def _kostka_foulkes_value(lam, mu):
     if sum(lam) != sum(mu):
         return LaurentPoly()
-    return inner(schur_s(lam), hl_Q(mu), "t").to_laurent()
+    return inner(schur_s(lam), hl_Q_prime(mu), "zero").to_laurent()
 
 
 def oracle_spin_via_bK(xi, mu):

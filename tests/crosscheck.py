@@ -34,6 +34,11 @@ division.
 b-coefficients and a hook term with its own arm, the path that
 ``schur.g_square``'s closed forms replaced.
 
+``t_form_spin_kostka`` and ``t_form_kostka_foulkes`` pair the
+Hall-Littlewood Q_mu(x;t) under the t-deformed form, as the paper defines
+K^- and K, where the oracle pairs the modified Q'_mu under the canonical
+form.
+
 ``reference_apply_component`` is the oracle's operator component without
 the grouping of the annihilation side: every (lam, sigma) term meets every
 creation term on its own.
@@ -62,7 +67,7 @@ from math import factorial
 from operator import ge, gt
 
 from spinkostka.engine import SpinKostkaEngine
-from spinkostka.oracle import PExpansion, z_stat
+from spinkostka.oracle import PExpansion, hl_Q, inner, schur_q, schur_s, z_stat
 from spinkostka.partitions import is_hook, partitions, vertical_strip_subshapes
 from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc, encode
 from spinkostka.schur import b_coeff
@@ -244,6 +249,16 @@ def inverse_z_t(lam):
     for part in lam:
         num = num * LaurentPoly({0: 1, part: -1})
     return RatFunc(num, z_stat(lam))
+
+
+def t_form_spin_kostka(xi, mu):
+    """K^-_{xi,mu}(t) = <Q_mu(x;t), Q_xi>_t for tuples of equal weight."""
+    return inner(hl_Q(mu), schur_q(xi), "t").to_laurent()
+
+
+def t_form_kostka_foulkes(lam, mu):
+    """K_{lam,mu}(t) = <s_lam, Q_mu(x;t)>_t for tuples of equal weight."""
+    return inner(schur_s(lam), hl_Q(mu), "t").to_laurent()
 
 
 def _reference_exp_coeff(seq, rho):

@@ -144,7 +144,7 @@ def test_criterion_4_oracle_equivalence():
             for mu in partitions(n):
                 if spin_kostka(xi, mu) != oracle_spin_kostka(xi, mu):
                     bad.append((xi, mu))
-    for n in range(0, 9):
+    for n in range(0, 10):
         for xi in strict_partitions(n):
             for mu in partitions(n):
                 if oracle_spin_via_bK(xi, mu) != spin_kostka(xi, mu):

@@ -7,21 +7,30 @@ from fractions import Fraction
 
 import pytest
 
-from crosscheck import inverse_z_t, package_imports, reference_apply_component
+from crosscheck import (
+    inverse_z_t,
+    package_imports,
+    reference_apply_component,
+    t_form_kostka_foulkes,
+    t_form_spin_kostka,
+)
 from spinkostka import oracle
 from spinkostka.oracle import (
     OperatorSpec,
     PExpansion,
+    adjoint_spec,
     apply_component,
     apply_word,
     eps,
     g_general,
     hl_Q,
+    hl_Q_prime,
     htilde,
     inner,
     op_e,
     op_e_minus,
     op_H,
+    op_H_prime,
     op_H_star,
     op_htilde,
     op_htilde_star,
@@ -75,6 +84,7 @@ def test_adjointness_of_each_operator_pair():
     its adjoint under the form it was built for."""
     pairs = (
         (op_H, op_H_star, "t"),
+        (op_H_prime, adjoint_spec(op_H_prime, "zero"), "zero"),
         (op_Q, op_Q_star, "t"),
         (op_htilde, op_htilde_star, "t"),
         (op_S_plus, op_S_minus, "zero"),
@@ -87,6 +97,32 @@ def test_adjointness_of_each_operator_pair():
                     u = PExpansion({lam_u: RF_ONE})
                     v = PExpansion({lam_v: RF_ONE})
                     assert inner(op(n, u), v, form) == inner(u, adj(n, v), form), (op.name, n, lam_u, lam_v)
+
+
+def test_q_prime_is_q_under_x_over_one_minus_t():
+    """Q_mu is Q'_mu under X -> (1 - t)X: the coefficient of p_lam in Q'_mu
+    times prod_i (1 - t^lam_i) is that in Q_mu, for every mu of weight <= 7."""
+    for n in range(8):
+        for mu in partitions(n):
+            prime = hl_Q_prime(mu)
+            want = {}
+            for lam, c in prime.coeffs.items():
+                for part in lam:
+                    c = c * RatFunc(LaurentPoly({0: 1, part: -1}))
+                want[lam] = c
+            assert hl_Q(mu) == PExpansion(want), mu
+
+
+def test_hall_form_pairings_match_the_t_form():
+    """<Q'_mu, Q_xi> and <s_lam, Q'_mu> under the canonical form give the
+    paper's <Q_mu, Q_xi>_t and <s_lam, Q_mu>_t on every cell of weight <= 8,
+    so op_H stays tied to the K^- and K values."""
+    for n in range(9):
+        for mu in partitions(n):
+            for xi in strict_partitions(n):
+                assert oracle_spin_kostka(xi, mu) == t_form_spin_kostka(xi, mu), (xi, mu)
+            for lam in partitions(n):
+                assert oracle_kostka_foulkes(lam, mu) == t_form_kostka_foulkes(lam, mu), (lam, mu)
 
 
 def test_oracle_spin_kostka_values():
@@ -215,7 +251,7 @@ def test_apply_component_matches_the_ungrouped_reference():
     assert any(len({sum(lam) for lam in v.coeffs}) > 1 for v in vectors)
     assert any(len(set(lam)) < len(lam) for v in vectors for lam in v.coeffs)
     assert set(ALL_SPECS) == {
-        "op_H", "op_H_star", "op_Q", "op_Q_star", "op_S_plus", "op_S_minus",
+        "op_H", "op_H_prime", "op_H_star", "op_Q", "op_Q_star", "op_S_plus", "op_S_minus",
         "op_htilde", "op_htilde_star", "op_e", "op_e_minus",
     }
     cases = [(F, range(-4, 5)) for F in vectors] + [(F, range(-6, 2)) for F in basis]
