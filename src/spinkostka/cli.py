@@ -286,6 +286,8 @@ def main(argv=None):
         return 0
 
     if args.command == "verify":
+        if args.max_n < 1 or args.max_degree < 0:
+            parser.error("--max-n must be >= 1 and --max-degree >= 0")
         names = list(SUITES) if args.suite == "all" else [args.suite]
         records = []
         for name in names:

@@ -4,8 +4,7 @@ The entries are transcribed verbatim from the published tables in their
 t-bracket notation ([k] = 1 + t + ... + t^(k-1), [k]! and [k]!! the
 t-factorials) and expanded here with exact arithmetic, independently of
 the recurrence engine.  Rows are indexed by mu, columns by the strict
-partitions xi of weight n that the source tabulates, listed per weight in
-``TABLE_COLUMNS``.
+partitions xi of weight n that the source tabulates.
 
 One entry of the source table is provably a misprint; it is kept verbatim
 in ``published_tables`` and documented in ``KNOWN_DISCREPANCIES`` together
@@ -37,15 +36,6 @@ def _dd(k):
 def _tp(k):
     """t^k as a LaurentPoly."""
     return LaurentPoly.term(1, k)
-
-
-TABLE_COLUMNS = {
-    2: [(2,)],
-    3: [(3,), (2, 1)],
-    4: [(4,), (3, 1)],
-    5: [(5,), (4, 1), (3, 2)],
-    6: [(6,), (5, 1), (4, 2), (3, 2, 1)],
-}
 
 
 @lru_cache(maxsize=None)

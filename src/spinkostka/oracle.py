@@ -50,7 +50,7 @@ from itertools import combinations
 from math import factorial
 
 from .partitions import as_partition, partitions, strict_partitions, vertical_strip_subshapes
-from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc
+from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn
 
 
 # -- partition statistics -----------------------------------------------
@@ -141,9 +141,7 @@ class PExpansion:
         return self + other.scale(-1)
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = RatFunc(c)
-        if c.is_zero():
+        if not c:
             return PExpansion.zero()
         return PExpansion({lam: v * c for lam, v in self.coeffs.items()})
 
@@ -178,33 +176,30 @@ class OperatorSpec:
     ``annihilation(n)`` of d/dp_n z^-n.  Called as ``op(n, F)``, it gives its
     component in the paper's indexing: the z^n component when ``sign`` is +1
     (H, H', Q, S+, htilde, e+), the z^-n one when it is -1, which only
-    ``adjoint_spec`` sets.  Hashed by identity, so no two specs share cached
-    coefficients."""
+    ``adjoint_spec`` sets.  The term tables are keyed on the sequence
+    objects, so specs that share a sequence object fill its tables once."""
 
     name: str
     creation: object
     annihilation: object
-    sign: int = field(default=1, init=False)
+    sign: int = 1
 
     def __call__(self, n, F):
         return apply_component(self, self.sign * n, F)
 
 
-def _one_minus_tn(n):
-    return LaurentPoly({0: 1, n: -1})
-
-
+# Specs with equal coefficients share one sequence object.
 op_H = OperatorSpec("H", lambda n: RatFunc(_one_minus_tn(n), n), lambda n: RatFunc(-1))
 # Jing's H'(z), which is H(z) conjugated by X -> X/(1 - t): p_n -> p_n/(1 - t^n)
 # takes the creation coefficient to 1/n and d/dp_n to (1 - t^n) d/dp_n
 op_H_prime = OperatorSpec("H'", lambda n: RatFunc(1, n), lambda n: RatFunc(-_one_minus_tn(n)))
-op_Q = OperatorSpec("Q", lambda n: RatFunc(2, n) if n % 2 else RF_ZERO, lambda n: RatFunc(-1))
-op_S_plus = OperatorSpec("S+", lambda n: RatFunc(1, n), lambda n: RatFunc(-1))
+op_Q = OperatorSpec("Q", lambda n: RatFunc(2, n) if n % 2 else RF_ZERO, op_H.annihilation)
+op_S_plus = OperatorSpec("S+", op_H_prime.creation, op_H.annihilation)
 # creation (t^n - (-1)^n)/n, pure multiplication
 op_htilde = OperatorSpec(
     "htilde", lambda n: RatFunc(LaurentPoly({0: -((-1) ** n), n: 1}), n), lambda n: RF_ZERO
 )
-op_e = OperatorSpec("e+", lambda n: RatFunc((-1) ** (n + 1), n), lambda n: RF_ZERO)
+op_e = OperatorSpec("e+", lambda n: RatFunc((-1) ** (n + 1), n), op_htilde.annihilation)
 
 
 def adjoint_spec(spec, form):
@@ -229,9 +224,7 @@ def adjoint_spec(spec, form):
             return spec.creation(n) * n
     else:
         raise ValueError("unknown form %r" % form)
-    adjoint = OperatorSpec(spec.name + "*", creation, annihilation)
-    object.__setattr__(adjoint, "sign", -spec.sign)
-    return adjoint
+    return OperatorSpec(spec.name + "*", creation, annihilation, -spec.sign)
 
 
 op_H_star = adjoint_spec(op_H, "t")
@@ -242,11 +235,10 @@ op_e_minus = adjoint_spec(op_e, "zero")
 
 
 @lru_cache(maxsize=None)
-def _exp_coeff(spec, side, rho):
-    """Coefficient of p_rho z^|rho| in the creation exponential (side
-    "creation"), or of d_rho z^-|rho| in the annihilation one (side
-    "annihilation", d_rho a product of plain d/dp_k)."""
-    seq = getattr(spec, side)
+def _exp_coeff(seq, rho):
+    """prod_i seq(rho_i) / prod_k m_k(rho)!: with a creation sequence the
+    coefficient of p_rho z^|rho| in its exponential, with an annihilation
+    one that of d_rho z^-|rho| (d_rho a product of plain d/dp_k)."""
     coeff = RF_ONE
     for part in rho:
         coeff = coeff * seq(part)
@@ -275,24 +267,25 @@ def _sub_multisets(lam):
 
 
 @lru_cache(maxsize=None)
-def _annihilation_terms(spec, lam):
+def _annihilation_terms(seq, lam):
     """(|sigma|, lam - sigma, coefficient of d_sigma times deriv) for each
-    sub-multiset sigma of lam whose annihilation coefficient is not zero."""
+    sub-multiset sigma of lam whose coefficient under the annihilation
+    sequence ``seq`` is not zero."""
     out = []
     for s, sigma, base, deriv in _sub_multisets(lam):
-        bc = _exp_coeff(spec, "annihilation", sigma)
+        bc = _exp_coeff(seq, sigma)
         if bc:
             out.append((s, base, bc * deriv))
     return out
 
 
 @lru_cache(maxsize=None)
-def _creation_terms(spec, r):
-    """(rho, coefficient of p_rho) for each rho |- r whose creation
-    coefficient is not zero."""
+def _creation_terms(seq, r):
+    """(rho, coefficient of p_rho) for each rho |- r whose coefficient under
+    the creation sequence ``seq`` is not zero."""
     out = []
     for rho in partitions(r):
-        ac = _exp_coeff(spec, "creation", rho)
+        ac = _exp_coeff(seq, rho)
         if ac:
             out.append((rho, ac))
     return out
@@ -313,7 +306,7 @@ def apply_component(spec, m, F):
     and e+ are never visited."""
     groups = {}
     for lam, c in F.coeffs.items():
-        for s, base, bd in _annihilation_terms(spec, lam):
+        for s, base, bd in _annihilation_terms(spec.annihilation, lam):
             if s + m < 0:
                 continue
             key = (base, m + s)
@@ -322,7 +315,7 @@ def apply_component(spec, m, F):
     for (base, r), scalar in groups.items():
         if scalar.is_zero():
             continue
-        for rho, ac in _creation_terms(spec, r):
+        for rho, ac in _creation_terms(spec.creation, r):
             key = tuple(sorted(base + rho, reverse=True))
             v = out.get(key, RF_ZERO) + scalar * ac
             if v.is_zero():
@@ -391,7 +384,7 @@ def inner(F, G, form="t"):
         b = G.coeffs.get(lam)
         if b is None:
             continue
-        gram = z_t(lam) if form == "t" else RatFunc(z_stat(lam))
+        gram = z_t(lam) if form == "t" else z_stat(lam)
         total = total + a * b * gram
     return total
 
@@ -451,31 +444,6 @@ def oracle_spin_via_bK(xi, mu):
         if b:
             total = total + b * _kostka_foulkes_value(lam, mu)
     return total
-
-
-def hl_P(mu):
-    """Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t) with the standard
-    normalization b_mu(t) = prod_i prod_{j<=m_i} (1 - t^j)."""
-    poles = [j for m in multiplicities(mu).values() for j in range(1, m + 1)]
-    return hl_Q(mu).scale(RatFunc(1, poles=poles))
-
-
-def g_general(mu, lam):
-    """Coefficient of s_lam in P_mu(x;-1), for arbitrary partitions mu."""
-    mu, lam = as_partition(mu, "mu"), as_partition(lam, "lam")
-    if sum(mu) != sum(lam):
-        return 0
-    P = hl_P(mu)
-    S = schur_s(lam)
-    total = Fraction(0)
-    for key, c in P.coeffs.items():
-        s = S.coeffs.get(key)
-        if s is None:
-            continue
-        total += c.eval_at(-1) * s.to_fraction() * z_stat(key)
-    if total.denominator != 1:
-        raise ArithmeticError("non-integer g value %s" % total)
-    return int(total)
 
 
 # -- relation verification ----------------------------------------------

@@ -39,6 +39,10 @@ Hall-Littlewood Q_mu(x;t) under the t-deformed form, as the paper defines
 K^- and K, where the oracle pairs the modified Q'_mu under the canonical
 form.
 
+``hl_P`` is the Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t), and
+``g_general`` the coefficient g_{mu,lam} of s_lam in P_mu(x;-1) for any
+partition mu, which the square-shape closed forms are checked against.
+
 ``reference_apply_component`` is the oracle's operator component without
 the grouping of the annihilation side: every (lam, sigma) term meets every
 creation term on its own.
@@ -67,8 +71,8 @@ from math import factorial
 from operator import ge, gt
 
 from spinkostka.engine import SpinKostkaEngine
-from spinkostka.oracle import PExpansion, hl_Q, inner, schur_q, schur_s, z_stat
-from spinkostka.partitions import is_hook, partitions, vertical_strip_subshapes
+from spinkostka.oracle import PExpansion, hl_Q, inner, multiplicities, schur_q, schur_s, z_stat
+from spinkostka.partitions import as_partition, is_hook, partitions, vertical_strip_subshapes
 from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc, encode
 from spinkostka.schur import b_coeff
 
@@ -259,6 +263,31 @@ def t_form_spin_kostka(xi, mu):
 def t_form_kostka_foulkes(lam, mu):
     """K_{lam,mu}(t) = <s_lam, Q_mu(x;t)>_t for tuples of equal weight."""
     return inner(schur_s(lam), hl_Q(mu), "t").to_laurent()
+
+
+def hl_P(mu):
+    """Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t) with the standard
+    normalization b_mu(t) = prod_i prod_{j<=m_i} (1 - t^j)."""
+    poles = [j for m in multiplicities(mu).values() for j in range(1, m + 1)]
+    return hl_Q(mu).scale(RatFunc(1, poles=poles))
+
+
+def g_general(mu, lam):
+    """Coefficient of s_lam in P_mu(x;-1), for arbitrary partitions mu."""
+    mu, lam = as_partition(mu, "mu"), as_partition(lam, "lam")
+    if sum(mu) != sum(lam):
+        return 0
+    P = hl_P(mu)
+    S = schur_s(lam)
+    total = Fraction(0)
+    for key, c in P.coeffs.items():
+        s = S.coeffs.get(key)
+        if s is None:
+            continue
+        total += c.eval_at(-1) * s.to_fraction() * z_stat(key)
+    if total.denominator != 1:
+        raise ArithmeticError("non-integer g value %s" % total)
+    return int(total)
 
 
 def _reference_exp_coeff(seq, rho):

@@ -45,6 +45,7 @@ from spinkostka.straighten import Straightener
 from crosscheck import (
     PlainEngine,
     ReferenceStraightener,
+    g_general,
     g_square_alternating_sum,
     is_palindromic,
     packed,
@@ -195,8 +196,6 @@ def test_criterion_6_schur_suite():
 
 def test_criterion_7_square_shapes():
     t0 = time.perf_counter()
-    from spinkostka.oracle import g_general
-
     bad = []
     for r in range(1, 6):
         for lam in partitions(2 * r):

@@ -118,6 +118,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert not memo.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "relations", "--max-degree", "-3"],
+        ["--suite", "oracle", "--max-n", "-2"],
+        ["--suite", "properties", "--max-n", "-2"],
+        ["--suite", "oracle", "--max-n", "0"],
+    ],
+)
+def test_verify_rejects_empty_ranges(argv, capsys):
+    """A bound that leaves a suite nothing to check is a usage error, not
+    a PASS."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "must be >=" in captured.err
+
+
 def test_table_matches_goldens_modulo_known_misprint():
     """Generated tables reproduce every published cell (one cell is a
     documented misprint in the source; the generated value is the

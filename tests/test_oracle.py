@@ -22,7 +22,6 @@ from spinkostka.oracle import (
     apply_component,
     apply_word,
     eps,
-    g_general,
     hl_Q,
     hl_Q_prime,
     htilde,
@@ -159,8 +158,6 @@ def test_three_paths_agree():
         (oracle_kostka_foulkes, ((2, 1), (2, 1, 0))),
         (oracle_spin_via_bK, ((1, 2), (2, 1))),
         (oracle_spin_via_bK, ((2, 1), (True, 2))),
-        (g_general, ((1, 2), (2, 1))),
-        (g_general, ((2, 2), (3, 1.0))),
     ],
 )
 def test_oracle_entries_check_their_partitions(entry, args):
@@ -175,7 +172,6 @@ def test_oracle_entries_take_lists():
     assert oracle_spin_via_bK([3, 1], [2, 2]) == oracle_spin_kostka((3, 1), (2, 2))
     assert oracle_b([3], [1, 1, 1]) == 2
     assert oracle_kostka_foulkes([3], [1, 1, 1]) == LaurentPoly({3: 1})
-    assert g_general([2, 2], [2, 2]) == g_general((2, 2), (2, 2))
 
 
 def test_no_weight_cap():
@@ -273,6 +269,22 @@ def test_same_named_specs_keep_their_own_coefficients():
         for spec in order:
             want = reference_apply_component(spec, 2, vacuum)
             assert apply_component(spec, 2, vacuum) == want, spec is op_H
+
+
+def test_specs_with_one_sequence_share_its_tables():
+    """H' and S+ share the creation sequence 1/n, so K_{lam,mu}(t) on every
+    cell of weight 5, which applies both, fills one creation table per
+    weight r = 1..5; H, Q and S+ share the annihilation sequence -1, and
+    htilde and e+ the zero one."""
+    assert op_S_plus.creation is op_H_prime.creation
+    assert op_Q.annihilation is op_S_plus.annihilation is op_H.annihilation
+    assert op_e.annihilation is op_htilde.annihilation
+    _clear_oracle_caches()
+    for lam in partitions(5):
+        for mu in partitions(5):
+            oracle_kostka_foulkes(lam, mu)
+    assert oracle._creation_terms.cache_info().currsize == 5
+    assert oracle._exp_coeff.cache_info().currsize == 42
 
 
 def test_verify_relations_memo_lives_in_one_call(monkeypatch):

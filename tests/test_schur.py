@@ -11,7 +11,7 @@ from spinkostka.schur import (
     g_square,
 )
 
-from crosscheck import g_square_alternating_sum, reference_b
+from crosscheck import g_general, g_square_alternating_sum, reference_b
 
 
 def test_worked_example():
@@ -125,8 +125,18 @@ def test_square_closed_vs_alternating_sum():
 
 
 def test_square_matches_general_oracle():
-    from spinkostka.oracle import g_general
-
     for r in range(1, 5):
         for lam in partitions(2 * r):
             assert g_square(r, lam) == g_general((r, r), lam), (r, lam)
+
+
+@pytest.mark.parametrize("args", [((1, 2), (2, 1)), ((2, 2), (3, 1.0))])
+def test_g_general_checks_its_partitions(args):
+    """The cross-check g_general validates mu and lam as the oracle's
+    entries do."""
+    with pytest.raises(ValueError, match="must be a"):
+        g_general(*args)
+
+
+def test_g_general_takes_lists():
+    assert g_general([2, 2], [2, 2]) == g_general((2, 2), (2, 2))
