@@ -163,7 +163,7 @@ def _suite_properties(args, out):
     """Structural corollaries of the spin Kostka recurrence, exhaustively."""
     from .invariants import failures
 
-    weights, stable = range(1, args.max_n + 1), range(1, max(1, args.max_n - 2))
+    weights, stable = range(1, args.max_n + 1), range(1, max(2, args.max_n - 2))
     found = failures(spin_kostka, weights, stable, grow=(1, 2))
     for f in found:
         out.write("FAIL %s\n" % f)

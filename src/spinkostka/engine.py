@@ -23,10 +23,10 @@ reaches mu_1.  Nor is a two-part mu, one expansion over a single position.
 
 Inside the engine every coefficient is packed into one int
 (``polynomial.encode``): the expansions, the straightened words and the
-memo of K^- values.  A public answer is decoded once and kept per cell.
-Its coefficients lie in 0..2^n g^xi, so the engine refuses a cell whose
-bound does not fit the slot before computing it (the proof is at
-``polynomial.SLOT_BITS``).
+memo of K^- values, the only store of a cell's value.  Each public ask
+decodes the packed value afresh.  Its coefficients lie in 0..2^n g^xi, so
+the engine refuses a cell whose bound does not fit the slot before
+computing it (the proof is at ``polynomial.SLOT_BITS``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .polynomial import SLOT_BITS, SLOT_LIMIT, ZERO, LaurentPoly, decode, encode
 from .straighten import Straightener
 
 
-def htilde_expand(k, mu, straightener, sweeps=None):
+def htilde_expand(k, mu, straightener, sweeps):
     """{lam: packed coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1.
 
     Equivalent to summing t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)
@@ -50,9 +50,9 @@ def htilde_expand(k, mu, straightener, sweeps=None):
     cells, and h~_k H_mu.1 = 0 for k > |mu|.
 
     ``sweeps`` maps a suffix mu[j:], j >= 1, to (cap, its states built with
-    at most cap cells used); without it, a one-shot memo.  The walk starts
-    from the longest suffix whose entry has cap >= k, and rebuilds the
-    shorter ones with cap k.  So caps only grow, and a suffix of an entry
+    at most cap cells used); a fresh {} gives a one-shot sweep.  The walk
+    starts from the longest suffix whose entry has cap >= k, and rebuilds
+    the shorter ones with cap k.  So caps only grow, and a suffix of an entry
     has at least the entry's cap.  Reuse under a larger cap is exact: each
     step takes at most cap - used cells and used only grows, so the states
     with used <= k are exactly those that cap k builds; the others are
@@ -60,8 +60,6 @@ def htilde_expand(k, mu, straightener, sweeps=None):
     left, as a one-shot sweep does, so it straightens no extra word."""
     if not 0 <= k <= sum(mu):
         return {}
-    if sweeps is None:
-        sweeps = {}
     start, states = len(mu), {(0, ()): 1}
     for j in range(1, len(mu)):
         entry = sweeps.get(mu[j:])
@@ -163,27 +161,20 @@ def kostka_hook(n, k, mu):
 
 class SpinKostkaEngine:
     """Memoized recurrence engine.  Instances are cheap; each owns its memo
-    tables (packed values, h~_k expansions and their sweep states per suffix,
-    decoded answers)."""
+    tables (packed values, h~_k expansions and their sweep states per
+    suffix)."""
 
     def __init__(self):
         self._memo = {}
         self._expansions = {}
         self._sweeps = {}
-        self._answers = {}
         self._straightener = Straightener()
 
     def spin_kostka(self, xi, mu):
         """K^-_{xi,mu}(t), xi strict (``as_partition``); 0 if weights differ.
         ``ValueError`` if 2^n g^xi, the bound on its coefficients, does not
         fit the slot (see ``polynomial.SLOT_BITS``)."""
-        key = (as_partition(xi, "xi", strict=True), as_partition(mu, "mu"))
-        hit = self._answers.get(key)
-        if hit is None:
-            hit = self._answers[key] = self._answer(*key)
-        return hit
-
-    def _answer(self, xi, mu):
+        xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
         n = sum(xi)
         if n != sum(mu):
             return ZERO

@@ -325,13 +325,6 @@ def apply_component(spec, m, F):
     return PExpansion(out)
 
 
-def apply_word(op, indices, F):
-    """op_{i_1} ... op_{i_r} F, rightmost factor acting first."""
-    for n in reversed(tuple(indices)):
-        F = op(n, F)
-    return F
-
-
 # -- basis vectors ------------------------------------------------------
 
 
@@ -341,7 +334,8 @@ def apply_word(op, indices, F):
 
 @lru_cache(maxsize=None)
 def hl_Q(mu):
-    """Hall-Littlewood Q_mu(x;t) = H_mu1 ... H_mul . 1."""
+    """H_mu1 ... H_mur . 1 for any tuple mu of ints: the Hall-Littlewood
+    Q_mu(x;t) when mu is a partition."""
     return op_H(mu[0], hl_Q(mu[1:])) if mu else PExpansion.vacuum()
 
 
@@ -503,7 +497,9 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     identity of the vector).  The memo pins each vector it keys on, so that no
     other vector can take its id while the memo lives; a result it returns is
     the same object on every hit, so nested applications hit as well.  It is
-    local to the call and is dropped when the call returns or raises."""
+    local to the call and is dropped when the call returns or raises.  The
+    basis words on the vacuum (Q-, H- and S+-words) come from the module's
+    caches ``schur_q``, ``hl_Q`` and ``schur_s``."""
     memo = {}
 
     def memoized(op):
@@ -517,7 +513,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         return apply
 
     H, H_star, Q, Q_star = map(memoized, (op_H, op_H_star, op_Q, op_Q_star))
-    S_plus, S_minus, e_plus, e_minus = map(memoized, (op_S_plus, op_S_minus, op_e, op_e_minus))
+    S_minus, e_plus, e_minus = map(memoized, (op_S_minus, op_e, op_e_minus))
     htilde_star = memoized(op_htilde_star)
     rng = random.Random(seed)
     if vector_degree is None:
@@ -647,14 +643,14 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
             if not xi:
                 continue
             for k in range(1, max_degree + 2):
-                lhs = op_star(k, apply_word(Q, xi, vacuum))
+                lhs = op_star(k, schur_q(xi))
                 rhs = PExpansion.zero()
                 for i, part in enumerate(xi):
                     if part - k < 0:
                         continue
                     sign = -1 if i % 2 else 1
                     xi_hat = xi[:i] + xi[i + 1:]
-                    term = gen(part - k) * apply_word(Q, xi_hat, vacuum)
+                    term = gen(part - k) * schur_q(xi_hat)
                     rhs = rhs + term.scale(2 * sign)
                 if not (lhs - rhs).is_zero():
                     return "xi=%r k=%d" % (xi, k)
@@ -666,12 +662,12 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
             if not mu:
                 continue
             for k in range(0, max_degree + 1):
-                lhs = htilde_star(k, apply_word(H, mu, vacuum))
+                lhs = htilde_star(k, hl_Q(mu))
                 rhs = PExpansion.zero()
                 for tau in weak_compositions(k, len(mu)):
                     l = support_size(tau)
                     vec = tuple(m - t for m, t in zip(mu, tau))
-                    term = apply_word(H, vec, vacuum)
+                    term = hl_Q(vec)
                     coeff = RatFunc(LaurentPoly.term(1, k - l))
                     for _ in range(l):
                         coeff = coeff * one_plus_t
@@ -683,10 +679,10 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     def gS_on_vacuum():
         for lam in partitions(min(max_degree + 2, 6)):
             for k in range(0, max_degree + 1):
-                lhs = e_minus(k, apply_word(S_plus, lam, vacuum))
+                lhs = e_minus(k, schur_s(lam))
                 rhs = PExpansion.zero()
                 for rho in vertical_strip_subshapes(lam, k):
-                    rhs = rhs + apply_word(S_plus, rho, vacuum)
+                    rhs = rhs + schur_s(rho)
                 if not (lhs - rhs).is_zero():
                     return "lam=%r k=%d" % (lam, k)
         return None

@@ -250,12 +250,12 @@ def test_criterion_9_straightening():
         primitive = ReferenceStraightener("leftmost", "primitive").straighten(nu)
         if not (right == primitive and left == packed(right)):
             bad.append(("confluence", nu))
-    from spinkostka.oracle import PExpansion, apply_word, hl_Q, op_H
+    from spinkostka.oracle import PExpansion, hl_Q
     from spinkostka.polynomial import RatFunc
 
     oracle_sample = [nu for nu in sorted(samples) if sum(abs(x) for x in nu) <= 8]
     for nu in oracle_sample[:40]:
-        direct = apply_word(op_H, nu, PExpansion.vacuum())
+        direct = hl_Q(nu)
         combo = PExpansion.zero()
         for lam, coeff in reference[nu].items():
             combo = combo + hl_Q(lam).scale(RatFunc(coeff))

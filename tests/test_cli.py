@@ -246,6 +246,22 @@ def test_verify_properties_suite(capsys):
     assert "properties: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_verify_properties_checks_stability_at_small_max_n(monkeypatch, capsys, max_n):
+    """Stability covers weight 1 at every --max-n: a value that breaks only
+    stability, at the grown cell (3), (3), fails the suite."""
+    real = cli.spin_kostka
+
+    def broken(xi, mu):
+        return LaurentPoly.const(4) if (xi, mu) == ((3,), (3,)) else real(xi, mu)
+
+    monkeypatch.setattr(cli, "spin_kostka", broken)
+    assert main(["verify", "--suite", "properties", "--max-n", str(max_n)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL stability r=2: xi=(1,) mu=(1,)" in out
+    assert "properties: FAIL" in out
+
+
 def test_verify_json_lists_each_relation_with_its_time(capsys):
     assert main(["verify", "--suite", "relations", "--max-degree", "1"]) == 0
     text = capsys.readouterr().out

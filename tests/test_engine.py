@@ -103,13 +103,13 @@ def test_fast_paths_match_plain_recurrence():
 
 def test_htilde_expand():
     s = Straightener()
-    assert htilde_expand(-1, (2, 1), s) == {}
+    assert htilde_expand(-1, (2, 1), s, {}) == {}
     # tau in {(1,0), (0,1)}, each with weight 1+t; straightening (0,1) gives t*H_(1)
-    assert htilde_expand(1, (1, 1), s) == packed({(1,): LaurentPoly({0: 1, 1: 2, 2: 1})})
+    assert htilde_expand(1, (1, 1), s, {}) == packed({(1,): LaurentPoly({0: 1, 1: 2, 2: 1})})
     # k = 2 over one position: tau = (2), coefficient t^(2-1)(1+t)
-    assert htilde_expand(2, (3,), s) == packed({(1,): LaurentPoly({1: 1, 2: 1})})
-    assert htilde_expand(0, (), s) == packed({(): ONE})
-    assert htilde_expand(1, (), s) == {}
+    assert htilde_expand(2, (3,), s, {}) == packed({(1,): LaurentPoly({1: 1, 2: 1})})
+    assert htilde_expand(0, (), s, {}) == packed({(): ONE})
+    assert htilde_expand(1, (), s, {}) == {}
 
 
 def _htilde_by_weak_compositions(k, mu, straightener):
@@ -127,9 +127,9 @@ def _htilde_by_weak_compositions(k, mu, straightener):
 
 def test_htilde_expand_matches_weak_composition_sum():
     """k runs past |mu|, where the expansion is empty.  Each expansion is
-    checked without a memo, then through one suffix memo that every mu
-    shares: the partitions of n <= 8 share tails, as (3, 1, 1), (2, 1, 1)
-    and (1, 1, 1) do.  Per mu, k first ascends, so a larger k rebuilds the
+    checked without a memo (a fresh {} per call), then through one suffix
+    memo that every mu shares: the partitions of n <= 8 share tails, as
+    (3, 1, 1), (2, 1, 1) and (1, 1, 1) do.  Per mu, k first ascends, so a larger k rebuilds the
     entries, then descends, so a smaller k reuses them filtered by cells
     used.  The reference sum straightens with ``ReferenceStraightener``."""
     ours, ref = Straightener(), ReferenceStraightener("leftmost", "table")
@@ -139,10 +139,22 @@ def test_htilde_expand_matches_weak_composition_sum():
             ks = range(max(6, n + 2))
             want = {k: packed(_htilde_by_weak_compositions(k, mu, ref)) for k in ks}
             for k in ks:
-                assert htilde_expand(k, mu, ours) == want[k], (k, mu)
+                assert htilde_expand(k, mu, ours, {}) == want[k], (k, mu)
             for k in list(ks) + list(reversed(ks)):
                 assert htilde_expand(k, mu, ours, sweeps) == want[k], (k, mu, "memo")
     assert sweeps[(1, 1)][0] == 8  # the largest k <= |mu|; a larger k returns at once
+
+
+def test_the_engine_holds_no_decoded_answers():
+    """The packed memo is the only per-cell store: each ask decodes afresh,
+    so two asks of one cell give equal but distinct values."""
+    tables = {"_memo", "_expansions", "_sweeps", "_straightener"}
+    eng = SpinKostkaEngine()
+    assert set(vars(eng)) == tables
+    first, second = eng.spin_kostka((3, 1), (2, 2)), eng.spin_kostka((3, 1), (2, 2))
+    assert first == second == LaurentPoly({1: 4, 0: 4})
+    assert first is not second
+    assert set(vars(eng)) == tables
 
 
 def test_memo_order_cannot_change_a_value():

@@ -20,7 +20,6 @@ from spinkostka.oracle import (
     PExpansion,
     adjoint_spec,
     apply_component,
-    apply_word,
     eps,
     hl_Q,
     hl_Q_prime,
@@ -181,9 +180,8 @@ def test_no_weight_cap():
 
 def test_q_word_antisymmetry():
     """Q_a Q_b.1 = -Q_b Q_a.1 for a != b (Clifford, off-diagonal)."""
-    vac = PExpansion.vacuum()
-    lhs = apply_word(op_Q, (3, 1), vac)
-    rhs = apply_word(op_Q, (1, 3), vac).scale(-1)
+    lhs = schur_q((3, 1))
+    rhs = schur_q((1, 3)).scale(-1)
     assert lhs == rhs
 
 

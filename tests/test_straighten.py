@@ -188,12 +188,12 @@ def _check_against_oracle(nu):
     """H_nu.1 expanded by the oracle equals the straightened combination:
     the straightener agrees with the reference packed, and the reference's
     coefficients, combined over Q_lam, give the oracle's H_nu.1."""
-    from spinkostka.oracle import PExpansion, apply_word, hl_Q, op_H
+    from spinkostka.oracle import PExpansion, hl_Q
     from spinkostka.polynomial import RatFunc
 
     want = ReferenceStraightener("leftmost", "table").straighten(nu)
     assert Straightener().straighten(nu) == packed(want), nu
-    direct = apply_word(op_H, nu, PExpansion.vacuum())
+    direct = hl_Q(nu)
     combo = PExpansion.zero()
     for lam, coeff in want.items():
         combo = combo + hl_Q(lam).scale(RatFunc(coeff))
