@@ -14,7 +14,6 @@ Public surface:
 from .polynomial import (
     InexactDivisionError,
     LaurentPoly,
-    PoleError,
     t_binomial,
     t_double_factorial,
     t_factorial,
@@ -47,7 +46,6 @@ from .schur import (
 __all__ = [
     "InexactDivisionError",
     "LaurentPoly",
-    "PoleError",
     "SpinKostkaEngine",
     "b_coeff",
     "b_two_row",

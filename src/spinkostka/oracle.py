@@ -5,7 +5,7 @@ Every operator used here has the shape
     exp( sum_n a_n p_n z^n ) * exp( sum_n b_n d/dp_n z^-n )
 
 acting on symmetric functions written in the power-sum basis with
-coefficients in Q(t).  A single generic component-extraction routine
+coefficients in Q[t, 1/t].  A single generic component-extraction routine
 realizes them all; each operator is one ``OperatorSpec``, which holds its
 coefficient sequences and, called as ``op(n, F)``, gives its component in
 the paper's indexing.  Spin Kostka polynomials,
@@ -16,23 +16,16 @@ of the package, this module imports only ``partitions`` and
 engine.
 
 The paper defines K^-_{xi,mu}(t) = <Q_mu(x;t), Q_xi>_t and K_{lam,mu}(t) =
-<s_lam, Q_mu(x;t)>_t under the t-deformed form.  The entries compute them as
-<Q'_mu, Q_xi> and <s_lam, Q'_mu> under the canonical (Hall) form, where
-Q'_mu = Q_mu[X/(1-t)] = sum_lam K_{lam,mu}(t) s_lam is built by Jing's
-modified vertex operator H'(z) (Jing, Adv. Math. 1991; Macdonald III.7).
-The coefficient of p_lam in Q'_mu is that in Q_mu over prod_i (1 - t^lam_i),
-and z_lam(t) = z_lam / prod_i (1 - t^lam_i), so the two pairings agree term
-by term.  H's creation coefficients (1 - t^n)/n put into Q_mu the factors
-that z_lam(t) divides out again; H' has the creation coefficients 1/n and
-the annihilation coefficients -(1 - t^n), so Q'_mu has polynomial
-coefficients over integer dens, the Hall form's Gram values z_lam are
-integers, and neither path meets a pole.
-
-The coefficients are ``RatFunc`` values num / (den * prod (1 - t^n)^e_n).
-The only poles the operators and the Gram factors z_lam(t) bring are the
-factors 1 - t^n, so the arithmetic stays over the integers.  They arise in
-the adjoints under the t-deformed form and in that form's pairings, which
-the relation checks use.
+<s_lam, Q_mu(x;t)>_t under the t-deformed form, whose Gram values
+z_lam(t) = z_lam / prod_i (1 - t^lam_i) have poles.  The oracle pairs only
+under the canonical (Hall) form, whose Gram values z_lam are integers.  The
+substitution phi: X -> X/(1 - t), p_n -> p_n / (1 - t^n), is invertible and
+fixes 1; <F, G>_t = <F, phi G>, and A's Hall adjoint is phi A* phi^-1 for A*
+its t-adjoint.  So the entries pair Q'_mu = phi Q_mu, built by Jing's
+modified vertex operator H' = phi H phi^-1 (Jing, Adv. Math. 1991;
+Macdonald III.7), and the relations that pair H with htilde's t-adjoint are
+checked with H' and htilde's Hall adjoint.  H's own t-adjoint H* is
+pole-free (``op_H_star``), so every coefficient lies in Q[t, 1/t].
 
 Vectors are exact and never truncated, so the basis caches are keyed on
 the shape alone, and an entry runs at any weight it is asked for.
@@ -65,13 +58,6 @@ def z_stat(lam):
     for part, m in multiplicities(lam).items():
         z *= part ** m * factorial(m)
     return z
-
-
-@lru_cache(maxsize=None)
-def z_t(lam):
-    """z_lam(t) = z_lam / prod_i (1 - t^lam_i), the t-deformed Gram value
-    <p_lam, p_lam>_t, with one pole factor per part."""
-    return RatFunc(z_stat(lam), poles=lam)
 
 
 def eps(lam):
@@ -175,8 +161,8 @@ class OperatorSpec:
     """One vertex operator.  ``creation(n)`` is the coefficient of p_n z^n,
     ``annihilation(n)`` of d/dp_n z^-n.  Called as ``op(n, F)``, it gives its
     component in the paper's indexing: the z^n component when ``sign`` is +1
-    (H, H', Q, S+, htilde, e+), the z^-n one when it is -1, which only
-    ``adjoint_spec`` sets.  The term tables are keyed on the sequence
+    (H, H', Q, S+, htilde, e+), the z^-n one when it is -1, which the
+    adjoints set.  The term tables are keyed on the sequence
     objects, so specs that share a sequence object fill its tables once."""
 
     name: str
@@ -202,36 +188,32 @@ op_htilde = OperatorSpec(
 op_e = OperatorSpec("e+", lambda n: RatFunc((-1) ** (n + 1), n), op_htilde.annihilation)
 
 
-def adjoint_spec(spec, form):
-    """Adjoint under the t-deformed ('t') or canonical ('zero') form.
+def adjoint_spec(spec):
+    """Adjoint under the canonical (Hall) form.
 
-    Under <,>_t the adjoint of multiplication by p_n is (n/(1-t^n)) d/dp_n,
-    so creation and annihilation coefficients swap roles with the matching
-    Gram factors; the z-power flips sign, so the adjoint's ``sign`` is the
-    opposite of ``spec``'s.
+    The adjoint of multiplication by p_n is n d/dp_n, so creation and
+    annihilation coefficients swap roles with the matching Gram factors;
+    the z-power flips sign, so the adjoint's ``sign`` is the opposite of
+    ``spec``'s.
     """
-    if form == "t":
-        def creation(n, spec=spec):
-            return spec.annihilation(n) * RatFunc(_one_minus_tn(n), n)
+    def creation(n, spec=spec):
+        return spec.annihilation(n) * RatFunc(1, n)
 
-        def annihilation(n, spec=spec):
-            return spec.creation(n) * RatFunc(n, poles=(n,))
-    elif form == "zero":
-        def creation(n, spec=spec):
-            return spec.annihilation(n) * RatFunc(1, n)
+    def annihilation(n, spec=spec):
+        return spec.creation(n) * n
 
-        def annihilation(n, spec=spec):
-            return spec.creation(n) * n
-    else:
-        raise ValueError("unknown form %r" % form)
     return OperatorSpec(spec.name + "*", creation, annihilation, -spec.sign)
 
 
-op_H_star = adjoint_spec(op_H, "t")
-op_Q_star = adjoint_spec(op_Q, "t")
-op_htilde_star = adjoint_spec(op_htilde, "t")
-op_S_minus = adjoint_spec(op_S_plus, "zero")
-op_e_minus = adjoint_spec(op_e, "zero")
+# H's adjoint under the t-deformed form, where the adjoint of p_n is
+# (n / (1 - t^n)) d/dp_n: H's creation (1 - t^n)/n becomes the annihilation
+# 1 and its annihilation -1 the creation -(1 - t^n)/n, so no pole is left
+op_H_star = OperatorSpec("H*", lambda n: RatFunc(-_one_minus_tn(n), n), lambda n: RF_ONE, -1)
+op_Q_star = adjoint_spec(op_Q)
+# annihilation t^n - (-1)^n: phi conjugates htilde's t-adjoint to it
+op_htilde_star = adjoint_spec(op_htilde)
+op_S_minus = adjoint_spec(op_S_plus)
+op_e_minus = adjoint_spec(op_e)
 
 
 @lru_cache(maxsize=None)
@@ -341,8 +323,9 @@ def hl_Q(mu):
 
 @lru_cache(maxsize=None)
 def hl_Q_prime(mu):
-    """Modified Hall-Littlewood Q'_mu = Q_mu[X/(1-t)] = H'_mu1 ... H'_mul . 1,
-    whose coefficient of p_lam is that of Q_mu over prod_i (1 - t^lam_i)."""
+    """H'_mu1 ... H'_mur . 1 = hl_Q(mu)[X/(1-t)] for any tuple mu of ints: the
+    modified Hall-Littlewood Q'_mu when mu is a partition, whose coefficient
+    of p_lam is that of Q_mu over prod_i (1 - t^lam_i)."""
     return op_H_prime(mu[0], hl_Q_prime(mu[1:])) if mu else PExpansion.vacuum()
 
 
@@ -367,19 +350,27 @@ def htilde(n):
 # -- inner products -----------------------------------------------------
 
 
-def inner(F, G, form="t"):
-    """<F, G> with Gram values z_lam(t) ('t') or z_lam ('zero'), summed
-    term by term so that each partial sum cancels what it can; one sum over
-    a common pole map and den measured slower (README, Layout).  The K^- and
-    K entries pair pole-free vectors under 'zero', whose Gram values are
-    integers, so their sums hold no pole and make no pole trial."""
+def inner(F, G):
+    """<F, G> under the canonical (Hall) form, with the integer Gram values
+    z_lam, summed term by term."""
     total = RF_ZERO
     for lam, a in F.coeffs.items():
         b = G.coeffs.get(lam)
-        if b is None:
-            continue
-        gram = z_t(lam) if form == "t" else z_stat(lam)
-        total = total + a * b * gram
+        if b is not None:
+            total = total + a * b * z_stat(lam)
+    return total
+
+
+def inner_at_minus_one(F, G):
+    """<F, G>_t at t = -1 for F and G whose shared keys are odd partitions,
+    such as Schur Q-functions, where z_lam(-1) = z_lam / 2^l(lam).
+    ``ValueError`` on an even part, where z_lam(t) has a pole at -1."""
+    total = Fraction(0)
+    for lam in F.coeffs.keys() & G.coeffs.keys():
+        if any(part % 2 == 0 for part in lam):
+            raise ValueError("z_lam(t) has a pole at t = -1: lam=%r has an even part" % (lam,))
+        gram = Fraction(z_stat(lam), 2 ** len(lam))
+        total += F.coeffs[lam].eval_at(-1) * G.coeffs[lam].eval_at(-1) * gram
     return total
 
 
@@ -390,7 +381,7 @@ def oracle_spin_kostka(xi, mu):
     xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
     if sum(xi) != sum(mu):
         return LaurentPoly()
-    return inner(hl_Q_prime(mu), schur_q(xi), "zero").to_laurent()
+    return inner(hl_Q_prime(mu), schur_q(xi)).to_laurent()
 
 
 # The entries check their arguments (``as_partition``); the values are
@@ -407,7 +398,7 @@ def oracle_b(xi, lam):
 def _b_value(xi, lam):
     if sum(xi) != sum(lam):
         return 0
-    value = inner(schur_s(lam), schur_q(xi), "zero").to_fraction()
+    value = inner(schur_s(lam), schur_q(xi)).to_fraction()
     if value.denominator != 1:
         raise ArithmeticError("non-integer b value %s" % value)
     return int(value)
@@ -423,7 +414,7 @@ def oracle_kostka_foulkes(lam, mu):
 def _kostka_foulkes_value(lam, mu):
     if sum(lam) != sum(mu):
         return LaurentPoly()
-    return inner(schur_s(lam), hl_Q_prime(mu), "zero").to_laurent()
+    return inner(schur_s(lam), hl_Q_prime(mu)).to_laurent()
 
 
 def oracle_spin_via_bK(xi, mu):
@@ -498,8 +489,8 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     other vector can take its id while the memo lives; a result it returns is
     the same object on every hit, so nested applications hit as well.  It is
     local to the call and is dropped when the call returns or raises.  The
-    basis words on the vacuum (Q-, H- and S+-words) come from the module's
-    caches ``schur_q``, ``hl_Q`` and ``schur_s``."""
+    basis words on the vacuum (Q-, H-, H'- and S+-words) come from the
+    module's caches ``schur_q``, ``hl_Q``, ``hl_Q_prime`` and ``schur_s``."""
     memo = {}
 
     def memoized(op):
@@ -514,7 +505,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
 
     H, H_star, Q, Q_star = map(memoized, (op_H, op_H_star, op_Q, op_Q_star))
     S_minus, e_plus, e_minus = map(memoized, (op_S_minus, op_e, op_e_minus))
-    htilde_star = memoized(op_htilde_star)
+    H_prime, htilde_star = memoized(op_H_prime), memoized(op_htilde_star)
     rng = random.Random(seed)
     if vector_degree is None:
         vector_degree = max_degree
@@ -612,10 +603,10 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for v in vectors:
             for m in range(0, max_degree + 1):
                 for n in rng_idx:
-                    lhs = htilde_star(m, H(n, v))
-                    rhs = H(n, htilde_star(m, v))
+                    lhs = htilde_star(m, H_prime(n, v))
+                    rhs = H_prime(n, htilde_star(m, v))
                     for k in range(m):
-                        term = H(n - m + k, htilde_star(k, v)).scale(one_plus_t)
+                        term = H_prime(n - m + k, htilde_star(k, v)).scale(one_plus_t)
                         shift = RatFunc(LaurentPoly.term(1, m - k - 1))
                         rhs = rhs + term.scale(shift)
                     if not (lhs - rhs).is_zero():
@@ -662,12 +653,12 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
             if not mu:
                 continue
             for k in range(0, max_degree + 1):
-                lhs = htilde_star(k, hl_Q(mu))
+                lhs = htilde_star(k, hl_Q_prime(mu))
                 rhs = PExpansion.zero()
                 for tau in weak_compositions(k, len(mu)):
                     l = support_size(tau)
                     vec = tuple(m - t for m, t in zip(mu, tau))
-                    term = hl_Q(vec)
+                    term = hl_Q_prime(vec)
                     coeff = RatFunc(LaurentPoly.term(1, k - l))
                     for _ in range(l):
                         coeff = coeff * one_plus_t
@@ -690,8 +681,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     def q_norm():
         one_minus_t = RatFunc(ONE - T)
         for n in range(1, max_degree + 2):
-            q = hl_Q((n,))
-            if inner(q, q, "t") != one_minus_t:
+            if inner(hl_Q((n,)), hl_Q_prime((n,))) != one_minus_t:
                 return "n=%d" % n
         return None
 
@@ -699,7 +689,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for n in range(1, min(max_degree + 2, 7)):
             for lam in strict_partitions(n):
                 for xi in strict_partitions(n):
-                    value = inner(schur_q(lam), schur_q(xi), "t").eval_at(-1)
+                    value = inner_at_minus_one(schur_q(lam), schur_q(xi))
                     want = Fraction(2 ** len(lam)) if lam == xi else Fraction(0)
                     if value != want:
                         return "lam=%r xi=%r" % (lam, xi)
@@ -709,7 +699,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for n in range(0, max_degree + 2):
             for lam in partitions(n):
                 for mu in partitions(n):
-                    value = inner(schur_s(lam), schur_s(mu), "zero")
+                    value = inner(schur_s(lam), schur_s(mu))
                     want = RF_ONE if lam == mu else RF_ZERO
                     if value != want:
                         return "lam=%r mu=%r" % (lam, mu)

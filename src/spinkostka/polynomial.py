@@ -5,14 +5,13 @@ Two coefficient domains live here:
 * ``LaurentPoly`` -- sparse Laurent polynomials in t with arbitrary-precision
   integer coefficients.  This is the value domain of every final output
   (spin Kostka polynomials, straightening coefficients, t-brackets).
-* ``RatFunc`` -- num / (den * prod_n (1 - t^n)^e_n) with an integer Laurent
-  numerator and an integer denominator, the coefficient field of the
-  oracle's power-sum expansions.  It is fraction-free and takes no
-  polynomial gcd.
+* ``RatFunc`` -- num / den with an integer Laurent numerator and a positive
+  int denominator: Q[t, 1/t], the coefficient ring of the oracle's
+  power-sum expansions.  It is fraction-free, and since the oracle meets no
+  pole, it takes no polynomial gcd.
 
 Both types are immutable value objects; arithmetic always returns fresh
-instances.  ``LaurentPoly`` values are canonical; ``RatFunc`` values compare
-by value.
+instances.  Values of both are canonical.
 
 The K^- engine and the straightener compute in a third form, a polynomial
 packed into one Python int by ``encode``; the engine hands its answers out
@@ -28,10 +27,6 @@ from math import gcd, lcm
 
 class InexactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
-
-
-class PoleError(ArithmeticError):
-    """Raised when a rational function is evaluated at a pole."""
 
 
 class LaurentPoly:
@@ -367,232 +362,8 @@ def t_binomial(n, k):
     return out
 
 
-# -- rational functions for the oracle --------------------------------------
-
-
 def _one_minus_tn(n):
     return _raw({0: 1, n: -1})
-
-
-def _cofactor(poles, have):
-    """prod_n (1 - t^n)^(poles[n] - have[n]), the factor that brings a value
-    with pole exponents ``have`` over the common exponents ``poles``."""
-    out = ONE
-    for n, e in poles.items():
-        k = e - have.get(n, 0)
-        if k:
-            out = out * _one_minus_tn(n) ** k
-    return out
-
-
-def _scale(p, k):
-    return p if k == 1 else _raw({e: c * k for e, c in p._terms.items()})
-
-
-class RatFunc:
-    """num / (den * prod_n (1 - t^n)^e_n), the coefficient field of the oracle.
-
-    ``num`` is an integer ``LaurentPoly``, ``den`` a positive int prime to the
-    content of ``num``, and ``poles`` maps each n to its exponent e_n > 0.
-    Every denominator the oracle forms has this shape: the Gram factors
-    z_lam(t) and the adjoints under the t-deformed form bring the (1 - t^n),
-    and everything else is an integer.  So no polynomial gcd is ever taken.
-    A pole factor is cancelled as soon as the numerator is divisible by it,
-    which a pass over the coefficients decides; hence a value is a Laurent
-    polynomial exactly when no pole factor is left.  What can remain is a
-    partial cancellation between factors, such as (1 + t) / (1 - t^2), which
-    ``eval_at`` resolves at t = 1 and t = -1.  Equality is equality of
-    values, and the type is not hashable.
-
-    Two operations skip the pole trials and still give the form the full
-    reduction would.  A product by an int or by a pole-free constant c/d
-    (on either side) keeps the poles as they are, since a nonzero constant
-    cannot change which 1 - t^n divide the numerator, and reduces the
-    content by gcd(c, den) and gcd(d, content of num) alone.  A sum of two
-    pole-free values with den 1 is the sum of their numerators.
-    """
-
-    __slots__ = ("num", "den", "poles")
-
-    def __init__(self, num=0, den=1, poles=()):
-        """num / (den * prod_{n in poles} (1 - t^n)): ``num`` an int or a
-        ``LaurentPoly``, ``den`` a nonzero int, ``poles`` a multiset of
-        positive ints such as a partition."""
-        if not isinstance(den, int):
-            raise TypeError("RatFunc denominator must be int, got %r" % (den,))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        exps = {}
-        for n in poles:
-            if n < 1:
-                raise ValueError("pole factor 1 - t^%r needs n >= 1" % (n,))
-            exps[n] = exps.get(n, 0) + 1
-        made = _ratfunc(_as_laurent(num), den, exps)
-        self.num, self.den, self.poles = made.num, made.den, made.poles
-
-    # -- queries --------------------------------------------------------
-
-    def is_zero(self):
-        return not self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def eval_at(self, t0):
-        """The value at t0; a pole factor that vanishes there (t0 = 1, or
-        t0 = -1 and n even) is cancelled against the numerator first."""
-        if type(t0) is not int:
-            t0 = Fraction(t0)
-        num, den = self.num, Fraction(self.den)
-        for n, e in self.poles.items():
-            if t0 ** n != 1:
-                den *= (1 - t0 ** n) ** e
-                continue
-            # 1 - t^n = (t - t0) * -(t^(n-1) + t^(n-2) t0 + ... + t0^(n-1))
-            try:
-                for _ in range(e):
-                    num = num.exact_div(_raw({1: 1, 0: -int(t0)}))
-            except InexactDivisionError:
-                raise PoleError("pole at t = %s" % t0) from None
-            den *= (-n * t0 ** (n - 1)) ** e
-        if not t0 and num and num.valuation() < 0:
-            raise PoleError("pole at t = 0")
-        return num.eval_at(t0) / den
-
-    def subs_neg_t(self):
-        """Substitute t -> -t, writing 1 + t^n as (1 - t^2n) / (1 - t^n)."""
-        num, poles = self.num.subs_neg_t(), {}
-        for n, e in self.poles.items():
-            if n % 2:
-                num = num * _one_minus_tn(n) ** e
-                n *= 2
-            poles[n] = poles.get(n, 0) + e
-        return _ratfunc(num, self.den, poles)
-
-    def to_laurent(self):
-        """Coerce to an integer Laurent polynomial."""
-        if self.poles or self.den != 1:
-            raise InexactDivisionError("not an integer Laurent polynomial: %r" % (self,))
-        return self.num
-
-    def to_fraction(self):
-        if self.poles or (self.num and self.num.terms.keys() != {0}):
-            raise InexactDivisionError("not a constant: %r" % (self,))
-        return Fraction(self.num.coeff(0), self.den)
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        a, b, poles = self.num, other.num, self.poles
-        if not poles and not other.poles and self.den == other.den == 1:
-            return _made(a + b, 1, poles)
-        if poles != other.poles:
-            poles = dict(poles)
-            for n, e in other.poles.items():
-                poles[n] = max(e, poles.get(n, 0))
-            a = a * _cofactor(poles, self.poles)
-            b = b * _cofactor(poles, other.poles)
-        den = lcm(self.den, other.den)
-        return _ratfunc(_scale(a, den // self.den) + _scale(b, den // other.den), den, poles)
-
-    def __neg__(self):
-        return _ratfunc(-self.num, self.den, self.poles)
-
-    def __sub__(self, other):
-        return self + (-_as_ratfunc(other))
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return _times_const(self, other, 1)
-        other = _as_ratfunc(other)
-        if not self.num or not other.num:
-            return RF_ZERO
-        if not other.poles and other.num._terms.keys() == {0}:
-            return _times_const(self, other.num._terms[0], other.den)
-        if not self.poles and self.num._terms.keys() == {0}:
-            return _times_const(other, self.num._terms[0], self.den)
-        poles = self.poles
-        if other.poles:
-            poles = dict(poles)
-            for n, e in other.poles.items():
-                poles[n] = poles.get(n, 0) + e
-        return _ratfunc(self.num * other.num, self.den * other.den, poles)
-
-    def __eq__(self, other):
-        try:
-            other = _as_ratfunc(other)
-        except TypeError:
-            return NotImplemented
-        if self.poles == other.poles:
-            # both contents are prime to their denominators
-            return self.den == other.den and self.num == other.num
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self):
-        poles = tuple(n for n in sorted(self.poles, reverse=True) for _ in range(self.poles[n]))
-        return "RatFunc(%r, %d, poles=%r)" % (self.num, self.den, poles)
-
-
-def _ratfunc(num, den, poles):
-    """A RatFunc from a LaurentPoly, a nonzero int and a pole map, with the
-    common content of ``num`` and ``den`` and every pole factor that divides
-    ``num`` divided out."""
-    rf = RatFunc.__new__(RatFunc)
-    if not num:
-        rf.num, rf.den, rf.poles = ZERO, 1, {}
-        return rf
-    if den < 0:
-        num, den = -num, -den
-    if den != 1:
-        g = gcd(den, *num._terms.values())
-        if g != 1:
-            num, den = _raw({e: c // g for e, c in num._terms.items()}), den // g
-    if poles:
-        kept = {}
-        for n, e in poles.items():
-            while e:
-                q = _over_one_minus_tn(num, n)
-                if q is None:
-                    break
-                num, e = q, e - 1
-            if e:
-                kept[n] = e
-        poles = kept
-    rf.num, rf.den, rf.poles = num, den, poles
-    return rf
-
-
-def _made(num, den, poles):
-    """A RatFunc from parts already in canonical form (0 as 0, 1, {})."""
-    rf = RatFunc.__new__(RatFunc)
-    rf.num, rf.den, rf.poles = num, den, poles
-    return rf
-
-
-def _times_const(x, c, d):
-    """x * c/d for a canonical x, an int c and an int d > 0 prime to c.  A
-    nonzero constant does not change which 1 - t^n divide the numerator, so
-    the poles stay as they are, and the content is reduced by gcd(c, x.den)
-    and gcd(d, content of x.num) alone: the rest of c is prime to d and to
-    x.den, and the rest of d to c and to the content of x.num."""
-    if not c:
-        return RF_ZERO
-    num, den = x.num, x.den
-    g = gcd(c, den)
-    if g != 1:
-        c, den = c // g, den // g
-    if d != 1:
-        g = gcd(d, *num._terms.values())
-        if g != 1:
-            num, d = _raw({e: v // g for e, v in num._terms.items()}), d // g
-    return _made(_scale(num, c), den * d, x.poles)
 
 
 def _over_one_minus_tn(p, n):
@@ -612,12 +383,149 @@ def _over_one_minus_tn(p, n):
     return _raw(q)
 
 
+# -- rational functions for the oracle --------------------------------------
+
+
+def _scale(p, k):
+    return p if k == 1 else _raw({e: c * k for e, c in p._terms.items()})
+
+
+class RatFunc:
+    """num / den in Q[t, 1/t], the coefficient ring of the oracle: ``num`` an
+    integer ``LaurentPoly``, ``den`` a positive int prime to its content, so
+    each value has one form and ``==`` compares the parts.  The oracle's
+    operator coefficients lie in this ring and it pairs only under the Hall
+    form, whose Gram values are integers, so no 1 - t^n ever reaches a
+    denominator and no polynomial gcd is taken.  Not hashable.
+
+    A product by an int or by a constant c/d (on either side) reduces the
+    content by gcd(c, den) and gcd(d, content of num) alone, and a sum of
+    two values with den 1 is the sum of their numerators; both give the
+    form the general reduction would.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num=0, den=1):
+        """num / den: ``num`` an int or a ``LaurentPoly``, ``den`` a nonzero int."""
+        if not isinstance(den, int):
+            raise TypeError("RatFunc denominator must be int, got %r" % (den,))
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        made = _ratfunc(_as_laurent(num), den)
+        self.num, self.den = made.num, made.den
+
+    # -- queries --------------------------------------------------------
+
+    def is_zero(self):
+        return not self.num
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def eval_at(self, t0):
+        """The value at t0 as a ``Fraction``."""
+        return self.num.eval_at(t0) / self.den
+
+    def subs_neg_t(self):
+        """Substitute t -> -t."""
+        return _made(self.num.subs_neg_t(), self.den)
+
+    def to_laurent(self):
+        """Coerce to an integer Laurent polynomial."""
+        if self.den != 1:
+            raise InexactDivisionError("not an integer Laurent polynomial: %r" % (self,))
+        return self.num
+
+    def to_fraction(self):
+        if self.num and self.num.terms.keys() != {0}:
+            raise InexactDivisionError("not a constant: %r" % (self,))
+        return Fraction(self.num.coeff(0), self.den)
+
+    # -- arithmetic -----------------------------------------------------
+
+    def __add__(self, other):
+        other = _as_ratfunc(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den == 1:
+            return _made(self.num + other.num, 1)
+        den = lcm(self.den, other.den)
+        return _ratfunc(_scale(self.num, den // self.den) + _scale(other.num, den // other.den), den)
+
+    def __neg__(self):
+        return _made(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-_as_ratfunc(other))
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _times_const(self, other, 1)
+        other = _as_ratfunc(other)
+        if not self.num or not other.num:
+            return RF_ZERO
+        if other.num._terms.keys() == {0}:
+            return _times_const(self, other.num._terms[0], other.den)
+        if self.num._terms.keys() == {0}:
+            return _times_const(other, self.num._terms[0], self.den)
+        return _ratfunc(self.num * other.num, self.den * other.den)
+
+    def __eq__(self, other):
+        try:
+            other = _as_ratfunc(other)
+        except TypeError:
+            return NotImplemented
+        # both contents are prime to their denominators
+        return self.den == other.den and self.num == other.num
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "RatFunc(%r, %d)" % (self.num, self.den)
+
+
+def _ratfunc(num, den):
+    """A RatFunc from a LaurentPoly and a nonzero int, with the common
+    content of ``num`` and ``den`` divided out (0 as 0 / 1: gcd(den) = |den|)."""
+    if den < 0:
+        num, den = -num, -den
+    if den != 1:
+        g = gcd(den, *num._terms.values())
+        if g != 1:
+            num, den = _raw({e: c // g for e, c in num._terms.items()}), den // g
+    return _made(num, den)
+
+
+def _made(num, den):
+    """A RatFunc from parts already in canonical form (0 as 0 / 1)."""
+    rf = RatFunc.__new__(RatFunc)
+    rf.num, rf.den = num, den
+    return rf
+
+
+def _times_const(x, c, d):
+    """x * c/d for a canonical x, an int c and an int d > 0 prime to c.  The
+    content is reduced by gcd(c, x.den) and gcd(d, content of x.num) alone:
+    the rest of c is prime to d and to x.den, and the rest of d to c and to
+    the content of x.num."""
+    if not c:
+        return RF_ZERO
+    num, den = x.num, x.den
+    g = gcd(c, den)
+    if g != 1:
+        c, den = c // g, den // g
+    if d != 1:
+        g = gcd(d, *num._terms.values())
+        if g != 1:
+            num, d = _raw({e: v // g for e, v in num._terms.items()}), d // g
+    return _made(_scale(num, c), den * d)
+
+
 def _as_ratfunc(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, LaurentPoly)):
-        return RatFunc(x)
-    raise TypeError("cannot coerce %r to RatFunc" % (x,))
+    return x if isinstance(x, RatFunc) else _made(_as_laurent(x), 1)
 
 
 RF_ZERO = RatFunc()

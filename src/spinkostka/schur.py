@@ -67,8 +67,11 @@ def g_coeff(xi, lam):
 
 def count_Ns(lam, s, brute_force=False):
     """Number of hook subshapes rho of lam^(1) (lam minus its first row)
-    with lam^(1)/rho a vertical s-strip; lam a partition (``as_partition``)."""
+    with lam^(1)/rho a vertical s-strip; lam a partition (``as_partition``)
+    and s an int."""
     lam = as_partition(lam, "lam")
+    if type(s) is not int:
+        raise ValueError("s must be an int, got %r" % (s,))
     if brute_force:
         return sum(1 for rho in vertical_strip_subshapes(lam[1:], s) if _is_hook(rho))
     shape = classify_shape(lam)
@@ -88,11 +91,11 @@ def count_Ns(lam, s, brute_force=False):
 
 
 def b_two_row(n, m, lam):
-    """b_{(n-m,m),lam} for 1 <= m < n/2 via the N^(s) counts; lam a
+    """b_{(n-m,m),lam} for ints 1 <= m < n/2 via the N^(s) counts; lam a
     partition of n (``as_partition``)."""
     lam = as_partition(lam, "lam")
-    if not (1 <= m and 2 * m < n):
-        raise ValueError("need 1 <= m < n/2")
+    if type(n) is not int or type(m) is not int or not (1 <= m and 2 * m < n):
+        raise ValueError("need ints n and m with 1 <= m < n/2, got n=%r m=%r" % (n, m))
     if sum(lam) != n:
         raise ValueError("lam must have weight n")
     lam1 = lam[0]

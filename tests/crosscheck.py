@@ -34,12 +34,16 @@ division.
 b-coefficients and a hook term with its own arm, the path that
 ``schur.g_square``'s closed forms replaced.
 
-``t_form_spin_kostka`` and ``t_form_kostka_foulkes`` pair the
-Hall-Littlewood Q_mu(x;t) under the t-deformed form, as the paper defines
-K^- and K, where the oracle pairs the modified Q'_mu under the canonical
-form.
+``t_form_scaled`` is the t-deformed pairing times the common denominator
+D_n = prod_k (1 - t^k)^(n // k) of every Gram value z_lam(t) with
+|lam| <= n, so it holds no pole; ``t_form_pairing`` divides it by D_n
+exactly.  ``t_form_spin_kostka`` and ``t_form_kostka_foulkes`` pair the
+Hall-Littlewood Q_mu(x;t) under the t-deformed form this way, as the paper
+defines K^- and K, where the oracle pairs the modified Q'_mu under the
+canonical form.
 
-``hl_P`` is the Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t), and
+``hl_P`` is the Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t), with each
+coefficient's numerator divided by b_mu(t) exactly, and
 ``g_general`` the coefficient g_{mu,lam} of s_lam in P_mu(x;-1) for any
 partition mu, which the square-shape closed forms are checked against.
 
@@ -71,7 +75,7 @@ from math import factorial
 from operator import ge, gt
 
 from spinkostka.engine import SpinKostkaEngine
-from spinkostka.oracle import PExpansion, hl_Q, inner, multiplicities, schur_q, schur_s, z_stat
+from spinkostka.oracle import PExpansion, hl_Q, multiplicities, schur_q, schur_s, z_stat
 from spinkostka.partitions import as_partition, is_hook, partitions, vertical_strip_subshapes
 from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc, encode
 from spinkostka.schur import b_coeff
@@ -247,29 +251,67 @@ def fraction_eval_at(a, t0):
     return total
 
 
+def _one_minus_tn(n):
+    return LaurentPoly({0: 1, n: -1})
+
+
 def inverse_z_t(lam):
     """1 / z_lam(t) = prod_i (1 - t^lam_i) / z_lam."""
     num = _ONE
     for part in lam:
-        num = num * LaurentPoly({0: 1, part: -1})
+        num = num * _one_minus_tn(part)
     return RatFunc(num, z_stat(lam))
+
+
+@lru_cache(maxsize=None)
+def _scaled_gram(lam, n):
+    """D_n z_lam(t) = z_lam prod_k (1 - t^k)^(n // k - m_k(lam)), where
+    D_n = prod_{k <= n} (1 - t^k)^(n // k) is divisible by prod_i (1 - t^lam_i)
+    for every lam with |lam| <= n; D_n itself is the value at lam = ()."""
+    out = LaurentPoly.const(z_stat(lam))
+    m = Counter(lam)
+    for k in range(1, n + 1):
+        out = out * _one_minus_tn(k) ** (n // k - m[k])
+    return out
+
+
+def t_form_scaled(F, G, n):
+    """D_n <F, G>_t for F and G of weight <= n: each Gram value z_lam(t) is
+    brought over D_n, so the sum holds no pole."""
+    total = RatFunc(0)
+    for lam, a in F.coeffs.items():
+        b = G.coeffs.get(lam)
+        if b is not None:
+            total = total + a * b * RatFunc(_scaled_gram(lam, n))
+    return total
+
+
+def t_form_pairing(F, G, n):
+    """<F, G>_t for F and G of weight <= n whose pairing lies in Q[t, 1/t]:
+    D_n <F, G>_t divided by D_n with one exact division."""
+    scaled = t_form_scaled(F, G, n)
+    return RatFunc(scaled.num.exact_div(_scaled_gram((), n)), scaled.den)
 
 
 def t_form_spin_kostka(xi, mu):
     """K^-_{xi,mu}(t) = <Q_mu(x;t), Q_xi>_t for tuples of equal weight."""
-    return inner(hl_Q(mu), schur_q(xi), "t").to_laurent()
+    return t_form_pairing(hl_Q(mu), schur_q(xi), sum(mu)).to_laurent()
 
 
 def t_form_kostka_foulkes(lam, mu):
     """K_{lam,mu}(t) = <s_lam, Q_mu(x;t)>_t for tuples of equal weight."""
-    return inner(schur_s(lam), hl_Q(mu), "t").to_laurent()
+    return t_form_pairing(schur_s(lam), hl_Q(mu), sum(mu)).to_laurent()
 
 
 def hl_P(mu):
     """Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t) with the standard
-    normalization b_mu(t) = prod_i prod_{j<=m_i} (1 - t^j)."""
-    poles = [j for m in multiplicities(mu).values() for j in range(1, m + 1)]
-    return hl_Q(mu).scale(RatFunc(1, poles=poles))
+    normalization b_mu(t) = prod_i prod_{j<=m_i} (1 - t^j), which divides
+    the numerator of every coefficient of Q_mu(x;t) exactly."""
+    b = _ONE
+    for m in multiplicities(mu).values():
+        for j in range(1, m + 1):
+            b = b * _one_minus_tn(j)
+    return PExpansion({lam: RatFunc(c.num.exact_div(b), c.den) for lam, c in hl_Q(mu).coeffs.items()})
 
 
 def g_general(mu, lam):

@@ -5,6 +5,7 @@ import ast
 import glob
 import os
 from collections import namedtuple
+from functools import partial
 from itertools import product
 
 import pytest
@@ -73,7 +74,6 @@ def _entries(n, k, xi, mu, lam):
 # input instead of raising, and so are not in _entries.
 EXEMPT = {
     "InexactDivisionError": "an exception type",
-    "PoleError": "an exception type",
     "LaurentPoly": "takes an exponent -> int dict, checked in test_polynomial",
     "partitions": "takes an int n",
     "strict_partitions": "takes an int n",
@@ -134,6 +134,28 @@ def test_every_public_callable_is_an_entry_or_exempt():
     public = {name for name in spinkostka.__all__ if callable(getattr(spinkostka, name))}
     assert public - covered - set(EXEMPT) == set()
     assert set(EXEMPT) <= public - covered, "stale exemptions"
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        (b_two_row, (4.0, 1, (2, 2)), "n"),
+        (b_two_row, (True, 1, (1,)), "n"),
+        (b_two_row, (5, 1.0, (3, 2)), "m"),
+        (b_two_row, (5, True, (3, 2)), "m"),
+        (count_Ns, ((3, 1), True), "s"),
+        (count_Ns, ((3, 1), 1.5), "s"),
+        (count_Ns, ((3, 1), 1.0), "s"),
+        (partial(count_Ns, brute_force=True), ((3, 1), True), "s"),
+        (kostka_hook, (True, 0, (1,)), "n"),
+        (g_square, (True, (1, 1)), "r"),
+    ],
+)
+def test_int_arguments_reject_floats_and_bools(fn, args, name):
+    """An int argument takes only an int: a float or a bool that equals one
+    raises a ValueError that names the argument."""
+    with pytest.raises(ValueError, match=r"\b%s=|^%s " % (name, name)):
+        fn(*args)
 
 
 def test_as_partition():

@@ -12,6 +12,7 @@ from crosscheck import (
     package_imports,
     reference_apply_component,
     t_form_kostka_foulkes,
+    t_form_scaled,
     t_form_spin_kostka,
 )
 from spinkostka import oracle
@@ -25,6 +26,7 @@ from spinkostka.oracle import (
     hl_Q_prime,
     htilde,
     inner,
+    inner_at_minus_one,
     op_e,
     op_e_minus,
     op_H,
@@ -44,7 +46,6 @@ from spinkostka.oracle import (
     schur_s,
     u_stat,
     verify_relations,
-    z_t,
 )
 from spinkostka.partitions import partitions, strict_partitions
 from spinkostka.polynomial import LaurentPoly, RatFunc, RF_ONE, RF_ZERO
@@ -55,7 +56,6 @@ def test_q_n_power_sum_expansion():
     for n in range(0, 6):
         q = hl_Q((n,)) if n else hl_Q(())
         for lam in partitions(n):
-            assert z_t(lam) * inverse_z_t(lam) == 1, lam
             assert q.coeffs.get(lam, RF_ZERO) == inverse_z_t(lam), lam
 
 
@@ -78,23 +78,25 @@ def test_schur_function_expansions():
 
 
 def test_adjointness_of_each_operator_pair():
-    """<A_n u, v> = <u, A*_n v> on a spanning sample, for each operator and
-    its adjoint under the form it was built for."""
+    """<A_n u, v> = <u, A*_n v> on a spanning sample, for H', Q, htilde, S+
+    and e+ with their adjoints under the Hall form, and for H with H* under
+    the t-deformed form, through the test-side pairing (times D_5, which
+    holds its poles, as u and v have weight <= 5)."""
     pairs = (
-        (op_H, op_H_star, "t"),
-        (op_H_prime, adjoint_spec(op_H_prime, "zero"), "zero"),
-        (op_Q, op_Q_star, "t"),
-        (op_htilde, op_htilde_star, "t"),
-        (op_S_plus, op_S_minus, "zero"),
-        (op_e, op_e_minus, "zero"),
+        (op_H_prime, adjoint_spec(op_H_prime), inner),
+        (op_Q, op_Q_star, inner),
+        (op_htilde, op_htilde_star, inner),
+        (op_S_plus, op_S_minus, inner),
+        (op_e, op_e_minus, inner),
+        (op_H, op_H_star, lambda F, G: t_form_scaled(F, G, 5)),
     )
-    for op, adj, form in pairs:
+    for op, adj, pair in pairs:
         for n in (1, 2, 3):
             for lam_u in (lam for d in range(3) for lam in partitions(d)):
                 for lam_v in partitions(sum(lam_u) + n):
                     u = PExpansion({lam_u: RF_ONE})
                     v = PExpansion({lam_v: RF_ONE})
-                    assert inner(op(n, u), v, form) == inner(u, adj(n, v), form), (op.name, n, lam_u, lam_v)
+                    assert pair(op(n, u), v) == pair(u, adj(n, v)), (op.name, n, lam_u, lam_v)
 
 
 def test_q_prime_is_q_under_x_over_one_minus_t():
@@ -201,14 +203,23 @@ def test_schur_q_orthogonality_at_minus_one():
     for n in range(1, 6):
         for lam in strict_partitions(n):
             for xi in strict_partitions(n):
-                value = inner(schur_q(lam), schur_q(xi), "t").eval_at(-1)
+                value = inner_at_minus_one(schur_q(lam), schur_q(xi))
                 want = Fraction(2 ** len(lam)) if lam == xi else Fraction(0)
                 assert value == want, (lam, xi)
 
 
+def test_inner_at_minus_one_refuses_an_even_part():
+    """z_lam(t) has a pole at t = -1 when lam has an even part, so a shared
+    key with one raises, and a key only one side holds does not."""
+    with pytest.raises(ValueError, match=r"lam=\(2, 1\) has an even part"):
+        inner_at_minus_one(schur_s((3,)), hl_Q((3,)))
+    assert inner_at_minus_one(PExpansion({(2,): RF_ONE}), schur_q((1,))) == 0
+    assert inner_at_minus_one(PExpansion({(3,): RF_ONE, (2,): RF_ONE}), schur_q((3,))) == 1
+
+
 def _clear_oracle_caches():
-    """Clear every cache the oracle module defines: the basis vectors, the
-    coefficient and term tables and z_t."""
+    """Clear every cache the oracle module defines: the basis vectors and
+    the coefficient and term tables."""
     for value in vars(oracle).values():
         if hasattr(value, "cache_clear") and value.__module__ == oracle.__name__:
             value.cache_clear()
@@ -216,12 +227,12 @@ def _clear_oracle_caches():
 
 def _random_vector(rng, degree=5, terms=5):
     """A p-expansion over partitions of mixed weights <= degree, with
-    rational coefficients that carry pole factors."""
+    coefficients in Q[t, 1/t]."""
     pool = [lam for d in range(degree + 1) for lam in partitions(d)]
     coeffs = {}
     for lam in rng.sample(pool, terms):
         num = LaurentPoly({e: rng.randint(-3, 3) for e in range(-1, 2)})
-        coeffs[lam] = RatFunc(num, rng.randint(1, 4), poles=rng.sample(range(1, 4), rng.randint(0, 2)))
+        coeffs[lam] = RatFunc(num, rng.randint(1, 4))
     return PExpansion(coeffs)
 
 
@@ -313,23 +324,41 @@ def test_verify_relations_memo_lives_in_one_call(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_verify_relations_reports_a_broken_relation(monkeypatch):
-    """A wrong creation coefficient for H fails the relations built on it,
-    memo or not."""
+def _perturbed_report(monkeypatch, name, spec):
+    """verify_relations with spec's creation coefficient at n = 2 doubled
+    under the module name ``name``; htilde's Hall adjoint is rebuilt from a
+    perturbed htilde, as the module builds it."""
     def creation(n):
-        return op_H.creation(n) * (2 if n == 2 else 1)
+        return spec.creation(n) * (2 if n == 2 else 1)
 
-    monkeypatch.setattr(oracle, "op_H", replace(op_H, name="H-perturbed", creation=creation))
+    perturbed = replace(spec, name=spec.name + "-perturbed", creation=creation)
+    monkeypatch.setattr(oracle, name, perturbed)
+    if name == "op_htilde":
+        monkeypatch.setattr(oracle, "op_htilde_star", adjoint_spec(perturbed))
     _clear_oracle_caches()
     try:
         report = verify_relations(max_degree=2, seed=0, vector_degree=3)
     finally:
         _clear_oracle_caches()
-    status = {r.name: r.passed for r in report.results}
     assert not report.ok
+    assert all(r.seconds >= 0 for r in report.results)
+    return {r.name: r.passed for r in report.results}
+
+
+def test_verify_relations_reports_a_broken_relation(monkeypatch):
+    """A wrong creation coefficient for H fails the relations built on it,
+    memo or not; one for H' or for htilde fails rel2 and hH, which are
+    checked with H' and htilde's Hall adjoint.  The Clifford relation, on Q
+    alone, passes each time."""
+    status = _perturbed_report(monkeypatch, "op_H", op_H)
     assert not status["com1 (H quadratic relation)"]
     assert status["clifford (Q anticommutator)"]
-    assert all(r.seconds >= 0 for r in report.results)
+    for name, spec in (("op_H_prime", op_H_prime), ("op_htilde", op_htilde)):
+        monkeypatch.undo()
+        status = _perturbed_report(monkeypatch, name, spec)
+        assert not status["rel2 (htilde* past H)"], name
+        assert not status["hH (htilde* through H-word, on vacuum)"], name
+        assert status["clifford (Q anticommutator)"], name
 
 
 def test_verify_relations_quick():
