@@ -32,7 +32,7 @@ computing it (the proof is at ``polynomial.SLOT_BITS``).
 from __future__ import annotations
 
 from .partitions import _dominates, as_partition, n_stat, shifted_tableaux_count
-from .polynomial import SLOT_BITS, SLOT_LIMIT, ZERO, LaurentPoly, decode, encode, t_binomial
+from .polynomial import SLOT_BITS, ZERO, LaurentPoly, decode, encode, t_binomial
 from .straighten import Straightener
 
 
@@ -178,11 +178,16 @@ class SpinKostkaEngine:
         n = sum(xi)
         if n != sum(mu):
             return ZERO
-        bound = shifted_tableaux_count(xi) << n
-        if bound >= SLOT_LIMIT:
+        # 2^n g^xi has n + bit_length(g^xi) bits, and it fits the slot (is
+        # below SLOT_LIMIT) when they are fewer than SLOT_BITS.  From
+        # n = SLOT_BITS - 1 on, 2^n alone does not fit, so g^xi is not computed.
+        exact = n < SLOT_BITS - 1
+        bits = n + (shifted_tableaux_count(xi).bit_length() if exact else 1)
+        if bits >= SLOT_BITS:
             raise ValueError(
-                "xi=%r mu=%r: K^- coefficients may reach 2^n g^xi = %d, past the %d-bit slot"
-                % (xi, mu, bound, SLOT_BITS)
+                "xi=%r mu=%r: K^- coefficients may reach 2^n g^xi, a number of %s%d bits, "
+                "past the %d-bit slot"
+                % (xi, mu, "" if exact else "at least ", bits, SLOT_BITS)
             )
         return decode(self._compute(xi, mu))
 

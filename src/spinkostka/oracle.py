@@ -24,8 +24,10 @@ fixes 1; <F, G>_t = <F, phi G>, and A's Hall adjoint is phi A* phi^-1 for A*
 its t-adjoint.  So the entries pair Q'_mu = phi Q_mu, built by Jing's
 modified vertex operator H' = phi H phi^-1 (Jing, Adv. Math. 1991;
 Macdonald III.7), and the relations that pair H with htilde's t-adjoint are
-checked with H' and htilde's Hall adjoint.  H's own t-adjoint H* is
-pole-free (``op_H_star``), so every coefficient lies in Q[t, 1/t].
+checked with H' and htilde's Hall adjoint.  H's own t-adjoint is
+H* = phi^-1 H^dagger phi = (phi H phi^-1)^dagger, H''s Hall adjoint
+(``op_H_star``), as phi is Hall-self-adjoint; so every coefficient lies in
+Q[t, 1/t].
 
 Vectors are exact and never truncated, so the basis caches are keyed on
 the shape alone, and an entry runs at any weight it is asked for.
@@ -110,9 +112,6 @@ class PExpansion:
     def zero(cls):
         return cls({})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
@@ -130,18 +129,6 @@ class PExpansion:
         if not c:
             return PExpansion.zero()
         return PExpansion({lam: v * c for lam, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for lam, a in self.coeffs.items():
-            for mu, b in other.coeffs.items():
-                key = tuple(sorted(lam + mu, reverse=True))
-                s = out.get(key, RF_ZERO) + a * b
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return PExpansion(out)
 
     def subs_neg_t(self):
         return PExpansion({lam: c.subs_neg_t() for lam, c in self.coeffs.items()})
@@ -161,7 +148,7 @@ class OperatorSpec:
     """One vertex operator.  ``creation(n)`` is the coefficient of p_n z^n,
     ``annihilation(n)`` of d/dp_n z^-n.  Called as ``op(n, F)``, it gives its
     component in the paper's indexing: the z^n component when ``sign`` is +1
-    (H, H', Q, S+, htilde, e+), the z^-n one when it is -1, which the
+    (H, H', Q, S+, htilde, e+, q), the z^-n one when it is -1, which the
     adjoints set.  The term tables are keyed on the sequence
     objects, so specs that share a sequence object fill its tables once."""
 
@@ -186,6 +173,8 @@ op_htilde = OperatorSpec(
     "htilde", lambda n: RatFunc(LaurentPoly({0: -((-1) ** n), n: 1}), n), lambda n: RF_ZERO
 )
 op_e = OperatorSpec("e+", lambda n: RatFunc((-1) ** (n + 1), n), op_htilde.annihilation)
+# multiplication by q_n = H_n.1: H's creation side alone
+op_q = OperatorSpec("q", op_H.creation, op_htilde.annihilation)
 
 
 def adjoint_spec(spec):
@@ -205,10 +194,9 @@ def adjoint_spec(spec):
     return OperatorSpec(spec.name + "*", creation, annihilation, -spec.sign)
 
 
-# H's adjoint under the t-deformed form, where the adjoint of p_n is
-# (n / (1 - t^n)) d/dp_n: H's creation (1 - t^n)/n becomes the annihilation
-# 1 and its annihilation -1 the creation -(1 - t^n)/n, so no pole is left
-op_H_star = OperatorSpec("H*", lambda n: RatFunc(-_one_minus_tn(n), n), lambda n: RF_ONE, -1)
+# H's t-adjoint H* (creation -(1 - t^n)/n, annihilation 1): phi conjugates it
+# to H's Hall adjoint, so it is H''s Hall adjoint
+op_H_star = adjoint_spec(op_H_prime)
 op_Q_star = adjoint_spec(op_Q)
 # annihilation t^n - (-1)^n: phi conjugates htilde's t-adjoint to it
 op_htilde_star = adjoint_spec(op_htilde)
@@ -480,8 +468,15 @@ def _random_pexp(rng, degree, odd_only=False):
 
 def verify_relations(max_degree=3, seed=0, vector_degree=None):
     """Check the quadratic operator relations and the iterative formulas on
-    pseudo-random vectors.  Failures become report entries, not exceptions;
-    each entry carries the seconds its check took.
+    pseudo-random vectors of weight <= vector_degree (max_degree when None).
+    ``ValueError`` unless both are ints >= 0.
+
+    Each relation yields (lhs, rhs, case) over its cases, and one driver
+    compares the sides: a relation fails at its first case whose sides
+    differ, and its report entry names that case.  Failures and exceptions
+    become report entries, not raised; each entry carries the seconds its
+    check took.  A product by htilde_n, e_n or q_n is applied as its
+    multiplication operator (``op_htilde``, ``op_e``, ``op_q``).
 
     The checks apply the same operators to the same vectors many times over,
     so their operator applications share one memo, keyed on (operator, index,
@@ -491,6 +486,11 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     local to the call and is dropped when the call returns or raises.  The
     basis words on the vacuum (Q-, H-, H'- and S+-words) come from the
     module's caches ``schur_q``, ``hl_Q``, ``hl_Q_prime`` and ``schur_s``."""
+    if vector_degree is None:
+        vector_degree = max_degree
+    for name, value in (("max_degree", max_degree), ("vector_degree", vector_degree)):
+        if type(value) is not int or value < 0:
+            raise ValueError("%s must be an int >= 0, got %r" % (name, value))
     memo = {}
 
     def memoized(op):
@@ -506,29 +506,26 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     H, H_star, Q, Q_star = map(memoized, (op_H, op_H_star, op_Q, op_Q_star))
     S_minus, e_plus, e_minus = map(memoized, (op_S_minus, op_e, op_e_minus))
     H_prime, htilde_star = memoized(op_H_prime), memoized(op_htilde_star)
+    htilde_times, q_times = memoized(op_htilde), memoized(op_q)
     rng = random.Random(seed)
-    if vector_degree is None:
-        vector_degree = max_degree
     vectors = [_random_pexp(rng, vector_degree) for _ in range(2)]
     # The Clifford relation for the tailored Q(z) holds exactly on the
     # subalgebra generated by odd power sums (the residual normal-ordered
     # factor :Q(z)Q(-z): is a series in derivatives by even power sums,
     # which annihilate that subalgebra); test it there.
     odd_vectors = [_random_pexp(rng, vector_degree, odd_only=True) for _ in range(2)]
-    vacuum = PExpansion.vacuum()
+    vacuum, zero = PExpansion.vacuum(), PExpansion.zero()
     report = Report()
-    t_rf = RatFunc(T)
+    t_rf, one_plus_t = RatFunc(T), RatFunc(ONE + T)
     rng_idx = range(-max_degree, max_degree + 1)
 
-    def check(name, fn):
+    def check(name, relation):
         start = time.perf_counter()
         try:
-            witness = fn()
+            detail = next((case for lhs, rhs, case in relation if lhs != rhs), "")
         except Exception as exc:  # report, never raise
-            passed, detail = False, "error: %r" % (exc,)
-        else:
-            passed, detail = witness is None, witness or ""
-        report.record(name, passed, detail, time.perf_counter() - start)
+            detail = "error: %r" % (exc,)
+        report.record(name, not detail, detail, time.perf_counter() - start)
 
     def exchange(A, B, a, b, delta=None):
         """A_m B_n - t B_n A_m = t A_{m+a} B_{n+b} - B_{n+b} A_{m+a}, plus
@@ -540,209 +537,134 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                     rhs = A(m + a, B(n + b, v)).scale(t_rf) - B(n + b, A(m + a, v))
                     if delta is not None and m == n:
                         rhs = rhs + v.scale(delta)
-                    if not (lhs - rhs).is_zero():
-                        return "m=%d n=%d" % (m, n)
-        return None
+                    yield lhs, rhs, "m=%d n=%d" % (m, n)
 
     def com4():
         for n in range(0, max_degree + 1):
+            want = vacuum if n == 0 else zero
             for op, adj in ((H, H_star), (Q, Q_star)):
-                got = op(-n, vacuum)
-                want = vacuum if n == 0 else PExpansion.zero()
-                if not (got - want).is_zero():
-                    return "creation n=%d" % n
-                got = adj(n, vacuum)
-                if not (got - want).is_zero():
-                    return "adjoint n=%d" % n
-        return None
+                yield op(-n, vacuum), want, "creation n=%d" % n
+                yield adj(n, vacuum), want, "adjoint n=%d" % n
 
     def clifford():
         for v in odd_vectors:
             for m in rng_idx:
                 for n in rng_idx:
-                    lhs = Q(m, Q(n, v)) + Q(n, Q(m, v))
-                    if m == -n:
-                        lhs = lhs - v.scale(2 * ((-1) ** abs(n)))
-                    if not lhs.is_zero():
-                        return "m=%d n=%d" % (m, n)
-        return None
+                    rhs = v.scale(2 * (-1) ** abs(n)) if m == -n else zero
+                    yield Q(m, Q(n, v)) + Q(n, Q(m, v)), rhs, "m=%d n=%d" % (m, n)
 
     def adjacent_swap():
         for v in vectors:
             for n in rng_idx:
-                lhs = H(n, H(n + 1, v))
-                rhs = H(n + 1, H(n, v)).scale(t_rf)
-                if not (lhs - rhs).is_zero():
-                    return "n=%d" % n
+                yield H(n, H(n + 1, v)), H(n + 1, H(n, v)).scale(t_rf), "n=%d" % n
                 lhs = H_star(n, H_star(n - 1, v))
-                rhs = H_star(n - 1, H_star(n, v)).scale(t_rf)
-                if not (lhs - rhs).is_zero():
-                    return "adjoint n=%d" % n
-        return None
+                yield lhs, H_star(n - 1, H_star(n, v)).scale(t_rf), "adjoint n=%d" % n
 
     def rel1():
-        tinv = RatFunc(LaurentPoly.term(1, -1))
+        tinv = RatFunc(ONE.shift(-1))
         two_1_tinv = RatFunc(LaurentPoly({0: 2, -1: -2}))
         for v in vectors:
             for n in rng_idx:
                 for m in rng_idx:
-                    lhs = H_star(n, Q(m, v))
-                    rhs = (
-                        H_star(n - 1, Q(m - 1, v)).scale(tinv)
-                        + Q(m, H_star(n, v)).scale(tinv)
-                        + Q(m - 1, H_star(n - 1, v)).scale(tinv)
-                    )
-                    if m - n >= 0:
-                        rhs = rhs + (htilde(m - n) * v).scale(two_1_tinv)
-                    if not (lhs - rhs).is_zero():
-                        return "n=%d m=%d" % (n, m)
-        return None
+                    rhs = H_star(n - 1, Q(m - 1, v)) + Q(m, H_star(n, v)) + Q(m - 1, H_star(n - 1, v))
+                    rhs = rhs.scale(tinv)
+                    if m >= n:
+                        rhs = rhs + htilde_times(m - n, v).scale(two_1_tinv)
+                    yield H_star(n, Q(m, v)), rhs, "n=%d m=%d" % (n, m)
 
     def rel2():
-        one_plus_t = RatFunc(ONE + T)
         for v in vectors:
             for m in range(0, max_degree + 1):
                 for n in rng_idx:
-                    lhs = htilde_star(m, H_prime(n, v))
                     rhs = H_prime(n, htilde_star(m, v))
                     for k in range(m):
-                        term = H_prime(n - m + k, htilde_star(k, v)).scale(one_plus_t)
-                        shift = RatFunc(LaurentPoly.term(1, m - k - 1))
-                        rhs = rhs + term.scale(shift)
-                    if not (lhs - rhs).is_zero():
-                        return "m=%d n=%d" % (m, n)
-        return None
+                        term = H_prime(n - m + k, htilde_star(k, v))
+                        rhs = rhs + term.scale(RatFunc((ONE + T).shift(m - k - 1)))
+                    yield htilde_star(m, H_prime(n, v)), rhs, "m=%d n=%d" % (m, n)
 
     def rel3():
-        one_plus_t = RatFunc(ONE + T)
         for v in vectors:
             for m in range(0, max_degree + 1):
                 for n in rng_idx:
-                    lhs = Q(n, htilde(m) * v)
-                    rhs = htilde(m) * Q(n, v)
+                    rhs = htilde_times(m, Q(n, v))
                     for k in range(m):
-                        sign = -1 if (m - k) % 2 else 1
-                        term = htilde(k) * Q(n - k + m, v)
-                        rhs = rhs + term.scale(one_plus_t).scale(sign)
-                    if not (lhs - rhs).is_zero():
-                        return "m=%d n=%d" % (m, n)
-        return None
+                        term = htilde_times(k, Q(n - k + m, v))
+                        rhs = rhs + term.scale(one_plus_t * (-1) ** (m - k))
+                    yield Q(n, htilde_times(m, v)), rhs, "m=%d n=%d" % (m, n)
 
     def peel(op_star, gen):
-        """op_star_k Q_xi.1 = 2 sum_i (-1)^i gen(xi_i - k) Q_{xi without xi_i}.1."""
+        """op_star_k Q_xi.1 = 2 sum_i (-1)^i gen_(xi_i - k) Q_{xi without xi_i}.1,
+        gen a multiplication operator."""
         for xi in strict_partitions(min(max_degree + 2, 6)):
-            if not xi:
-                continue
             for k in range(1, max_degree + 2):
-                lhs = op_star(k, schur_q(xi))
-                rhs = PExpansion.zero()
+                rhs = zero
                 for i, part in enumerate(xi):
-                    if part - k < 0:
-                        continue
-                    sign = -1 if i % 2 else 1
-                    xi_hat = xi[:i] + xi[i + 1:]
-                    term = gen(part - k) * schur_q(xi_hat)
-                    rhs = rhs + term.scale(2 * sign)
-                if not (lhs - rhs).is_zero():
-                    return "xi=%r k=%d" % (xi, k)
-        return None
+                    if part >= k:
+                        term = gen(part - k, schur_q(xi[:i] + xi[i + 1:]))
+                        rhs = rhs + term.scale(-2 if i % 2 else 2)
+                yield op_star(k, schur_q(xi)), rhs, "xi=%r k=%d" % (xi, k)
 
     def hH_on_vacuum():
-        one_plus_t = RatFunc(ONE + T)
         for mu in partitions(min(max_degree + 2, 6)):
-            if not mu:
-                continue
             for k in range(0, max_degree + 1):
-                lhs = htilde_star(k, hl_Q_prime(mu))
-                rhs = PExpansion.zero()
+                rhs = zero
                 for tau in weak_compositions(k, len(mu)):
                     l = support_size(tau)
-                    vec = tuple(m - t for m, t in zip(mu, tau))
-                    term = hl_Q_prime(vec)
-                    coeff = RatFunc(LaurentPoly.term(1, k - l))
-                    for _ in range(l):
-                        coeff = coeff * one_plus_t
-                    rhs = rhs + term.scale(coeff)
-                if not (lhs - rhs).is_zero():
-                    return "mu=%r k=%d" % (mu, k)
-        return None
+                    term = hl_Q_prime(tuple(m - t for m, t in zip(mu, tau)))
+                    rhs = rhs + term.scale(RatFunc(((ONE + T) ** l).shift(k - l)))
+                yield htilde_star(k, hl_Q_prime(mu)), rhs, "mu=%r k=%d" % (mu, k)
 
     def gS_on_vacuum():
         for lam in partitions(min(max_degree + 2, 6)):
             for k in range(0, max_degree + 1):
-                lhs = e_minus(k, schur_s(lam))
-                rhs = PExpansion.zero()
-                for rho in vertical_strip_subshapes(lam, k):
-                    rhs = rhs + schur_s(rho)
-                if not (lhs - rhs).is_zero():
-                    return "lam=%r k=%d" % (lam, k)
-        return None
+                rhs = sum(map(schur_s, vertical_strip_subshapes(lam, k)), zero)
+                yield e_minus(k, schur_s(lam)), rhs, "lam=%r k=%d" % (lam, k)
 
     def q_norm():
         one_minus_t = RatFunc(ONE - T)
         for n in range(1, max_degree + 2):
-            if inner(hl_Q((n,)), hl_Q_prime((n,))) != one_minus_t:
-                return "n=%d" % n
-        return None
+            yield inner(hl_Q((n,)), hl_Q_prime((n,))), one_minus_t, "n=%d" % n
 
     def q_orthogonality_spin():
         for n in range(1, min(max_degree + 2, 7)):
             for lam in strict_partitions(n):
                 for xi in strict_partitions(n):
-                    value = inner_at_minus_one(schur_q(lam), schur_q(xi))
-                    want = Fraction(2 ** len(lam)) if lam == xi else Fraction(0)
-                    if value != want:
-                        return "lam=%r xi=%r" % (lam, xi)
-        return None
+                    want = 2 ** len(lam) if lam == xi else 0
+                    yield inner_at_minus_one(schur_q(lam), schur_q(xi)), want, "lam=%r xi=%r" % (lam, xi)
 
     def schur_orthonormal():
         for n in range(0, max_degree + 2):
             for lam in partitions(n):
                 for mu in partitions(n):
-                    value = inner(schur_s(lam), schur_s(mu))
                     want = RF_ONE if lam == mu else RF_ZERO
-                    if value != want:
-                        return "lam=%r mu=%r" % (lam, mu)
-        return None
+                    yield inner(schur_s(lam), schur_s(mu)), want, "lam=%r mu=%r" % (lam, mu)
 
     def htilde_neg_t():
         for n in range(0, max_degree + 2):
-            lhs = htilde(n).subs_neg_t()
-            rhs = PExpansion.zero()
+            rhs = zero
             for lam in partitions(n):
-                q_lam = PExpansion.vacuum()
+                q_lam = vacuum
                 for part in lam:
-                    q_lam = q_lam * hl_Q((part,))
+                    q_lam = q_times(part, q_lam)
                 rhs = rhs + q_lam.scale(eps(lam) * u_stat(lam))
-            if not (lhs - rhs).is_zero():
-                return "n=%d" % n
-        return None
+            yield htilde(n).subs_neg_t(), rhs, "n=%d" % n
 
-    checks = [
-        ("com1 (H quadratic relation)", lambda: exchange(H, H, 1, -1)),
-        ("com2 (H* quadratic relation)", lambda: exchange(H_star, H_star, -1, 1)),
-        (
-            "com3 (H/H* cross relation with delta term)",
-            lambda: exchange(H, H_star, -1, -1, RatFunc(ONE - T) * RatFunc(ONE - T)),
-        ),
-        ("com4 (vacuum annihilation)", com4),
-        ("clifford (Q anticommutator)", clifford),
-        ("adjacent swap (H / H*)", adjacent_swap),
-        ("rel1 (H* past Q)", rel1),
-        ("rel2 (htilde* past H)", rel2),
-        ("rel3 (Q past htilde)", rel3),
-        ("iterative (H* through Q-word, on vacuum, k >= 1)", lambda: peel(H_star, htilde)),
-        ("hH (htilde* through H-word, on vacuum)", hH_on_vacuum),
-        (
-            "iterative2 (S- through Q-word, on vacuum, k >= 1)",
-            lambda: peel(S_minus, lambda n: e_plus(n, vacuum)),
-        ),
-        ("gS (e- through S-word, on vacuum)", gS_on_vacuum),
-        ("q norm <q_n,q_n> = 1-t", q_norm),
-        ("Q orthogonality at t=-1", q_orthogonality_spin),
-        ("Schur orthonormality", schur_orthonormal),
-        ("htilde(-t) expansion in q_lam", htilde_neg_t),
-    ]
-    for name, fn in checks:
-        check(name, fn)
+    check("com1 (H quadratic relation)", exchange(H, H, 1, -1))
+    check("com2 (H* quadratic relation)", exchange(H_star, H_star, -1, 1))
+    delta = RatFunc((ONE - T) ** 2)
+    check("com3 (H/H* cross relation with delta term)", exchange(H, H_star, -1, -1, delta))
+    check("com4 (vacuum annihilation)", com4())
+    check("clifford (Q anticommutator)", clifford())
+    check("adjacent swap (H / H*)", adjacent_swap())
+    check("rel1 (H* past Q)", rel1())
+    check("rel2 (htilde* past H)", rel2())
+    check("rel3 (Q past htilde)", rel3())
+    check("iterative (H* through Q-word, on vacuum, k >= 1)", peel(H_star, htilde_times))
+    check("hH (htilde* through H-word, on vacuum)", hH_on_vacuum())
+    check("iterative2 (S- through Q-word, on vacuum, k >= 1)", peel(S_minus, e_plus))
+    check("gS (e- through S-word, on vacuum)", gS_on_vacuum())
+    check("q norm <q_n,q_n> = 1-t", q_norm())
+    check("Q orthogonality at t=-1", q_orthogonality_spin())
+    check("Schur orthonormality", schur_orthonormal())
+    check("htilde(-t) expansion in q_lam", htilde_neg_t())
     return report

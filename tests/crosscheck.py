@@ -51,6 +51,9 @@ partition mu, which the square-shape closed forms are checked against.
 the grouping of the annihilation side: every (lam, sigma) term meets every
 creation term on its own.
 
+``reference_product`` multiplies two p-expansions term by term, where the
+oracle multiplies by h~_n, e_n and q_n with their multiplication operators.
+
 ``is_palindromic`` tests a ``LaurentPoly`` for palindromic coefficients,
 a property that only the tests ask about.
 
@@ -77,7 +80,7 @@ from operator import ge, gt
 from spinkostka.engine import SpinKostkaEngine
 from spinkostka.oracle import PExpansion, hl_Q, multiplicities, schur_q, schur_s, z_stat
 from spinkostka.partitions import as_partition, is_hook, partitions, vertical_strip_subshapes
-from spinkostka.polynomial import InexactDivisionError, LaurentPoly, RatFunc, encode
+from spinkostka.polynomial import RF_ZERO, InexactDivisionError, LaurentPoly, RatFunc, encode
 from spinkostka.schur import b_coeff
 
 _ZERO = LaurentPoly()
@@ -370,6 +373,20 @@ def reference_apply_component(spec, m, F):
                     key = tuple(sorted(base + list(rho), reverse=True))
                     term = scalar * _reference_exp_coeff(spec.creation, rho)
                     out[key] = out.get(key, RatFunc(0)) + term
+    return PExpansion(out)
+
+
+def reference_product(F, G):
+    """The product of the p-expansions F and G, term by term."""
+    out = {}
+    for lam, a in F.coeffs.items():
+        for mu, b in G.coeffs.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            s = out.get(key, RF_ZERO) + a * b
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
     return PExpansion(out)
 
 

@@ -110,6 +110,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["compute", "--xi", "11,8,5,3,1", "--mu", "28"])  # past the slot
     assert exc.value.code == 2
     assert "past the 64-bit slot" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--xi", "20000", "--mu", "20000"])  # 2^n has over 4300 digits
+    assert exc.value.code == 2
+    assert "at least 20001 bits, past the 64-bit slot" in capsys.readouterr().err
     memo = tmp_path / "memo.json"
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "4", "--cache", str(memo)])  # no such option

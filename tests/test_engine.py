@@ -415,6 +415,23 @@ def test_slot_guard_refuses_a_cell_before_any_work():
     assert spin_kostka((40,), (40,)) == LaurentPoly.const(2)
 
 
+def test_slot_guard_names_the_bound_by_its_bit_length():
+    """From weight SLOT_BITS - 1 = 63 on, 2^n alone passes the slot, so the
+    refusal comes before g^xi is computed and names a lower bound on the
+    bits; below it names their exact number.  At weight 15,000, 2^n has more
+    decimal digits than Python converts to a string by default."""
+    assert spin_kostka((62,), (62,)) == LaurentPoly.const(2)
+    assert (shifted_tableaux_count((11, 8, 5, 3, 1)) << 28).bit_length() == 64
+    for xi, bits in (((63,), "at least 64"), ((15000,), "at least 15001"), ((11, 8, 5, 3, 1), "64")):
+        pattern = r"2\^n g\^xi, a number of %s bits, past the 64-bit slot$" % bits
+        with pytest.raises(ValueError, match=pattern):
+            SpinKostkaEngine().spin_kostka(xi, (sum(xi),))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^xi=\(100000,\) mu=\(100000,\): .* at least 100001 bits"):
+        spin_kostka((100000,), (100000,))
+    assert time.perf_counter() - start < 0.1
+
+
 def test_engine_imports_only_partitions_polynomial_and_straighten():
     """The invariants check the engine's values, so the engine does not
     import them: of the package it imports only partitions, polynomial and

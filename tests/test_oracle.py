@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from crosscheck import (
     inverse_z_t,
     package_imports,
     reference_apply_component,
+    reference_product,
     t_form_kostka_foulkes,
     t_form_scaled,
     t_form_spin_kostka,
@@ -34,6 +36,7 @@ from spinkostka.oracle import (
     op_H_star,
     op_htilde,
     op_htilde_star,
+    op_q,
     op_Q,
     op_Q_star,
     op_S_minus,
@@ -194,9 +197,32 @@ def test_htilde_neg_t_is_q_combination():
         for lam in partitions(n):
             q_lam = PExpansion.vacuum()
             for part in lam:
-                q_lam = q_lam * hl_Q((part,))
+                q_lam = reference_product(q_lam, hl_Q((part,)))
             rhs = rhs + q_lam.scale(eps(lam) * u_stat(lam))
         assert lhs == rhs, n
+
+
+def test_multiplication_operators_match_the_reference_product():
+    """htilde, e+ and q, applied as operators, multiply by h~_n, e_n and
+    q_n: for n <= 5 each gives the term-by-term product with that vector on
+    the vacuum, the zero vector, vectors of mixed weight and basis vectors."""
+    rng = random.Random(5)
+    vacuum = PExpansion.vacuum()
+    vectors = [vacuum, PExpansion.zero()] + [_random_vector(rng) for _ in range(3)]
+    vectors += [hl_Q((2, 1, 1)), schur_q((3, 1)), schur_s((2, 2)), hl_Q_prime((3, 2))]
+    for n in range(6):
+        for spec, factor in ((op_htilde, htilde(n)), (op_e, op_e(n, vacuum)), (op_q, hl_Q((n,)))):
+            for i, F in enumerate(vectors):
+                assert spec(n, F) == reference_product(factor, F), (spec.name, n, i)
+
+
+def test_h_star_is_the_hall_adjoint_of_h_prime():
+    """H's t-adjoint, built as H''s Hall adjoint, has creation
+    -(1 - t^n)/n and annihilation 1, and takes the z^-n component."""
+    assert op_H_star.sign == -1
+    for n in range(1, 9):
+        assert op_H_star.creation(n) == RatFunc(LaurentPoly({0: -1, n: 1}), n), n
+        assert op_H_star.annihilation(n) == RF_ONE, n
 
 
 def test_schur_q_orthogonality_at_minus_one():
@@ -257,7 +283,7 @@ def test_apply_component_matches_the_ungrouped_reference():
     assert any(len(set(lam)) < len(lam) for v in vectors for lam in v.coeffs)
     assert set(ALL_SPECS) == {
         "op_H", "op_H_prime", "op_H_star", "op_Q", "op_Q_star", "op_S_plus", "op_S_minus",
-        "op_htilde", "op_htilde_star", "op_e", "op_e_minus",
+        "op_htilde", "op_htilde_star", "op_e", "op_e_minus", "op_q",
     }
     cases = [(F, range(-4, 5)) for F in vectors] + [(F, range(-6, 2)) for F in basis]
     for spec in ALL_SPECS.values():
@@ -342,7 +368,7 @@ def _perturbed_report(monkeypatch, name, spec):
         _clear_oracle_caches()
     assert not report.ok
     assert all(r.seconds >= 0 for r in report.results)
-    return {r.name: r.passed for r in report.results}
+    return {r.name: r for r in report.results}
 
 
 def test_verify_relations_reports_a_broken_relation(monkeypatch):
@@ -351,14 +377,16 @@ def test_verify_relations_reports_a_broken_relation(monkeypatch):
     checked with H' and htilde's Hall adjoint.  The Clifford relation, on Q
     alone, passes each time."""
     status = _perturbed_report(monkeypatch, "op_H", op_H)
-    assert not status["com1 (H quadratic relation)"]
-    assert status["clifford (Q anticommutator)"]
+    com1 = status["com1 (H quadratic relation)"]
+    assert not com1.passed
+    assert re.fullmatch(r"m=-?\d+ n=-?\d+", com1.detail), com1.detail
+    assert status["clifford (Q anticommutator)"].passed
     for name, spec in (("op_H_prime", op_H_prime), ("op_htilde", op_htilde)):
         monkeypatch.undo()
         status = _perturbed_report(monkeypatch, name, spec)
-        assert not status["rel2 (htilde* past H)"], name
-        assert not status["hH (htilde* through H-word, on vacuum)"], name
-        assert status["clifford (Q anticommutator)"], name
+        assert not status["rel2 (htilde* past H)"].passed, name
+        assert not status["hH (htilde* through H-word, on vacuum)"].passed, name
+        assert status["clifford (Q anticommutator)"].passed, name
 
 
 def test_verify_relations_quick():
@@ -367,6 +395,56 @@ def test_verify_relations_quick():
     names = [r.name for r in report.results]
     assert any("clifford" in n for n in names)
     assert any("hH" in n for n in names)
+
+
+RELATION_NAMES = [
+    "com1 (H quadratic relation)",
+    "com2 (H* quadratic relation)",
+    "com3 (H/H* cross relation with delta term)",
+    "com4 (vacuum annihilation)",
+    "clifford (Q anticommutator)",
+    "adjacent swap (H / H*)",
+    "rel1 (H* past Q)",
+    "rel2 (htilde* past H)",
+    "rel3 (Q past htilde)",
+    "iterative (H* through Q-word, on vacuum, k >= 1)",
+    "hH (htilde* through H-word, on vacuum)",
+    "iterative2 (S- through Q-word, on vacuum, k >= 1)",
+    "gS (e- through S-word, on vacuum)",
+    "q norm <q_n,q_n> = 1-t",
+    "Q orthogonality at t=-1",
+    "Schur orthonormality",
+    "htilde(-t) expansion in q_lam",
+]
+
+
+def test_verify_relations_report_contract():
+    """At the call of perfbench's oracle-verify workload, the report holds
+    the 17 relations by name, in their order, each passing with no detail;
+    at degree 0 they all pass too."""
+    report = verify_relations(max_degree=1, seed=0)
+    assert [r.name for r in report.results] == RELATION_NAMES
+    assert all(r.passed and r.detail == "" for r in report.results), report.summary()
+    assert verify_relations(max_degree=0).ok
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_degree": -1}, "max_degree"),
+        ({"max_degree": 1.0}, "max_degree"),
+        ({"max_degree": True}, "max_degree"),
+        ({"max_degree": -1, "vector_degree": 2}, "max_degree"),
+        ({"max_degree": 1, "vector_degree": -2}, "vector_degree"),
+        ({"max_degree": 1, "vector_degree": False}, "vector_degree"),
+        ({"max_degree": 1, "vector_degree": "2"}, "vector_degree"),
+    ],
+)
+def test_verify_relations_rejects_a_bad_degree(kwargs, name):
+    """A negative degree would leave the relations almost nothing to check,
+    and a negative vector degree would test only the vacuum."""
+    with pytest.raises(ValueError, match="^%s must be an int >= 0, got " % name):
+        verify_relations(**kwargs)
 
 
 def test_oracle_imports_only_partitions_and_polynomial():
