@@ -110,13 +110,11 @@ def render_table(table, n, fmt, mode="spin"):
 
 
 def _suite_relations(args, out):
-    from dataclasses import asdict
-
     from .oracle import verify_relations
 
     report = verify_relations(max_degree=args.max_degree, seed=args.seed)
     out.write(report.summary() + "\n")
-    return {"ok": report.ok, "relations": [asdict(r) for r in report.results]}
+    return {"ok": report.ok, "relations": [r._asdict() for r in report.results]}
 
 
 def _suite_tables(args, out):

@@ -37,15 +37,14 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .partitions import as_partition, partitions, strict_partitions, vertical_strip_subshapes
-from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn
+from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn, _ratfunc, _raw
 
 
 # -- partition statistics -----------------------------------------------
@@ -55,6 +54,7 @@ def multiplicities(lam):
     return Counter(lam)
 
 
+@lru_cache(maxsize=None)
 def z_stat(lam):
     z = 1
     for part, m in multiplicities(lam).items():
@@ -143,7 +143,6 @@ class PExpansion:
 # -- operator specifications --------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class OperatorSpec:
     """One vertex operator.  ``creation(n)`` is the coefficient of p_n z^n,
     ``annihilation(n)`` of d/dp_n z^-n.  Called as ``op(n, F)``, it gives its
@@ -152,10 +151,10 @@ class OperatorSpec:
     adjoints set.  The term tables are keyed on the sequence
     objects, so specs that share a sequence object fill its tables once."""
 
-    name: str
-    creation: object
-    annihilation: object
-    sign: int = 1
+    __slots__ = ("name", "creation", "annihilation", "sign")
+
+    def __init__(self, name, creation, annihilation, sign=1):
+        self.name, self.creation, self.annihilation, self.sign = name, creation, annihilation, sign
 
     def __call__(self, n, F):
         return apply_component(self, self.sign * n, F)
@@ -208,15 +207,17 @@ op_e_minus = adjoint_spec(op_e)
 def _exp_coeff(seq, rho):
     """prod_i seq(rho_i) / prod_k m_k(rho)!: with a creation sequence the
     coefficient of p_rho z^|rho| in its exponential, with an annihilation
-    one that of d_rho z^-|rho| (d_rho a product of plain d/dp_k)."""
-    coeff = RF_ONE
+    one that of d_rho z^-|rho| (d_rho a product of plain d/dp_k).  The
+    numerators and the denominators are multiplied apart and reduced once."""
+    num, den = ONE, 1
     for part in rho:
-        coeff = coeff * seq(part)
-        if coeff.is_zero():
-            return coeff
+        c = seq(part)
+        if not c:
+            return RF_ZERO
+        num, den = num * c.num, den * c.den
     for m in Counter(rho).values():
-        coeff = coeff * RatFunc(1, factorial(m))
-    return coeff
+        den *= factorial(m)
+    return _ratfunc(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -236,29 +237,60 @@ def _sub_multisets(lam):
     return sorted(out, key=lambda term: (term[0], [-part for part in term[1]]))
 
 
+def _numerator(c, den, k=1):
+    """c * den * k as (exponent, int) pairs, for a ``RatFunc`` c whose
+    denominator divides den."""
+    k *= den // c.den
+    return [(e, v * k) for e, v in c.num._terms.items()]
+
+
+def _table(rows):
+    """(den, [(key, num)]) for the (key, c, k) in rows with c nonzero: num is
+    the numerator of c * k over den, the lcm of the denominators of the c."""
+    rows = [row for row in rows if row[1]]
+    den = lcm(*[c.den for _, c, _ in rows])
+    return den, [(key, _numerator(c, den, k)) for key, c, k in rows]
+
+
 @lru_cache(maxsize=None)
 def _annihilation_terms(seq, lam):
-    """(|sigma|, lam - sigma, coefficient of d_sigma times deriv) for each
-    sub-multiset sigma of lam whose coefficient under the annihilation
-    sequence ``seq`` is not zero."""
-    out = []
-    for s, sigma, base, deriv in _sub_multisets(lam):
-        bc = _exp_coeff(seq, sigma)
-        if bc:
-            out.append((s, base, bc * deriv))
-    return out
+    """The table of ((|sigma|, lam - sigma), coefficient of d_sigma times
+    deriv) for each sub-multiset sigma of lam whose coefficient under the
+    annihilation sequence ``seq`` is not zero."""
+    return _table(((s, base), _exp_coeff(seq, sigma), deriv) for s, sigma, base, deriv in _sub_multisets(lam))
 
 
 @lru_cache(maxsize=None)
 def _creation_terms(seq, r):
-    """(rho, coefficient of p_rho) for each rho |- r whose coefficient under
-    the creation sequence ``seq`` is not zero."""
-    out = []
-    for rho in partitions(r):
-        ac = _exp_coeff(seq, rho)
-        if ac:
-            out.append((rho, ac))
-    return out
+    """The table of (rho, coefficient of p_rho) for each rho |- r whose
+    coefficient under the creation sequence ``seq`` is not zero."""
+    return _table((rho, _exp_coeff(seq, rho), 1) for rho in partitions(r))
+
+
+# The two kernels, apply_component and inner, sum integer Laurent numerators
+# (dicts exponent -> int) over one denominator per call, the product of the
+# lcms of the denominators their inputs and term tables carry, and make each
+# result canonical once.
+
+
+def _add_products(acc, x, y):
+    """acc += x * y, for numerators x and y given as (exponent, int) pairs."""
+    get = acc.get
+    if len(y) == 1:
+        ((e2, c2),) = y
+        for e1, c1 in x:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+        return
+    for e1, c1 in x:
+        for e2, c2 in y:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _over(acc, den):
+    """The canonical ``RatFunc`` acc / den."""
+    return _ratfunc(_raw({e: c for e, c in acc.items() if c}), den)
 
 
 def apply_component(spec, m, F):
@@ -273,26 +305,31 @@ def apply_component(spec, m, F):
     alone, because F may mix weights.  Both sides read cached term tables
     that hold only the nonzero coefficients, so the even parts of Q's
     creation side and every sigma but () on the annihilation side of htilde
-    and e+ are never visited."""
+    and e+ are never visited.  The groups and the output are integer
+    numerators over d_in * d_ann * d_cre, the lcms of the denominators of
+    F's coefficients and of the annihilation and creation tables read."""
+    coeffs = F.coeffs
+    tables = [_annihilation_terms(spec.annihilation, lam) for lam in coeffs]
+    d_in = lcm(*[c.den for c in coeffs.values()])
+    d_ann = lcm(*[den for den, _ in tables])
     groups = {}
-    for lam, c in F.coeffs.items():
-        for s, base, bd in _annihilation_terms(spec.annihilation, lam):
-            if s + m < 0:
-                continue
-            key = (base, m + s)
-            groups[key] = groups.get(key, RF_ZERO) + c * bd
-    out = {}
-    for (base, r), scalar in groups.items():
-        if scalar.is_zero():
-            continue
-        for rho, ac in _creation_terms(spec.creation, r):
-            key = tuple(sorted(base + rho, reverse=True))
-            v = out.get(key, RF_ZERO) + scalar * ac
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return PExpansion(out)
+    for c, (den, terms) in zip(coeffs.values(), tables):
+        x = _numerator(c, d_in, d_ann // den)
+        for (s, base), bd in terms:
+            r = m + s
+            if r >= 0:
+                _add_products(groups.setdefault((base, r), {}), x, bd)
+    creation = [(base, acc, _creation_terms(spec.creation, r)) for (base, r), acc in groups.items()]
+    d_cre = lcm(*[den for _, _, (den, _) in creation])
+    sums = {}
+    for base, acc, (den, terms) in creation:
+        k = d_cre // den
+        x = [(e, v * k) for e, v in acc.items() if v]
+        if x:
+            for rho, ac in terms:
+                _add_products(sums.setdefault(tuple(sorted(base + rho, reverse=True)), {}), x, ac)
+    den = d_in * d_ann * d_cre
+    return PExpansion({lam: _over(acc, den) for lam, acc in sums.items()})
 
 
 # -- basis vectors ------------------------------------------------------
@@ -340,13 +377,15 @@ def htilde(n):
 
 def inner(F, G):
     """<F, G> under the canonical (Hall) form, with the integer Gram values
-    z_lam, summed term by term."""
-    total = RF_ZERO
-    for lam, a in F.coeffs.items():
-        b = G.coeffs.get(lam)
-        if b is not None:
-            total = total + a * b * z_stat(lam)
-    return total
+    z_lam: integer numerators summed over d_F * d_G, the lcms of the
+    denominators of the paired coefficients of F and of G."""
+    pairs = [(lam, a, G.coeffs[lam]) for lam, a in F.coeffs.items() if lam in G.coeffs]
+    d_f = lcm(*(a.den for _, a, _ in pairs))
+    d_g = lcm(*(b.den for _, _, b in pairs))
+    acc = {}
+    for lam, a, b in pairs:
+        _add_products(acc, a.num._terms.items(), _numerator(b, d_g, z_stat(lam) * (d_f // a.den)))
+    return _over(acc, d_f * d_g)
 
 
 def inner_at_minus_one(F, G):
@@ -422,17 +461,12 @@ def oracle_spin_via_bK(xi, mu):
 # -- relation verification ----------------------------------------------
 
 
-@dataclass
-class RelationResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    seconds: float = 0.0
+RelationResult = namedtuple("RelationResult", "name passed detail seconds", defaults=("", 0.0))
 
 
-@dataclass
 class Report:
-    results: list = field(default_factory=list)
+    def __init__(self):
+        self.results = []
 
     def record(self, name, passed, detail="", seconds=0.0):
         self.results.append(RelationResult(name, passed, detail, seconds))

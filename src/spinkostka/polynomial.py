@@ -8,7 +8,10 @@ Two coefficient domains live here:
 * ``RatFunc`` -- num / den with an integer Laurent numerator and a positive
   int denominator: Q[t, 1/t], the coefficient ring of the oracle's
   power-sum expansions.  It is fraction-free, and since the oracle meets no
-  pole, it takes no polynomial gcd.
+  pole, it takes no polynomial gcd.  It holds the oracle's term tables, the
+  relations' sums and scalings and the pairing results; the oracle's
+  kernels sum integer numerators over one denominator and make each result
+  a ``RatFunc`` once, so its arithmetic is not in their inner loops.
 
 Both types are immutable value objects; arithmetic always returns fresh
 instances.  Values of both are canonical.

@@ -54,6 +54,9 @@ creation term on its own.
 ``reference_product`` multiplies two p-expansions term by term, where the
 oracle multiplies by h~_n, e_n and q_n with their multiplication operators.
 
+``reference_inner`` is the Hall pairing summed term by term in ``RatFunc``,
+where the oracle sums integer numerators over one denominator.
+
 ``is_palindromic`` tests a ``LaurentPoly`` for palindromic coefficients,
 a property that only the tests ask about.
 
@@ -388,6 +391,17 @@ def reference_product(F, G):
             else:
                 out[key] = s
     return PExpansion(out)
+
+
+def reference_inner(F, G):
+    """<F, G> under the canonical (Hall) form, with the integer Gram values
+    z_lam, summed term by term."""
+    total = RF_ZERO
+    for lam, a in F.coeffs.items():
+        b = G.coeffs.get(lam)
+        if b is not None:
+            total = total + a * b * z_stat(lam)
+    return total
 
 
 def is_palindromic(p):

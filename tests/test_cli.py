@@ -300,24 +300,35 @@ def test_verify_json_reports_a_failing_suite(capsys, monkeypatch):
     assert suite["output"][-1] == "tables: FAIL"
 
 
-def test_table_run_loads_only_the_layers_it_runs():
-    """A fresh process that imports the CLI and prints a table loads none of
-    the oracle, the published tables and the invariants, and adds neither
-    ``dataclasses`` nor ``json`` to what the interpreter loaded at start."""
+def _modules_added(argv):
+    """The stdout of ``main(argv)`` in a fresh process that imports the CLI,
+    and the modules it loads beyond those the interpreter loaded at start."""
     script = (
         "import sys\n"
         "start = set(sys.modules)\n"
         "import spinkostka.cli\n"
-        "spinkostka.cli.main(['table', '--n', '4'])\n"
-        "sys.stderr.write(' '.join(sorted(set(sys.modules) - start)))\n"
+        "spinkostka.cli.main(%r)\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - start)))\n" % (argv,)
     )
     src = os.path.dirname(os.path.dirname(spinkostka.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    added = set(proc.stderr.split())
-    assert "spinkostka.engine" in added and "| mu \\ xi |" in proc.stdout
+    return proc.stdout, set(proc.stderr.split())
+
+
+def test_table_run_loads_only_the_layers_it_runs():
+    """A fresh process that imports the CLI and prints a table loads none of
+    the oracle, the published tables and the invariants, and adds neither
+    ``dataclasses`` nor ``json`` to what the interpreter loaded at start; one
+    that computes a cell with the oracle loads the oracle but not
+    ``dataclasses``."""
+    out, added = _modules_added(["table", "--n", "4"])
+    assert "spinkostka.engine" in added and "| mu \\ xi |" in out
     assert not added & {
         "spinkostka.oracle", "spinkostka.goldens", "spinkostka.invariants", "dataclasses", "json"
     }
+    out, added = _modules_added(["compute", "--xi", "3,1", "--mu", "2,1,1", "--oracle"])
+    assert "spinkostka.oracle" in added and out.strip()
+    assert "dataclasses" not in added

@@ -3,7 +3,7 @@
 import gc
 import random
 import re
-from dataclasses import replace
+from math import gcd
 from fractions import Fraction
 
 import pytest
@@ -12,6 +12,7 @@ from crosscheck import (
     inverse_z_t,
     package_imports,
     reference_apply_component,
+    reference_inner,
     reference_product,
     t_form_kostka_foulkes,
     t_form_scaled,
@@ -293,6 +294,54 @@ def test_apply_component_matches_the_ungrouped_reference():
                 assert got == reference_apply_component(spec, m, F), (spec.name, m, i)
 
 
+def _assert_canonical(c, where):
+    terms = c.num.terms
+    assert c.den > 0 and gcd(c.den, *terms.values()) == 1, where
+    assert 0 not in terms.values(), where
+
+
+def test_kernels_return_canonical_coefficients():
+    """Every coefficient that apply_component returns is nonzero, and it and
+    every value of inner have a positive denominator prime to the content
+    of the numerator, and no zero entry in the numerator: on vectors with
+    denominators 1..4 and exponents -1..1, and on p_2 + p_11, where H's
+    annihilation side sums d_2 and d_11 into one group that cancels."""
+    rng = random.Random(30)
+    vectors = [_random_vector(rng) for _ in range(4)]
+    assert {c.den for v in vectors for c in v.coeffs.values()} == {1, 2, 3, 4}
+    cancelling = PExpansion({(2,): RF_ONE, (1, 1): RF_ONE})
+    assert reference_apply_component(op_H, -2, cancelling) == PExpansion.zero()
+    for spec in ALL_SPECS.values():
+        for i, F in enumerate(vectors + [cancelling]):
+            for m in range(-3, 4):
+                got = apply_component(spec, m, F)
+                assert got == reference_apply_component(spec, m, F), (spec.name, m, i)
+                for lam, c in got.coeffs.items():
+                    assert c, (spec.name, m, i, lam)
+                    _assert_canonical(c, (spec.name, m, i, lam))
+    for F in vectors:
+        for G in vectors:
+            _assert_canonical(inner(F, G), (F, G))
+
+
+def test_inner_matches_the_term_by_term_reference():
+    """inner sums integer numerators over one denominator; reference_inner
+    sums RatFunc products term by term.  They agree on random vectors of
+    mixed weight and on every pair of basis vectors Q'_mu, Q_xi and s_lam
+    of weight <= 6."""
+    rng = random.Random(31)
+    vectors = [PExpansion.vacuum(), PExpansion.zero()] + [_random_vector(rng) for _ in range(4)]
+    for F in vectors:
+        for G in vectors:
+            assert inner(F, G) == reference_inner(F, G)
+    basis = [f(lam) for n in range(7) for lam in partitions(n) for f in (hl_Q_prime, schur_s)]
+    basis += [schur_q(xi) for n in range(7) for xi in strict_partitions(n)]
+    assert len(basis) == 74
+    for F in basis:
+        for G in basis:
+            assert inner(F, G) == reference_inner(F, G)
+
+
 def test_same_named_specs_keep_their_own_coefficients():
     """Two specs with one name but different sequences each give their own
     vector, whichever is applied first to a cold coefficient cache."""
@@ -357,7 +406,7 @@ def _perturbed_report(monkeypatch, name, spec):
     def creation(n):
         return spec.creation(n) * (2 if n == 2 else 1)
 
-    perturbed = replace(spec, name=spec.name + "-perturbed", creation=creation)
+    perturbed = OperatorSpec(spec.name + "-perturbed", creation, spec.annihilation, spec.sign)
     monkeypatch.setattr(oracle, name, perturbed)
     if name == "op_htilde":
         monkeypatch.setattr(oracle, "op_htilde_star", adjoint_spec(perturbed))
