@@ -13,7 +13,8 @@ published tables (``goldens``), only the ``properties`` suite the
 invariants, and ``json`` is loaded where JSON is written.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
-errors (argparse's convention).
+errors (argparse's convention), among them a ``compute`` or ``table`` cell
+past the engine's slot.
 """
 
 from __future__ import annotations
@@ -274,7 +275,10 @@ def main(argv=None):
     if args.command == "table":
         if args.n < 1:
             parser.error("n must be >= 1")
-        table = build_table(args.n, args.mode)
+        try:
+            table = build_table(args.n, args.mode)
+        except ValueError as exc:  # the engine's slot guard
+            parser.error(str(exc))
         text = render_table(table, args.n, args.format, args.mode)
         if args.out:
             with open(args.out, "w") as fh:

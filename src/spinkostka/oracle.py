@@ -30,7 +30,11 @@ H* = phi^-1 H^dagger phi = (phi H phi^-1)^dagger, H''s Hall adjoint
 Q[t, 1/t].
 
 Vectors are exact and never truncated, so the basis caches are keyed on
-the shape alone, and an entry runs at any weight it is asked for.
+the shape alone, and an entry runs at any weight it is asked for.  A
+vector (``PExpansion``) holds integer ``LaurentPoly`` numerators over one
+int denominator; the operator sequences and the pairing results are
+``RatFunc`` scalars, and the relations scale vectors by ints and Laurent
+polynomials.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .partitions import as_partition, partitions, strict_partitions, vertical_strip_subshapes
-from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn, _ratfunc, _raw
+from .polynomial import ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn, _ratfunc, _raw, _scale
 
 
 # -- partition statistics -----------------------------------------------
@@ -95,49 +99,57 @@ def support_size(vec):
 
 
 class PExpansion:
-    """Element of the symmetric-function ring in the p-basis: nonzero
-    ``RatFunc`` coefficients keyed by partition.  Exact, with no truncation;
-    treated as immutable after construction."""
+    """Element of the symmetric-function ring in the p-basis: the sum over
+    lam of coeffs[lam] / den * p_lam, with nonzero integer ``LaurentPoly``
+    numerators keyed by partition over one positive int ``den``.  Exact,
+    with no truncation; treated as immutable after construction.  The
+    constructor makes it canonical, with den prime to the numerators'
+    coefficients taken together, so each vector has one form and ``==``
+    compares the parts."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "den")
 
-    def __init__(self, coeffs):
-        self.coeffs = {lam: c for lam, c in coeffs.items() if not c.is_zero()}
+    def __init__(self, coeffs, den=1):
+        coeffs = {lam: c for lam, c in coeffs.items() if c}
+        if den != 1:
+            g = gcd(den, *[v for c in coeffs.values() for v in c._terms.values()])
+            if g != 1:
+                coeffs = {lam: _raw({e: v // g for e, v in c._terms.items()}) for lam, c in coeffs.items()}
+                den //= g
+        self.coeffs, self.den = coeffs, den
 
     @classmethod
     def vacuum(cls):
-        return cls({(): RF_ONE})
+        return cls({(): ONE})
 
     @classmethod
     def zero(cls):
         return cls({})
 
     def __add__(self, other):
-        out = dict(self.coeffs)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {lam: _scale(c, a) for lam, c in self.coeffs.items()}
         for lam, c in other.coeffs.items():
-            s = out.get(lam, RF_ZERO) + c
-            if s.is_zero():
-                out.pop(lam, None)
-            else:
-                out[lam] = s
-        return PExpansion(out)
+            c = _scale(c, b)
+            out[lam] = out[lam] + c if lam in out else c
+        return PExpansion(out, den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        if not c:
-            return PExpansion.zero()
-        return PExpansion({lam: v * c for lam, v in self.coeffs.items()})
+        """The vector times c, an int or a ``LaurentPoly``."""
+        return PExpansion({lam: v * c for lam, v in self.coeffs.items()}, self.den)
 
     def subs_neg_t(self):
-        return PExpansion({lam: c.subs_neg_t() for lam, c in self.coeffs.items()})
+        return PExpansion({lam: c.subs_neg_t() for lam, c in self.coeffs.items()}, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, PExpansion) and self.coeffs == other.coeffs
+        return isinstance(other, PExpansion) and self.den == other.den and self.coeffs == other.coeffs
 
     def __repr__(self):
-        return "PExpansion(%r)" % (self.coeffs,)
+        return "PExpansion(%r, %d)" % (self.coeffs, self.den)
 
 
 # -- operator specifications --------------------------------------------
@@ -237,19 +249,13 @@ def _sub_multisets(lam):
     return sorted(out, key=lambda term: (term[0], [-part for part in term[1]]))
 
 
-def _numerator(c, den, k=1):
-    """c * den * k as (exponent, int) pairs, for a ``RatFunc`` c whose
-    denominator divides den."""
-    k *= den // c.den
-    return [(e, v * k) for e, v in c.num._terms.items()]
-
-
 def _table(rows):
     """(den, [(key, num)]) for the (key, c, k) in rows with c nonzero: num is
-    the numerator of c * k over den, the lcm of the denominators of the c."""
+    the numerator of c * k over den, the lcm of the denominators of the c,
+    as (exponent, int) pairs."""
     rows = [row for row in rows if row[1]]
     den = lcm(*[c.den for _, c, _ in rows])
-    return den, [(key, _numerator(c, den, k)) for key, c, k in rows]
+    return den, [(key, [(e, v * k * (den // c.den)) for e, v in c.num._terms.items()]) for key, c, k in rows]
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +275,8 @@ def _creation_terms(seq, r):
 
 # The two kernels, apply_component and inner, sum integer Laurent numerators
 # (dicts exponent -> int) over one denominator per call, the product of the
-# lcms of the denominators their inputs and term tables carry, and make each
-# result canonical once.
+# denominators of their input vectors and the lcms of those of the term
+# tables they read, and reduce the result once.
 
 
 def _add_products(acc, x, y):
@@ -288,11 +294,6 @@ def _add_products(acc, x, y):
             acc[e] = get(e, 0) + c1 * c2
 
 
-def _over(acc, den):
-    """The canonical ``RatFunc`` acc / den."""
-    return _ratfunc(_raw({e: c for e, c in acc.items() if c}), den)
-
-
 def apply_component(spec, m, F):
     """The z^m component of the operator applied to F (m in the unified
     indexing where creation carries positive powers of z).
@@ -306,15 +307,15 @@ def apply_component(spec, m, F):
     that hold only the nonzero coefficients, so the even parts of Q's
     creation side and every sigma but () on the annihilation side of htilde
     and e+ are never visited.  The groups and the output are integer
-    numerators over d_in * d_ann * d_cre, the lcms of the denominators of
-    F's coefficients and of the annihilation and creation tables read."""
+    numerators over F.den * d_ann * d_cre, d_ann and d_cre the lcms of the
+    denominators of the annihilation and creation tables read."""
     coeffs = F.coeffs
     tables = [_annihilation_terms(spec.annihilation, lam) for lam in coeffs]
-    d_in = lcm(*[c.den for c in coeffs.values()])
     d_ann = lcm(*[den for den, _ in tables])
     groups = {}
     for c, (den, terms) in zip(coeffs.values(), tables):
-        x = _numerator(c, d_in, d_ann // den)
+        k = d_ann // den
+        x = [(e, v * k) for e, v in c._terms.items()]
         for (s, base), bd in terms:
             r = m + s
             if r >= 0:
@@ -328,8 +329,8 @@ def apply_component(spec, m, F):
         if x:
             for rho, ac in terms:
                 _add_products(sums.setdefault(tuple(sorted(base + rho, reverse=True)), {}), x, ac)
-    den = d_in * d_ann * d_cre
-    return PExpansion({lam: _over(acc, den) for lam, acc in sums.items()})
+    out = {lam: _raw({e: c for e, c in acc.items() if c}) for lam, acc in sums.items()}
+    return PExpansion(out, F.den * d_ann * d_cre)
 
 
 # -- basis vectors ------------------------------------------------------
@@ -377,15 +378,15 @@ def htilde(n):
 
 def inner(F, G):
     """<F, G> under the canonical (Hall) form, with the integer Gram values
-    z_lam: integer numerators summed over d_F * d_G, the lcms of the
-    denominators of the paired coefficients of F and of G."""
-    pairs = [(lam, a, G.coeffs[lam]) for lam, a in F.coeffs.items() if lam in G.coeffs]
-    d_f = lcm(*(a.den for _, a, _ in pairs))
-    d_g = lcm(*(b.den for _, _, b in pairs))
-    acc = {}
-    for lam, a, b in pairs:
-        _add_products(acc, a.num._terms.items(), _numerator(b, d_g, z_stat(lam) * (d_f // a.den)))
-    return _over(acc, d_f * d_g)
+    z_lam: the numerators' products summed over F.den * G.den and made a
+    ``RatFunc`` once."""
+    acc, g = {}, G.coeffs
+    for lam, a in F.coeffs.items():
+        b = g.get(lam)
+        if b is not None:
+            z = z_stat(lam)
+            _add_products(acc, a._terms.items(), [(e, v * z) for e, v in b._terms.items()])
+    return _ratfunc(_raw({e: c for e, c in acc.items() if c}), F.den * G.den)
 
 
 def inner_at_minus_one(F, G):
@@ -398,7 +399,7 @@ def inner_at_minus_one(F, G):
             raise ValueError("z_lam(t) has a pole at t = -1: lam=%r has an even part" % (lam,))
         gram = Fraction(z_stat(lam), 2 ** len(lam))
         total += F.coeffs[lam].eval_at(-1) * G.coeffs[lam].eval_at(-1) * gram
-    return total
+    return total / (F.den * G.den)
 
 
 def oracle_spin_kostka(xi, mu):
@@ -494,9 +495,9 @@ def _random_pexp(rng, degree, odd_only=False):
     for lam in rng.sample(pool, min(4, len(pool))):
         c = rng.randint(-3, 3)
         if c:
-            coeffs[lam] = RatFunc(c)
+            coeffs[lam] = LaurentPoly.const(c)
     if not coeffs:
-        coeffs[()] = RF_ONE
+        coeffs[()] = ONE
     return PExpansion(coeffs)
 
 
@@ -550,7 +551,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     odd_vectors = [_random_pexp(rng, vector_degree, odd_only=True) for _ in range(2)]
     vacuum, zero = PExpansion.vacuum(), PExpansion.zero()
     report = Report()
-    t_rf, one_plus_t = RatFunc(T), RatFunc(ONE + T)
+    one_plus_t = ONE + T
     rng_idx = range(-max_degree, max_degree + 1)
 
     def check(name, relation):
@@ -567,8 +568,8 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for v in vectors:
             for m in rng_idx:
                 for n in rng_idx:
-                    lhs = A(m, B(n, v)) - B(n, A(m, v)).scale(t_rf)
-                    rhs = A(m + a, B(n + b, v)).scale(t_rf) - B(n + b, A(m + a, v))
+                    lhs = A(m, B(n, v)) - B(n, A(m, v)).scale(T)
+                    rhs = A(m + a, B(n + b, v)).scale(T) - B(n + b, A(m + a, v))
                     if delta is not None and m == n:
                         rhs = rhs + v.scale(delta)
                     yield lhs, rhs, "m=%d n=%d" % (m, n)
@@ -590,13 +591,13 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     def adjacent_swap():
         for v in vectors:
             for n in rng_idx:
-                yield H(n, H(n + 1, v)), H(n + 1, H(n, v)).scale(t_rf), "n=%d" % n
+                yield H(n, H(n + 1, v)), H(n + 1, H(n, v)).scale(T), "n=%d" % n
                 lhs = H_star(n, H_star(n - 1, v))
-                yield lhs, H_star(n - 1, H_star(n, v)).scale(t_rf), "adjoint n=%d" % n
+                yield lhs, H_star(n - 1, H_star(n, v)).scale(T), "adjoint n=%d" % n
 
     def rel1():
-        tinv = RatFunc(ONE.shift(-1))
-        two_1_tinv = RatFunc(LaurentPoly({0: 2, -1: -2}))
+        tinv = ONE.shift(-1)
+        two_1_tinv = LaurentPoly({0: 2, -1: -2})
         for v in vectors:
             for n in rng_idx:
                 for m in rng_idx:
@@ -613,7 +614,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                     rhs = H_prime(n, htilde_star(m, v))
                     for k in range(m):
                         term = H_prime(n - m + k, htilde_star(k, v))
-                        rhs = rhs + term.scale(RatFunc((ONE + T).shift(m - k - 1)))
+                        rhs = rhs + term.scale(one_plus_t.shift(m - k - 1))
                     yield htilde_star(m, H_prime(n, v)), rhs, "m=%d n=%d" % (m, n)
 
     def rel3():
@@ -645,7 +646,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                 for tau in weak_compositions(k, len(mu)):
                     l = support_size(tau)
                     term = hl_Q_prime(tuple(m - t for m, t in zip(mu, tau)))
-                    rhs = rhs + term.scale(RatFunc(((ONE + T) ** l).shift(k - l)))
+                    rhs = rhs + term.scale((one_plus_t ** l).shift(k - l))
                 yield htilde_star(k, hl_Q_prime(mu)), rhs, "mu=%r k=%d" % (mu, k)
 
     def gS_on_vacuum():
@@ -655,9 +656,8 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
                 yield e_minus(k, schur_s(lam)), rhs, "lam=%r k=%d" % (lam, k)
 
     def q_norm():
-        one_minus_t = RatFunc(ONE - T)
         for n in range(1, max_degree + 2):
-            yield inner(hl_Q((n,)), hl_Q_prime((n,))), one_minus_t, "n=%d" % n
+            yield inner(hl_Q((n,)), hl_Q_prime((n,))), ONE - T, "n=%d" % n
 
     def q_orthogonality_spin():
         for n in range(1, min(max_degree + 2, 7)):
@@ -670,7 +670,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
         for n in range(0, max_degree + 2):
             for lam in partitions(n):
                 for mu in partitions(n):
-                    want = RF_ONE if lam == mu else RF_ZERO
+                    want = 1 if lam == mu else 0
                     yield inner(schur_s(lam), schur_s(mu)), want, "lam=%r mu=%r" % (lam, mu)
 
     def htilde_neg_t():
@@ -685,7 +685,7 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
 
     check("com1 (H quadratic relation)", exchange(H, H, 1, -1))
     check("com2 (H* quadratic relation)", exchange(H_star, H_star, -1, 1))
-    delta = RatFunc((ONE - T) ** 2)
+    delta = (ONE - T) ** 2
     check("com3 (H/H* cross relation with delta term)", exchange(H, H_star, -1, -1, delta))
     check("com4 (vacuum annihilation)", com4())
     check("clifford (Q anticommutator)", clifford())

@@ -6,12 +6,12 @@ Two coefficient domains live here:
   integer coefficients.  This is the value domain of every final output
   (spin Kostka polynomials, straightening coefficients, t-brackets).
 * ``RatFunc`` -- num / den with an integer Laurent numerator and a positive
-  int denominator: Q[t, 1/t], the coefficient ring of the oracle's
-  power-sum expansions.  It is fraction-free, and since the oracle meets no
-  pole, it takes no polynomial gcd.  It holds the oracle's term tables, the
-  relations' sums and scalings and the pairing results; the oracle's
-  kernels sum integer numerators over one denominator and make each result
-  a ``RatFunc`` once, so its arithmetic is not in their inner loops.
+  int denominator: a scalar of Q[t, 1/t], the ring the oracle computes in.
+  It is fraction-free, and since the oracle meets no pole, it takes no
+  polynomial gcd.  It holds the oracle's operator sequence values, from
+  which the term tables are built, and the pairing results; the oracle's
+  vectors hold integer numerators over one denominator of their own, so
+  no ``RatFunc`` arithmetic runs per vector coefficient.
 
 Both types are immutable value objects; arithmetic always returns fresh
 instances.  Values of both are canonical.
@@ -327,14 +327,21 @@ def decode(v):
 # -- t-brackets ---------------------------------------------------------
 
 
+def _count(name, n):
+    """Each t-bracket takes ints >= 0: ``ValueError`` naming the argument on
+    anything else, a bool included."""
+    if type(n) is not int or n < 0:
+        raise ValueError("%s must be an int >= 0, got %r" % (name, n))
+
+
 def t_int(n):
     """[n] = 1 + t + ... + t^(n-1)."""
-    if n < 0:
-        raise ValueError("t-integer needs n >= 0")
+    _count("n", n)
     return _raw({e: 1 for e in range(n)}) if n else ZERO
 
 
 def t_factorial(n):
+    _count("n", n)
     out = ONE
     for k in range(2, n + 1):
         out = out * t_int(k)
@@ -343,6 +350,7 @@ def t_factorial(n):
 
 def t_double_factorial(n):
     """[n]!! = [n][n-2]... down to [1] or [2]."""
+    _count("n", n)
     out = ONE
     k = n
     while k >= 1:
@@ -355,8 +363,10 @@ def t_binomial(n, k):
     """Gauss t-binomial [n]! / ([k]! [n-k]!), built as the product over
     i <= min(k, n - k) of (1 - t^(n-i+1)) / (1 - t^i); each partial product
     is the t-binomial [n, i], so every division is exact."""
-    if not 0 <= k <= n:
-        raise ValueError("t-binomial needs 0 <= k <= n")
+    _count("n", n)
+    _count("k", k)
+    if k > n:
+        raise ValueError("t-binomial needs k <= n, got n=%d k=%d" % (n, k))
     out = ONE
     for i in range(1, min(k, n - k) + 1):
         out = _over_one_minus_tn(out * _one_minus_tn(n - i + 1), i)
@@ -400,11 +410,6 @@ class RatFunc:
     operator coefficients lie in this ring and it pairs only under the Hall
     form, whose Gram values are integers, so no 1 - t^n ever reaches a
     denominator and no polynomial gcd is taken.  Not hashable.
-
-    A product by an int or by a constant c/d (on either side) reduces the
-    content by gcd(c, den) and gcd(d, content of num) alone, and a sum of
-    two values with den 1 is the sum of their numerators; both give the
-    form the general reduction would.
     """
 
     __slots__ = ("num", "den")
@@ -453,8 +458,6 @@ class RatFunc:
             return self
         if not self.num:
             return other
-        if self.den == other.den == 1:
-            return _made(self.num + other.num, 1)
         den = lcm(self.den, other.den)
         return _ratfunc(_scale(self.num, den // self.den) + _scale(other.num, den // other.den), den)
 
@@ -465,15 +468,7 @@ class RatFunc:
         return self + (-_as_ratfunc(other))
 
     def __mul__(self, other):
-        if type(other) is int:
-            return _times_const(self, other, 1)
         other = _as_ratfunc(other)
-        if not self.num or not other.num:
-            return RF_ZERO
-        if other.num._terms.keys() == {0}:
-            return _times_const(self, other.num._terms[0], other.den)
-        if self.num._terms.keys() == {0}:
-            return _times_const(other, self.num._terms[0], self.den)
         return _ratfunc(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other):
@@ -507,24 +502,6 @@ def _made(num, den):
     rf = RatFunc.__new__(RatFunc)
     rf.num, rf.den = num, den
     return rf
-
-
-def _times_const(x, c, d):
-    """x * c/d for a canonical x, an int c and an int d > 0 prime to c.  The
-    content is reduced by gcd(c, x.den) and gcd(d, content of x.num) alone:
-    the rest of c is prime to d and to x.den, and the rest of d to c and to
-    the content of x.num."""
-    if not c:
-        return RF_ZERO
-    num, den = x.num, x.den
-    g = gcd(c, den)
-    if g != 1:
-        c, den = c // g, den // g
-    if d != 1:
-        g = gcd(d, *num._terms.values())
-        if g != 1:
-            num, d = _raw({e: v // g for e, v in num._terms.items()}), d // g
-    return _made(_scale(num, c), den * d)
 
 
 def _as_ratfunc(x):

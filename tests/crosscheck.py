@@ -30,6 +30,11 @@ loops that ``conjugate`` and ``LaurentPoly.eval_at`` replaced.
 ``inverse_z_t`` builds 1 / z_lam(t) as a product, since ``RatFunc`` has no
 division.
 
+``vector`` builds a ``PExpansion`` from ``RatFunc`` coefficients, and
+``coefficient`` reads one coefficient of a ``PExpansion`` as a ``RatFunc``:
+the vector holds integer numerators over one denominator, and the
+references below compute term by term in ``RatFunc``.
+
 ``g_square_alternating_sum`` is g_{(r,r),lam} from one- and two-row
 b-coefficients and a hook term with its own arm, the path that
 ``schur.g_square``'s closed forms replaced.
@@ -43,7 +48,7 @@ defines K^- and K, where the oracle pairs the modified Q'_mu under the
 canonical form.
 
 ``hl_P`` is the Hall-Littlewood P_mu(x;t) = Q_mu(x;t) / b_mu(t), with each
-coefficient's numerator divided by b_mu(t) exactly, and
+numerator divided by b_mu(t) exactly, and
 ``g_general`` the coefficient g_{mu,lam} of s_lam in P_mu(x;-1) for any
 partition mu, which the square-shape closed forms are checked against.
 
@@ -77,7 +82,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from operator import ge, gt
 
 from spinkostka.engine import SpinKostkaEngine
@@ -261,6 +266,18 @@ def _one_minus_tn(n):
     return LaurentPoly({0: 1, n: -1})
 
 
+def vector(coeffs):
+    """The ``PExpansion`` sum of c * p_lam over the items (lam, c) of coeffs,
+    for ``RatFunc`` values c."""
+    den = lcm(*[c.den for c in coeffs.values()])
+    return PExpansion({lam: c.num * (den // c.den) for lam, c in coeffs.items()}, den)
+
+
+def coefficient(F, lam):
+    """The coefficient of p_lam in the ``PExpansion`` F, as a ``RatFunc``."""
+    return RatFunc(F.coeffs.get(lam, 0), F.den)
+
+
 def inverse_z_t(lam):
     """1 / z_lam(t) = prod_i (1 - t^lam_i) / z_lam."""
     num = _ONE
@@ -285,10 +302,9 @@ def t_form_scaled(F, G, n):
     """D_n <F, G>_t for F and G of weight <= n: each Gram value z_lam(t) is
     brought over D_n, so the sum holds no pole."""
     total = RatFunc(0)
-    for lam, a in F.coeffs.items():
-        b = G.coeffs.get(lam)
-        if b is not None:
-            total = total + a * b * RatFunc(_scaled_gram(lam, n))
+    for lam in F.coeffs:
+        if lam in G.coeffs:
+            total = total + coefficient(F, lam) * coefficient(G, lam) * RatFunc(_scaled_gram(lam, n))
     return total
 
 
@@ -317,7 +333,8 @@ def hl_P(mu):
     for m in multiplicities(mu).values():
         for j in range(1, m + 1):
             b = b * _one_minus_tn(j)
-    return PExpansion({lam: RatFunc(c.num.exact_div(b), c.den) for lam, c in hl_Q(mu).coeffs.items()})
+    Q = hl_Q(mu)
+    return PExpansion({lam: c.exact_div(b) for lam, c in Q.coeffs.items()}, Q.den)
 
 
 def g_general(mu, lam):
@@ -328,11 +345,9 @@ def g_general(mu, lam):
     P = hl_P(mu)
     S = schur_s(lam)
     total = Fraction(0)
-    for key, c in P.coeffs.items():
-        s = S.coeffs.get(key)
-        if s is None:
-            continue
-        total += c.eval_at(-1) * s.to_fraction() * z_stat(key)
+    for key in P.coeffs:
+        if key in S.coeffs:
+            total += coefficient(P, key).eval_at(-1) * coefficient(S, key).to_fraction() * z_stat(key)
     if total.denominator != 1:
         raise ArithmeticError("non-integer g value %s" % total)
     return int(total)
@@ -355,8 +370,8 @@ def reference_apply_component(spec, m, F):
     d_sigma p_lam = deriv * p_(lam - sigma), times the creation term of
     every rho |- m + |sigma|."""
     out = {}
-    for lam, c in F.coeffs.items():
-        lam_mult = Counter(lam)
+    for lam in F.coeffs:
+        c, lam_mult = coefficient(F, lam), Counter(lam)
         for s in range(sum(lam) + 1):
             r = m + s
             if r < 0:
@@ -376,31 +391,26 @@ def reference_apply_component(spec, m, F):
                     key = tuple(sorted(base + list(rho), reverse=True))
                     term = scalar * _reference_exp_coeff(spec.creation, rho)
                     out[key] = out.get(key, RatFunc(0)) + term
-    return PExpansion(out)
+    return vector(out)
 
 
 def reference_product(F, G):
     """The product of the p-expansions F and G, term by term."""
     out = {}
-    for lam, a in F.coeffs.items():
-        for mu, b in G.coeffs.items():
+    for lam in F.coeffs:
+        for mu in G.coeffs:
             key = tuple(sorted(lam + mu, reverse=True))
-            s = out.get(key, RF_ZERO) + a * b
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return PExpansion(out)
+            out[key] = out.get(key, RF_ZERO) + coefficient(F, lam) * coefficient(G, mu)
+    return vector(out)
 
 
 def reference_inner(F, G):
     """<F, G> under the canonical (Hall) form, with the integer Gram values
     z_lam, summed term by term."""
     total = RF_ZERO
-    for lam, a in F.coeffs.items():
-        b = G.coeffs.get(lam)
-        if b is not None:
-            total = total + a * b * z_stat(lam)
+    for lam in F.coeffs:
+        if lam in G.coeffs:
+            total = total + coefficient(F, lam) * coefficient(G, lam) * z_stat(lam)
     return total
 
 

@@ -27,6 +27,10 @@ from spinkostka import (
     spin_kostka,
     spin_kostka_one_row,
     spin_kostka_two_part,
+    t_binomial,
+    t_double_factorial,
+    t_factorial,
+    t_int,
 )
 from spinkostka.partitions import (
     as_partition,
@@ -79,10 +83,10 @@ EXEMPT = {
     "strict_partitions": "takes an int n",
     "is_partition": "a predicate: answers for any sequence",
     "is_strict_partition": "a predicate: answers for any sequence",
-    "t_int": "takes an int",
-    "t_factorial": "takes an int",
-    "t_double_factorial": "takes an int",
-    "t_binomial": "takes two ints",
+    "t_int": "takes an int >= 0, checked in test_t_brackets_reject_bools_non_ints_and_negatives",
+    "t_factorial": "takes an int >= 0, checked in test_t_brackets_reject_bools_non_ints_and_negatives",
+    "t_double_factorial": "takes an int >= 0, checked in test_t_brackets_reject_bools_non_ints_and_negatives",
+    "t_binomial": "takes two ints >= 0, checked in test_t_brackets_reject_bools_non_ints_and_negatives",
 }
 
 
@@ -156,6 +160,34 @@ def test_int_arguments_reject_floats_and_bools(fn, args, name):
     raises a ValueError that names the argument."""
     with pytest.raises(ValueError, match=r"\b%s=|^%s " % (name, name)):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        (t_int, (True,), "n"),
+        (t_int, (2.0,), "n"),
+        (t_int, (-1,), "n"),
+        (t_factorial, (True,), "n"),
+        (t_factorial, (3.0,), "n"),
+        (t_factorial, (-2,), "n"),
+        (t_double_factorial, (False,), "n"),
+        (t_double_factorial, ("4",), "n"),
+        (t_double_factorial, (-3,), "n"),
+        (t_binomial, (True, False), "n"),
+        (t_binomial, (4.0, 2), "n"),
+        (t_binomial, (-1, 0), "n"),
+        (t_binomial, (4, False), "k"),
+        (t_binomial, (4, 1.0), "k"),
+        (t_binomial, (4, -1), "k"),
+    ],
+)
+def test_t_brackets_reject_bools_non_ints_and_negatives(fn, args, name):
+    """A t-bracket takes ints >= 0: a bool, a non-int or a negative value
+    raises a ValueError that names the argument, and 0 is taken."""
+    with pytest.raises(ValueError, match="^%s must be an int >= 0, got " % name):
+        fn(*args)
+    assert fn(*[0 for _ in args]) == (0 if fn is t_int else 1)
 
 
 def test_as_partition():

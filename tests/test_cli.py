@@ -66,7 +66,7 @@ def test_compute_oracle_agrees(capsys):
 
 
 def test_compute_oracle_has_no_weight_cap(capsys):
-    """compute --oracle runs at any weight, as table does."""
+    """compute --oracle runs at any weight: the oracle has no slot."""
     assert main(["compute", "--xi", "13", "--mu", "13", "--oracle"]) == 0
     assert capsys.readouterr().out == "2\n"
 
@@ -120,6 +120,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--cache" in capsys.readouterr().err
     assert not memo.exists()
+
+
+def test_table_past_the_slot_exits_2(tmp_path, capsys):
+    """table refuses a weight with a cell past the engine's slot as compute
+    does: exit 2 with the engine's message, which names xi, and no --out
+    file."""
+    path = tmp_path / "t28.md"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "28", "--out", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "xi=(" in err and "past the 64-bit slot" in err, err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from crosscheck import (
+    coefficient,
     inverse_z_t,
     package_imports,
     reference_apply_component,
@@ -17,6 +18,7 @@ from crosscheck import (
     t_form_kostka_foulkes,
     t_form_scaled,
     t_form_spin_kostka,
+    vector,
 )
 from spinkostka import oracle
 from spinkostka.oracle import (
@@ -52,7 +54,7 @@ from spinkostka.oracle import (
     verify_relations,
 )
 from spinkostka.partitions import partitions, strict_partitions
-from spinkostka.polynomial import LaurentPoly, RatFunc, RF_ONE, RF_ZERO
+from spinkostka.polynomial import ONE, LaurentPoly, RatFunc, RF_ONE
 
 
 def test_q_n_power_sum_expansion():
@@ -60,7 +62,7 @@ def test_q_n_power_sum_expansion():
     for n in range(0, 6):
         q = hl_Q((n,)) if n else hl_Q(())
         for lam in partitions(n):
-            assert q.coeffs.get(lam, RF_ZERO) == inverse_z_t(lam), lam
+            assert coefficient(q, lam) == inverse_z_t(lam), lam
 
 
 def test_htilde_power_sum_expansion():
@@ -68,17 +70,17 @@ def test_htilde_power_sum_expansion():
         h = htilde(n)
         for lam in partitions(n):
             want = inverse_z_t(lam).subs_neg_t() * eps(lam)
-            assert h.coeffs.get(lam, RF_ZERO) == want, lam
+            assert coefficient(h, lam) == want, lam
 
 
 def test_schur_function_expansions():
     # s_2 = p_2/2 + p_1^2/2, s_11 = -p_2/2 + p_1^2/2
     s2 = schur_s((2,))
-    assert s2.coeffs[(2,)] == RatFunc(1, 2)
-    assert s2.coeffs[(1, 1)] == RatFunc(1, 2)
+    assert coefficient(s2, (2,)) == RatFunc(1, 2)
+    assert coefficient(s2, (1, 1)) == RatFunc(1, 2)
     s11 = schur_s((1, 1))
-    assert s11.coeffs[(2,)] == RatFunc(-1, 2)
-    assert s11.coeffs[(1, 1)] == RatFunc(1, 2)
+    assert coefficient(s11, (2,)) == RatFunc(-1, 2)
+    assert coefficient(s11, (1, 1)) == RatFunc(1, 2)
 
 
 def test_adjointness_of_each_operator_pair():
@@ -98,8 +100,8 @@ def test_adjointness_of_each_operator_pair():
         for n in (1, 2, 3):
             for lam_u in (lam for d in range(3) for lam in partitions(d)):
                 for lam_v in partitions(sum(lam_u) + n):
-                    u = PExpansion({lam_u: RF_ONE})
-                    v = PExpansion({lam_v: RF_ONE})
+                    u = PExpansion({lam_u: ONE})
+                    v = PExpansion({lam_v: ONE})
                     assert pair(op(n, u), v) == pair(u, adj(n, v)), (op.name, n, lam_u, lam_v)
 
 
@@ -110,11 +112,12 @@ def test_q_prime_is_q_under_x_over_one_minus_t():
         for mu in partitions(n):
             prime = hl_Q_prime(mu)
             want = {}
-            for lam, c in prime.coeffs.items():
+            for lam in prime.coeffs:
+                c = coefficient(prime, lam)
                 for part in lam:
                     c = c * RatFunc(LaurentPoly({0: 1, part: -1}))
                 want[lam] = c
-            assert hl_Q(mu) == PExpansion(want), mu
+            assert hl_Q(mu) == vector(want), mu
 
 
 def test_hall_form_pairings_match_the_t_form():
@@ -240,8 +243,8 @@ def test_inner_at_minus_one_refuses_an_even_part():
     key with one raises, and a key only one side holds does not."""
     with pytest.raises(ValueError, match=r"lam=\(2, 1\) has an even part"):
         inner_at_minus_one(schur_s((3,)), hl_Q((3,)))
-    assert inner_at_minus_one(PExpansion({(2,): RF_ONE}), schur_q((1,))) == 0
-    assert inner_at_minus_one(PExpansion({(3,): RF_ONE, (2,): RF_ONE}), schur_q((3,))) == 1
+    assert inner_at_minus_one(PExpansion({(2,): ONE}), schur_q((1,))) == 0
+    assert inner_at_minus_one(PExpansion({(3,): ONE, (2,): ONE}), schur_q((3,))) == 1
 
 
 def _clear_oracle_caches():
@@ -260,7 +263,7 @@ def _random_vector(rng, degree=5, terms=5):
     for lam in rng.sample(pool, terms):
         num = LaurentPoly({e: rng.randint(-3, 3) for e in range(-1, 2)})
         coeffs[lam] = RatFunc(num, rng.randint(1, 4))
-    return PExpansion(coeffs)
+    return vector(coeffs)
 
 
 # Every operator the oracle defines, so that one added later is compared
@@ -294,34 +297,44 @@ def test_apply_component_matches_the_ungrouped_reference():
                 assert got == reference_apply_component(spec, m, F), (spec.name, m, i)
 
 
-def _assert_canonical(c, where):
-    terms = c.num.terms
-    assert c.den > 0 and gcd(c.den, *terms.values()) == 1, where
-    assert 0 not in terms.values(), where
+def _assert_canonical(den, nums, where):
+    """den > 0 is prime to the coefficients of the numerators nums taken
+    together, and no numerator is zero or holds a zero entry."""
+    values = [v for num in nums for v in num.terms.values()]
+    assert den > 0 and gcd(den, *values) == 1, where
+    assert all(nums) and 0 not in values, where
 
 
 def test_kernels_return_canonical_coefficients():
-    """Every coefficient that apply_component returns is nonzero, and it and
-    every value of inner have a positive denominator prime to the content
-    of the numerator, and no zero entry in the numerator: on vectors with
+    """Every vector that apply_component returns, and every value of inner,
+    has a positive denominator prime to its numerators' coefficients and no
+    zero numerator or entry: on vectors whose coefficients have
     denominators 1..4 and exponents -1..1, and on p_2 + p_11, where H's
-    annihilation side sums d_2 and d_11 into one group that cancels."""
+    annihilation side sums d_2 and d_11 into one group that cancels.  A sum
+    whose denominators cancel comes out over 1, and one vector built two
+    ways compares equal."""
     rng = random.Random(30)
     vectors = [_random_vector(rng) for _ in range(4)]
-    assert {c.den for v in vectors for c in v.coeffs.values()} == {1, 2, 3, 4}
-    cancelling = PExpansion({(2,): RF_ONE, (1, 1): RF_ONE})
+    assert {coefficient(v, lam).den for v in vectors for lam in v.coeffs} == {1, 2, 3, 4}
+    cancelling = PExpansion({(2,): ONE, (1, 1): ONE})
     assert reference_apply_component(op_H, -2, cancelling) == PExpansion.zero()
     for spec in ALL_SPECS.values():
         for i, F in enumerate(vectors + [cancelling]):
             for m in range(-3, 4):
                 got = apply_component(spec, m, F)
                 assert got == reference_apply_component(spec, m, F), (spec.name, m, i)
-                for lam, c in got.coeffs.items():
-                    assert c, (spec.name, m, i, lam)
-                    _assert_canonical(c, (spec.name, m, i, lam))
+                _assert_canonical(got.den, list(got.coeffs.values()), (spec.name, m, i))
     for F in vectors:
         for G in vectors:
-            _assert_canonical(inner(F, G), (F, G))
+            value = inner(F, G)
+            _assert_canonical(value.den, [value.num] if value else [], (F, G))
+    # s_2 + s_11 = (p_2 + p_11)/2 + (-p_2 + p_11)/2 = p_11
+    both = schur_s((2,)) + schur_s((1, 1))
+    assert (schur_s((2,)).den, both.den) == (2, 1)
+    assert both == PExpansion({(1, 1): ONE}) == vector({(1, 1): RatFunc(2, 2)})
+    assert schur_s((2,)) == PExpansion({(2,): LaurentPoly.const(3), (1, 1): LaurentPoly.const(3)}, 6)
+    mu = (3, 2, 1)
+    assert hl_Q_prime(mu).scale(3) - hl_Q_prime(mu).scale(2) == hl_Q_prime(mu)
 
 
 def test_inner_matches_the_term_by_term_reference():

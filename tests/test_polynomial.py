@@ -400,10 +400,10 @@ coprime_fraction = st.tuples(
 @given(rational, st.integers(min_value=-12, max_value=12), coprime_fraction, laurent, laurent)
 @example((LaurentPoly({0: 2, 1: 4}), 9), -6, (-3, 4), ZERO, ZERO)
 @settings(max_examples=150)
-def test_fast_paths_keep_the_canonical_form(a, k, cd, p, q):
+def test_products_and_sums_are_canonical(a, k, cd, p, q):
     """Products by an int or by a constant c/d (on either side), and sums
-    of values with den 1, skip the general reduction; each gives the
-    (num, den) that ``_ratfunc`` gives on the unreduced product or sum."""
+    of values with den 1, give the (num, den) that ``_ratfunc`` gives on the
+    unreduced product or sum."""
     x = RatFunc(*a)
     const = RatFunc(*cd)
     assert _pair(const) == (LaurentPoly.const(cd[0]), cd[1])

@@ -189,14 +189,13 @@ def _check_against_oracle(nu):
     the straightener agrees with the reference packed, and the reference's
     coefficients, combined over Q_lam, give the oracle's H_nu.1."""
     from spinkostka.oracle import PExpansion, hl_Q
-    from spinkostka.polynomial import RatFunc
 
     want = ReferenceStraightener("leftmost", "table").straighten(nu)
     assert Straightener().straighten(nu) == packed(want), nu
     direct = hl_Q(nu)
     combo = PExpansion.zero()
     for lam, coeff in want.items():
-        combo = combo + hl_Q(lam).scale(RatFunc(coeff))
+        combo = combo + hl_Q(lam).scale(coeff)
     assert direct == combo, nu
 
 
