@@ -29,6 +29,13 @@ H* = phi^-1 H^dagger phi = (phi H phi^-1)^dagger, H''s Hall adjoint
 (``op_H_star``), as phi is Hall-self-adjoint; so every coefficient lies in
 Q[t, 1/t].
 
+K^- pairs Q'_mu with Q_xi, which lies in Q[p_1, p_3, p_5, ...] (Macdonald
+III.8).  The Hall form pairs p_lam with p_rho only when lam = rho, so
+<F, Q_xi> = <pi F, Q_xi>, pi the ring map that sets every p_2k to 0, and
+K^- reads only the keys of Q'_mu with odd parts alone.  The last H' of
+Q'_mu is applied with that cut; its tail is whole, since H' takes even
+keys of the tail to odd ones and the tails are shared with longer mu.
+
 Vectors are exact and never truncated, so the basis caches are keyed on
 the shape alone, and an entry runs at any weight it is asked for.  A
 vector (``PExpansion``) holds integer ``LaurentPoly`` numerators over one
@@ -48,7 +55,7 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 
 from .partitions import as_partition, partitions, strict_partitions, vertical_strip_subshapes
-from .polynomial import ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn, _ratfunc, _raw, _scale
+from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn, _ratfunc, _raw, _scale
 
 
 # -- partition statistics -----------------------------------------------
@@ -110,13 +117,7 @@ class PExpansion:
     __slots__ = ("coeffs", "den")
 
     def __init__(self, coeffs, den=1):
-        coeffs = {lam: c for lam, c in coeffs.items() if c}
-        if den != 1:
-            g = gcd(den, *[v for c in coeffs.values() for v in c._terms.values()])
-            if g != 1:
-                coeffs = {lam: _raw({e: v // g for e, v in c._terms.items()}) for lam, c in coeffs.items()}
-                den //= g
-        self.coeffs, self.den = coeffs, den
+        self.coeffs, self.den = _reduced({lam: c for lam, c in coeffs.items() if c}, den)
 
     @classmethod
     def vacuum(cls):
@@ -127,20 +128,24 @@ class PExpansion:
         return cls({})
 
     def __add__(self, other):
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {lam: _scale(c, a) for lam, c in self.coeffs.items()}
-        for lam, c in other.coeffs.items():
-            c = _scale(c, b)
-            out[lam] = out[lam] + c if lam in out else c
-        return PExpansion(out, den)
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return _combine(self, other, -1)
 
     def scale(self, c):
-        """The vector times c, an int or a ``LaurentPoly``."""
-        return PExpansion({lam: v * c for lam, v in self.coeffs.items()}, self.den)
+        """The vector times c, an int or a ``LaurentPoly``.  A unit +-t^d
+        leaves the content as it is, so that product takes no gcd."""
+        if type(c) is int:
+            c = LaurentPoly.const(c)
+        if not c:
+            return PExpansion.zero()
+        if len(c._terms) == 1:
+            ((d, u),) = c._terms.items()
+            if u == 1 or u == -1:
+                coeffs = {lam: _raw({e + d: v * u for e, v in num._terms.items()}) for lam, num in self.coeffs.items()}
+                return _pexp(coeffs, self.den)
+        return _pexp(*_reduced({lam: v * c for lam, v in self.coeffs.items()}, self.den))
 
     def subs_neg_t(self):
         return PExpansion({lam: c.subs_neg_t() for lam, c in self.coeffs.items()}, self.den)
@@ -150,6 +155,45 @@ class PExpansion:
 
     def __repr__(self):
         return "PExpansion(%r, %d)" % (self.coeffs, self.den)
+
+
+def _reduced(coeffs, den):
+    """(coeffs, den) with the common content of den and the nonzero
+    numerators coeffs divided out."""
+    if den != 1:
+        g = gcd(den, *[v for c in coeffs.values() for v in c._terms.values()])
+        if g != 1:
+            coeffs = {lam: _raw({e: v // g for e, v in c._terms.items()}) for lam, c in coeffs.items()}
+            den //= g
+    return coeffs, den
+
+
+def _pexp(coeffs, den):
+    """A ``PExpansion`` from parts already in canonical form."""
+    F = PExpansion.__new__(PExpansion)
+    F.coeffs, F.den = coeffs, den
+    return F
+
+
+def _combine(F, G, sign):
+    """F + sign * G, sign = +-1, in one pass over one common denominator."""
+    den = F.den if F.den == G.den else lcm(F.den, G.den)
+    a, b = den // F.den, sign * (den // G.den)
+    out = {lam: _scale(c, a) for lam, c in F.coeffs.items()}
+    for lam, c in G.coeffs.items():
+        have = out.get(lam)
+        terms = {} if have is None else dict(have._terms)
+        for e, v in c._terms.items():
+            v = terms.get(e, 0) + v * b
+            if v:
+                terms[e] = v
+            else:
+                del terms[e]
+        if terms:
+            out[lam] = _raw(terms)
+        else:
+            del out[lam]
+    return _pexp(*_reduced(out, den))
 
 
 # -- operator specifications --------------------------------------------
@@ -219,17 +263,15 @@ op_e_minus = adjoint_spec(op_e)
 def _exp_coeff(seq, rho):
     """prod_i seq(rho_i) / prod_k m_k(rho)!: with a creation sequence the
     coefficient of p_rho z^|rho| in its exponential, with an annihilation
-    one that of d_rho z^-|rho| (d_rho a product of plain d/dp_k).  The
-    numerators and the denominators are multiplied apart and reduced once."""
-    num, den = ONE, 1
-    for part in rho:
-        c = seq(part)
-        if not c:
-            return RF_ZERO
-        num, den = num * c.num, den * c.den
-    for m in Counter(rho).values():
-        den *= factorial(m)
-    return _ratfunc(num, den)
+    one that of d_rho z^-|rho| (d_rho a product of plain d/dp_k).  Built on
+    its tail: that of rho[1:] times that of (rho_0,) over m_rho0(rho), so
+    seq is called once per part value."""
+    if len(rho) < 2:
+        return seq(rho[0]) if rho else RF_ONE
+    head, tail = _exp_coeff(seq, rho[:1]), _exp_coeff(seq, rho[1:])
+    if not (head and tail):
+        return RF_ZERO
+    return _ratfunc(head.num * tail.num, head.den * tail.den * rho.count(rho[0]))
 
 
 @lru_cache(maxsize=None)
@@ -258,19 +300,34 @@ def _table(rows):
     return den, [(key, [(e, v * k * (den // c.den)) for e, v in c.num._terms.items()]) for key, c, k in rows]
 
 
+def _all_odd(lam):
+    return all(part % 2 for part in lam)
+
+
 @lru_cache(maxsize=None)
-def _annihilation_terms(seq, lam):
+def _annihilation_terms(seq, lam, odd):
     """The table of ((|sigma|, lam - sigma), coefficient of d_sigma times
     deriv) for each sub-multiset sigma of lam whose coefficient under the
-    annihilation sequence ``seq`` is not zero."""
-    return _table(((s, base), _exp_coeff(seq, sigma), deriv) for s, sigma, base, deriv in _sub_multisets(lam))
+    annihilation sequence ``seq`` is not zero; if odd, only those whose
+    lam - sigma has odd parts alone."""
+    rows = _sub_multisets(lam)
+    return _table(((s, base), _exp_coeff(seq, sigma), k) for s, sigma, base, k in rows if not odd or _all_odd(base))
 
 
 @lru_cache(maxsize=None)
-def _creation_terms(seq, r):
+def _creation_terms(seq, r, odd):
     """The table of (rho, coefficient of p_rho) for each rho |- r whose
-    coefficient under the creation sequence ``seq`` is not zero."""
-    return _table((rho, _exp_coeff(seq, rho), 1) for rho in partitions(r))
+    coefficient under the creation sequence ``seq`` is not zero; if odd,
+    only the rho with odd parts alone."""
+    return _table((rho, _exp_coeff(seq, rho), 1) for rho in partitions(r) if not odd or _all_odd(rho))
+
+
+@lru_cache(maxsize=None)
+def _creation_row(seq, r, base, odd):
+    """``_creation_terms(seq, r, odd)`` with each rho merged into base:
+    the keys are the partitions base + rho, sorted once per row."""
+    den, terms = _creation_terms(seq, r, odd)
+    return den, [(tuple(sorted(base + rho, reverse=True)), ac) for rho, ac in terms]
 
 
 # The two kernels, apply_component and inner, sum integer Laurent numerators
@@ -294,43 +351,51 @@ def _add_products(acc, x, y):
             acc[e] = get(e, 0) + c1 * c2
 
 
-def apply_component(spec, m, F):
+def apply_component(spec, m, F, odd=False):
     """The z^m component of the operator applied to F (m in the unified
-    indexing where creation carries positive powers of z).
+    indexing where creation carries positive powers of z); if odd, only
+    its terms on keys with odd parts alone.
 
     The annihilation side runs first: d_sigma p_lam = deriv * p_(lam - sigma)
     for each sub-multiset sigma of lam, with s = |sigma| taken off and
     r = m + s left for the creation side.  Its terms are summed per
     (lam - sigma, r), so each group is multiplied once by the creation
-    coefficient of every rho |- r.  The group carries r, not lam - sigma
-    alone, because F may mix weights.  Both sides read cached term tables
-    that hold only the nonzero coefficients, so the even parts of Q's
-    creation side and every sigma but () on the annihilation side of htilde
-    and e+ are never visited.  The groups and the output are integer
-    numerators over F.den * d_ann * d_cre, d_ann and d_cre the lcms of the
-    denominators of the annihilation and creation tables read."""
+    coefficient of every rho |- r, read from a row cached per (r, lam -
+    sigma) whose keys lam - sigma + rho are sorted once.  The group carries
+    r, not lam - sigma alone, because F may mix weights.  Both sides read
+    cached term tables that hold only the nonzero coefficients, so the even
+    parts of Q's creation side and every sigma but () on the annihilation
+    side of htilde and e+ are never visited.  An output key lam - sigma +
+    rho has odd parts alone exactly when both lam - sigma and rho do, so
+    with odd the tables keep only those.  The groups and the output are
+    integer numerators over F.den * d_ann * d_cre, d_ann and d_cre the lcms
+    of the denominators of the annihilation and creation tables read."""
     coeffs = F.coeffs
-    tables = [_annihilation_terms(spec.annihilation, lam) for lam in coeffs]
-    d_ann = lcm(*[den for den, _ in tables])
+    if not coeffs:
+        return F
+    tables = [_annihilation_terms(spec.annihilation, lam, odd) for lam in coeffs]
+    d_ann = lcm(*{den for den, _ in tables})
     groups = {}
     for c, (den, terms) in zip(coeffs.values(), tables):
-        k = d_ann // den
-        x = [(e, v * k) for e, v in c._terms.items()]
+        x = c._terms.items()
+        if den != d_ann:
+            k = d_ann // den
+            x = [(e, v * k) for e, v in x]
         for (s, base), bd in terms:
             r = m + s
             if r >= 0:
                 _add_products(groups.setdefault((base, r), {}), x, bd)
-    creation = [(base, acc, _creation_terms(spec.creation, r)) for (base, r), acc in groups.items()]
-    d_cre = lcm(*[den for _, _, (den, _) in creation])
+    rows = [(acc, _creation_row(spec.creation, r, base, odd)) for (base, r), acc in groups.items()]
+    d_cre = lcm(*{den for _, (den, _) in rows})
     sums = {}
-    for base, acc, (den, terms) in creation:
+    for acc, (den, terms) in rows:
         k = d_cre // den
         x = [(e, v * k) for e, v in acc.items() if v]
         if x:
-            for rho, ac in terms:
-                _add_products(sums.setdefault(tuple(sorted(base + rho, reverse=True)), {}), x, ac)
-    out = {lam: _raw({e: c for e, c in acc.items() if c}) for lam, acc in sums.items()}
-    return PExpansion(out, F.den * d_ann * d_cre)
+            for key, ac in terms:
+                _add_products(sums.setdefault(key, {}), x, ac)
+    out = {key: _raw(num) for key, acc in sums.items() if (num := {e: c for e, c in acc.items() if c})}
+    return _pexp(*_reduced(out, F.den * d_ann * d_cre))
 
 
 # -- basis vectors ------------------------------------------------------
@@ -353,6 +418,13 @@ def hl_Q_prime(mu):
     modified Hall-Littlewood Q'_mu when mu is a partition, whose coefficient
     of p_lam is that of Q_mu over prod_i (1 - t^lam_i)."""
     return op_H_prime(mu[0], hl_Q_prime(mu[1:])) if mu else PExpansion.vacuum()
+
+
+@lru_cache(maxsize=None)
+def _hl_Q_prime_odd(mu):
+    """hl_Q_prime(mu) with only its keys of odd parts alone: its outermost
+    H' applied, odd, to the whole cached tail."""
+    return apply_component(op_H_prime, mu[0], hl_Q_prime(mu[1:]), odd=True) if mu else PExpansion.vacuum()
 
 
 @lru_cache(maxsize=None)
@@ -403,13 +475,13 @@ def inner_at_minus_one(F, G):
 
 
 def oracle_spin_kostka(xi, mu):
-    """K^-_{xi,mu}(t) = <Q_mu(x;t), Q_xi>_t, computed as <Q'_mu, Q_xi> under
-    the canonical form, which equals it; xi strict (``as_partition``); 0 if
-    weights differ."""
+    """K^-_{xi,mu}(t) = <Q_mu(x;t), Q_xi>_t, computed as <pi Q'_mu, Q_xi>
+    under the canonical form, which equals it; xi strict (``as_partition``);
+    0 if weights differ."""
     xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
     if sum(xi) != sum(mu):
         return LaurentPoly()
-    return inner(hl_Q_prime(mu), schur_q(xi)).to_laurent()
+    return inner(_hl_Q_prime_odd(mu), schur_q(xi)).to_laurent()
 
 
 # The entries check their arguments (``as_partition``); the values are
@@ -424,6 +496,7 @@ def oracle_b(xi, lam):
 
 @lru_cache(maxsize=None)
 def _b_value(xi, lam):
+    # no odd cut: the b*K path reads the full s_lam again for K_{lam,mu}
     if sum(xi) != sum(lam):
         return 0
     value = inner(schur_s(lam), schur_q(xi)).to_fraction()

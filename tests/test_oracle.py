@@ -372,7 +372,27 @@ def test_specs_with_one_sequence_share_its_tables():
     """H' and S+ share the creation sequence 1/n, so K_{lam,mu}(t) on every
     cell of weight 5, which applies both, fills one creation table per
     weight r = 1..5; H, Q and S+ share the annihilation sequence -1, and
-    htilde and e+ the zero one."""
+    htilde and e+ the zero one.
+
+    The cells apply S+ (annihilation -1) and H' (annihilation
+    -(1 - t^n)) to vectors whose keys together are the 12 partitions of
+    weight <= 4.  So each annihilation sequence fills 12 tables, and its
+    coefficient cache one entry per sub-multiset of those keys, which
+    are again the 12 partitions of weight <= 4; the creation sequence
+    adds the 18 partitions of r = 1..5.  A coefficient is built from
+    those of its head (rho_0,) and its tail rho[1:], and when rho has two
+    parts or more both are partitions of weight 1..4, already cached:
+    24 + 18 = 42 entries, as when each was built part by part.  A
+    creation row is cached per (r, base) whose output weight |base| + r
+    is at most 5, base any partition: 12 + 7 + 4 + 2 + 1 = 26 for
+    r = 1..5.
+
+    K^- on every cell of weight 5, from cold caches, builds the cut
+    vector of each of the 7 mu |- 5 on the full vectors of their proper
+    tails, (), 1, 2, 11, 21, 111 and 1111, and never the full vector of
+    a mu of weight 5.  Its cut rows are the 7 pairs (r, base) with base
+    of odd parts alone and |base| = 5 - r: base (), 1, 11, 3, 111, 31 and
+    1111."""
     assert op_S_plus.creation is op_H_prime.creation
     assert op_Q.annihilation is op_S_plus.annihilation is op_H.annihilation
     assert op_e.annihilation is op_htilde.annihilation
@@ -381,7 +401,83 @@ def test_specs_with_one_sequence_share_its_tables():
         for mu in partitions(5):
             oracle_kostka_foulkes(lam, mu)
     assert oracle._creation_terms.cache_info().currsize == 5
+    assert oracle._annihilation_terms.cache_info().currsize == 24
     assert oracle._exp_coeff.cache_info().currsize == 42
+    assert oracle._creation_row.cache_info().currsize == 26
+    _clear_oracle_caches()
+    for mu in partitions(5):
+        for xi in strict_partitions(5):
+            oracle_spin_kostka(xi, mu)
+    assert oracle._hl_Q_prime_odd.cache_info().currsize == 7
+    for tail in [(), (1,), (2,), (1, 1), (2, 1), (1, 1, 1), (1, 1, 1, 1)]:
+        hl_Q_prime(tail)
+    assert hl_Q_prime.cache_info().currsize == 7
+    rows = oracle._creation_row.cache_info().currsize
+    for r, base in [(5, ()), (4, (1,)), (3, (1, 1)), (2, (3,)), (2, (1, 1, 1)), (1, (3, 1)), (1, (1, 1, 1, 1))]:
+        oracle._creation_row(op_H_prime.creation, r, base, True)
+    assert oracle._creation_row.cache_info().currsize == rows
+
+
+def _odd_part(F):
+    """pi F, pi the ring map that sets every p_2k to 0: F without the keys
+    that have an even part."""
+    return PExpansion({lam: c for lam, c in F.coeffs.items() if all(part % 2 for part in lam)}, F.den)
+
+
+def test_the_odd_cut_is_pi_of_the_full_vector():
+    """The cut vector of mu is pi Q'_mu for every mu of weight <= 8, mu = ()
+    included, so K^- through it is the uncut <Q'_mu, Q_xi> on every cell of
+    weight <= 8; and apply_component with odd is pi of the full component
+    for every operator, on the vacuum and on vectors of mixed weight."""
+    assert _odd_part(hl_Q_prime((2,))) != hl_Q_prime((2,))
+    for n in range(9):
+        for mu in partitions(n):
+            assert oracle._hl_Q_prime_odd(mu) == _odd_part(hl_Q_prime(mu)), mu
+            for xi in strict_partitions(n):
+                want = inner(hl_Q_prime(mu), schur_q(xi)).to_laurent()
+                assert oracle_spin_kostka(xi, mu) == want, (xi, mu)
+    rng = random.Random(32)
+    vectors = [PExpansion.vacuum()] + [_random_vector(rng) for _ in range(3)]
+    for spec in ALL_SPECS.values():
+        for i, F in enumerate(vectors):
+            for m in range(-4, 5):
+                want = _odd_part(apply_component(spec, m, F))
+                assert apply_component(spec, m, F, odd=True) == want, (spec.name, m, i)
+
+
+def _reference_combination(F, G, sign):
+    """F + sign * G, summed coefficient by coefficient over ``RatFunc``."""
+    keys = F.coeffs.keys() | G.coeffs.keys()
+    return vector({lam: coefficient(F, lam) + coefficient(G, lam) * sign for lam in keys})
+
+
+def test_vector_arithmetic_matches_the_canonical_constructor():
+    """+, - and scale give the vector that the constructor makes from the
+    coefficients summed or multiplied one by one over ``RatFunc``, and
+    each result is canonical: on seeded random vectors with denominators
+    1..4, on sums that cancel to zero, on sums and products whose den
+    reduces, and for scale by 0, +-1, +-t^d and general Laurent
+    polynomials."""
+    rng = random.Random(33)
+    vectors = [PExpansion.zero(), PExpansion.vacuum()] + [_random_vector(rng) for _ in range(6)]
+    scalars = [0, 1, -1, 2, -6, LaurentPoly({3: 1}), LaurentPoly({-2: -1}), LaurentPoly({0: 1, 1: -1})]
+    scalars += [LaurentPoly({-1: 2, 2: -4}), LaurentPoly({0: 3, 1: 6})]
+    for i, F in enumerate(vectors):
+        for j, G in enumerate(vectors):
+            for sign, got in ((1, F + G), (-1, F - G)):
+                assert got == _reference_combination(F, G, sign), (i, j, sign)
+                _assert_canonical(got.den, list(got.coeffs.values()), (i, j, sign))
+        for c in scalars:
+            got = F.scale(c)
+            assert got == vector({lam: coefficient(F, lam) * RatFunc(c) for lam in F.coeffs}), (i, c)
+            _assert_canonical(got.den, list(got.coeffs.values()), (i, c))
+        assert F - F == F + F.scale(-1) == F.scale(0) == PExpansion.zero()
+    half = PExpansion({(1,): ONE, (2, 1): LaurentPoly({0: 1, 1: 1})}, 2)
+    other = PExpansion({(1,): ONE, (2, 1): LaurentPoly({0: 1, 1: -1})}, 2)
+    assert (half + other).den == 1 and half + other == PExpansion({(1,): ONE, (2, 1): ONE})
+    assert (half - other).den == 1 and half - other == PExpansion({(2, 1): LaurentPoly({1: 1})})
+    assert half.scale(2).den == half.scale(LaurentPoly({0: 2, 3: 4})).den == 1
+    assert half.scale(LaurentPoly({5: -1})).den == half.scale(-1).den == 2
 
 
 def test_verify_relations_memo_lives_in_one_call(monkeypatch):
