@@ -48,11 +48,15 @@ def format_partition(lam):
     return ",".join(map(str, lam)) if lam else "-"
 
 
-def poly_json(xi, mu, poly):
-    return {"xi": list(xi), "mu": list(mu), "poly": poly.to_json()}
-
-
 # -- table generation ----------------------------------------------------
+
+
+TABLE_MODES = ("spin", "b")
+
+
+def _check_mode(mode):
+    if mode not in TABLE_MODES:
+        raise ValueError("unknown table mode %r" % (mode,))
 
 
 def build_table(n, mode="spin", threads=1):
@@ -61,17 +65,17 @@ def build_table(n, mode="spin", threads=1):
     # threads remains only because perfbench/worker.py passes threads=1
     if threads != 1:
         raise ValueError("build_table runs serially; threads must be 1")
+    _check_mode(mode)
+    cell = spin_kostka if mode == "spin" else lambda xi, mu: LaurentPoly.const(b_coeff(xi, mu))
     table = {}
     for mu in partitions(n):
         if mu:
-            table[mu] = {
-                xi: spin_kostka(xi, mu) if mode == "spin" else LaurentPoly.const(b_coeff(xi, mu))
-                for xi in strict_partitions(n)
-            }
+            table[mu] = {xi: cell(xi, mu) for xi in strict_partitions(n)}
     return table
 
 
 def render_table(table, n, fmt, mode="spin"):
+    _check_mode(mode)
     cols = strict_partitions(n)
     rows = [mu for mu in partitions(n) if mu]
     if fmt == "md":
@@ -122,16 +126,16 @@ def _suite_tables(args, out):
     """Every published cell must be reproduced, except the documented
     misprints, which must take their verified value; the cells that differ
     from the print must be exactly the documented ones."""
-    from .goldens import KNOWN_DISCREPANCIES, published_tables
+    from .goldens import KNOWN_DISCREPANCIES, published_tables, verified_tables
 
     ok = True
     differing = set()
+    verified = verified_tables()
     for n, rows in published_tables().items():
         for mu, cells in rows.items():
             for xi, published in cells.items():
                 got = spin_kostka(xi, mu)
-                known = KNOWN_DISCREPANCIES.get((n, mu, xi))
-                want = published if known is None else known["verified"]()
+                want = verified[n][mu][xi]
                 cell = "n=%d xi=%s mu=%s" % (
                     n, format_partition(xi), format_partition(mu)
                 )
@@ -218,7 +222,7 @@ def build_parser():
 
     p = sub.add_parser("table", help="full table for weight n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("spin", "b"), default="spin")
+    p.add_argument("--mode", choices=TABLE_MODES, default="spin")
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out", default=None)
 
@@ -253,7 +257,8 @@ def main(argv=None):
         if args.format == "json":
             import json
 
-            out.write(json.dumps(poly_json(args.xi, args.mu, poly)) + "\n")
+            record = {"xi": list(args.xi), "mu": list(args.mu), "poly": poly.to_json()}
+            out.write(json.dumps(record) + "\n")
         else:
             out.write("%s\n" % poly)
         return 0
@@ -281,8 +286,11 @@ def main(argv=None):
             parser.error(str(exc))
         text = render_table(table, args.n, args.format, args.mode)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                parser.error("cannot write --out %s: %s" % (args.out, exc.strerror))
         else:
             out.write(text)
         return 0

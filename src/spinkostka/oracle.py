@@ -55,14 +55,14 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 
 from .partitions import as_partition, partitions, strict_partitions, vertical_strip_subshapes
-from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc, _one_minus_tn, _ratfunc, _raw, _scale
+from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc
+from .polynomial import _add_products, _count, _one_minus_tn, _ratfunc, _raw, _scale
 
 
 # -- partition statistics -----------------------------------------------
 
 
-def multiplicities(lam):
-    return Counter(lam)
+multiplicities = Counter
 
 
 @lru_cache(maxsize=None)
@@ -331,24 +331,10 @@ def _creation_row(seq, r, base, odd):
 
 
 # The two kernels, apply_component and inner, sum integer Laurent numerators
-# (dicts exponent -> int) over one denominator per call, the product of the
-# denominators of their input vectors and the lcms of those of the term
-# tables they read, and reduce the result once.
-
-
-def _add_products(acc, x, y):
-    """acc += x * y, for numerators x and y given as (exponent, int) pairs."""
-    get = acc.get
-    if len(y) == 1:
-        ((e2, c2),) = y
-        for e1, c1 in x:
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-        return
-    for e1, c1 in x:
-        for e2, c2 in y:
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
+# (dicts exponent -> int, through ``polynomial._add_products``) over one
+# denominator per call, the product of the denominators of their input
+# vectors and the lcms of those of the term tables they read, and reduce the
+# result once.
 
 
 def apply_component(spec, m, F, odd=False):
@@ -596,9 +582,8 @@ def verify_relations(max_degree=3, seed=0, vector_degree=None):
     module's caches ``schur_q``, ``hl_Q``, ``hl_Q_prime`` and ``schur_s``."""
     if vector_degree is None:
         vector_degree = max_degree
-    for name, value in (("max_degree", max_degree), ("vector_degree", vector_degree)):
-        if type(value) is not int or value < 0:
-            raise ValueError("%s must be an int >= 0, got %r" % (name, value))
+    _count("max_degree", max_degree)
+    _count("vector_degree", vector_degree)
     memo = {}
 
     def memoized(op):

@@ -124,16 +124,14 @@ class LaurentPoly:
             ((e1, c1),) = small.items()
             return _raw({e1 + e: c1 * c for e, c in large.items()})
         out = {}
-        get = out.get
-        for e1, c1 in small.items():
-            for e2, c2 in large.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
+        _add_products(out, small.items(), large.items())
         return _raw({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if type(n) is not int:
+            raise TypeError("LaurentPoly power must be an int, got %r" % (n,))
         if n < 0:
             raise ValueError("negative power of a LaurentPoly")
         result = ONE
@@ -247,6 +245,22 @@ def _raw(terms):
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
     return p
+
+
+def _add_products(acc, x, y):
+    """acc += x * y for numerators x and y given as (exponent, int) pairs,
+    into acc, a dict exponent -> int that may keep zero sums."""
+    get = acc.get
+    if len(y) == 1:
+        ((e2, c2),) = y
+        for e1, c1 in x:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+        return
+    for e1, c1 in x:
+        for e2, c2 in y:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
 
 
 def _as_laurent(x):
@@ -370,8 +384,6 @@ def t_binomial(n, k):
     out = ONE
     for i in range(1, min(k, n - k) + 1):
         out = _over_one_minus_tn(out * _one_minus_tn(n - i + 1), i)
-        if out is None:
-            raise ArithmeticError("t-binomial [%d, %d]: 1 - t^%d leaves a remainder" % (n, k, i))
     return out
 
 
@@ -380,7 +392,7 @@ def _one_minus_tn(n):
 
 
 def _over_one_minus_tn(p, n):
-    """p / (1 - t^n) if it divides, else None.  The quotient q satisfies
+    """p / (1 - t^n), else ``InexactDivisionError``: the quotient q satisfies
     q_e = p_e + q_(e-n), so it is a running sum along each residue class of
     exponents mod n, and it divides exactly when every sum ends at zero."""
     terms, q = p._terms, {}
@@ -392,7 +404,7 @@ def _over_one_minus_tn(p, n):
             if acc:
                 q[e] = acc
         if acc:
-            return None
+            raise InexactDivisionError("1 - t^%d leaves a remainder" % n)
     return _raw(q)
 
 

@@ -215,6 +215,31 @@ def test_table_out_file(tmp_path, capsys):
     assert path.read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_table_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    """An --out path that cannot be opened exits 2 naming the path, not 1
+    (a failed verification) with a traceback."""
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.md"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "3", "--out", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write --out %s: " % path in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table_rejects_an_unknown_mode():
+    """Only "spin" and "b" are table modes: another is a ValueError naming
+    it, from build_table before any cell and from render_table."""
+    with pytest.raises(ValueError, match="^unknown table mode 'bogus'$"):
+        build_table(3, "bogus")
+    table = build_table(3, "b")
+    for fmt in ("md", "csv", "json"):
+        with pytest.raises(ValueError, match="^unknown table mode 'bogus'$"):
+            render_table(table, 3, fmt, "bogus")
+
+
 def test_verify_tables_suite(capsys):
     assert main(["verify", "--suite", "tables"]) == 0
     out = capsys.readouterr().out

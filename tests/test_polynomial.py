@@ -1,6 +1,8 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from spinkostka.polynomial import (
     SLOT_BITS,
     SLOT_LIMIT,
     ZERO,
+    _add_products,
+    _over_one_minus_tn,
     _ratfunc,
     decode,
     encode,
@@ -57,6 +61,17 @@ def test_power_matches_repeated_product(a, n):
     for _ in range(n):
         expected = expected * a
     assert a ** n == expected
+
+
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "2"], ids=["True", "False", "float", "integral-float", "str"])
+def test_power_exponent_must_be_int(n):
+    with pytest.raises(TypeError, match=r"^LaurentPoly power must be an int, got %s$" % re.escape(repr(n))):
+        T ** n
+
+
+def test_negative_power_is_a_value_error():
+    with pytest.raises(ValueError, match="negative power"):
+        T ** -1
 
 
 def _naive_product(p, q, scale=1, shift=0):
@@ -148,6 +163,45 @@ def test_one_term_product(q, c, e):
     _assert_canonical(mono * q, want)
     _assert_canonical(q * mono, want)
     _assert_canonical(c * q.shift(e), want)
+
+
+def test_shared_product_loop_matches_term_by_term():
+    """``*`` (its one-term branch and the general one) and ``_add_products``
+    (both of its branches) against the term-by-term sum, on seeded factors
+    with negative exponents, one term times many and many times one, and
+    sums that cancel to zero."""
+    rng = random.Random(33)
+
+    def pairs(size):
+        terms = {rng.randint(-6, 6): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(size)}
+        return list(terms.items())
+
+    sizes = (0, 1, 2, 5)
+    for _ in range(200):
+        x, y = pairs(rng.choice(sizes)), pairs(rng.choice(sizes))
+        p, q = LaurentPoly(dict(x)), LaurentPoly(dict(y))
+        want = _naive_product(p, q)
+        _assert_canonical(p * q, want)
+        _assert_canonical(q * p, want)
+        start = dict(pairs(3))
+        expected = dict(start)
+        for e1, c1 in x:
+            for e2, c2 in y:
+                expected[e1 + e2] = expected.get(e1 + e2, 0) + c1 * c2
+        acc = dict(start)
+        _add_products(acc, x, y)
+        assert acc == expected
+        # adding -x * y back cancels what it added: each new sum is zero
+        _add_products(acc, [(e, -c) for e, c in x], y)
+        assert acc == {e: start.get(e, 0) for e in expected}
+    # coefficients that cancel are dropped, on either branch of *
+    _assert_canonical((ONE + T) * (ONE - T), LaurentPoly({0: 1, 2: -1}))
+    _assert_canonical(LaurentPoly({-1: 1, 1: 1}) * LaurentPoly({-1: 1, 1: -1}), LaurentPoly({-2: 1, 2: -1}))
+    _assert_canonical(LaurentPoly({-2: 3}) * ZERO, ZERO)
+    acc = {}
+    _add_products(acc, [(-2, 3), (1, 1)], [(-1, 2)])
+    _add_products(acc, [(-2, -3), (1, -1)], [(-1, 2)])
+    assert acc == {-3: 0, 0: 0}
 
 
 @given(laurent, laurent)
@@ -297,6 +351,15 @@ def test_t_binomial_pascal():
     assert t_binomial(4, 2) == LaurentPoly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
     with pytest.raises(ValueError):
         t_binomial(3, 4)
+
+
+def test_over_one_minus_tn_rejects_a_remainder():
+    """p / (1 - t^n) raises ``InexactDivisionError``, as ``exact_div`` does."""
+    assert _over_one_minus_tn(ONE - T ** 6, 3) == ONE + T ** 3
+    assert _over_one_minus_tn(LaurentPoly({-2: 1, 0: -1}), 2) == LaurentPoly({-2: 1})
+    for p, n in ((ONE, 2), (ONE - T ** 3, 2), (ONE + T, 1)):
+        with pytest.raises(InexactDivisionError, match="^1 - t\\^%d leaves a remainder$" % n):
+            _over_one_minus_tn(p, n)
 
 
 # -- rational functions --------------------------------------------------
