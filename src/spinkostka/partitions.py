@@ -68,9 +68,12 @@ def conjugate(lam):
     return _conjugate(as_partition(lam, "lam"))
 
 
+@lru_cache(maxsize=None)
 def _conjugate(lam):
     """conjugate on a tuple, in O(l(lam) + lam_1): read bottom up, row i
-    (1-based) adds lam_i - lam_(i+1) columns of length i."""
+    (1-based) adds lam_i - lam_(i+1) columns of length i.  Memoized: the
+    b recursion folds every tall shape it meets through it, and there are
+    at most p(n) shapes of weight n."""
     out, below = [], 0
     for rows in range(len(lam), 0, -1):
         part = lam[rows - 1]
@@ -97,9 +100,21 @@ def _dominates(lam, mu):
     return True
 
 
-@lru_cache(maxsize=None)
+def _check_counts(n, max_part):
+    """The enumerators take an int n and an int or None max_part:
+    ``ValueError`` naming the argument on anything else, a bool included.
+    Their caches are typed, so ``True`` never reaches the entry of 1."""
+    if type(n) is not int:
+        raise ValueError("n must be an int, got %r" % (n,))
+    if max_part is not None and type(max_part) is not int:
+        raise ValueError("max_part must be an int or None, got %r" % (max_part,))
+
+
+@lru_cache(maxsize=None, typed=True)
 def partitions(n, max_part=None):
-    """All partitions of n with parts <= max_part, in reverse lex order."""
+    """All partitions of n with parts <= max_part, in reverse lex order;
+    () for a negative n."""
+    _check_counts(n, max_part)
     if n == 0:
         return ((),)
     if max_part is None or max_part > n:
@@ -111,8 +126,11 @@ def partitions(n, max_part=None):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def strict_partitions(n, max_part=None):
+    """All strict partitions of n with parts <= max_part, in reverse lex
+    order; () for a negative n."""
+    _check_counts(n, max_part)
     if n == 0:
         return ((),)
     if max_part is None or max_part > n:

@@ -145,6 +145,8 @@ class LaurentPoly:
 
     def shift(self, d):
         """Multiply by t**d (d may be negative)."""
+        if type(d) is not int:
+            raise TypeError("LaurentPoly shift must be an int, got %r" % (d,))
         return _raw({e + d: c for e, c in self._terms.items()})
 
     def exact_div(self, divisor):

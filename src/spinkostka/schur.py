@@ -6,8 +6,10 @@ the largest part of lam and sums over vertical-strip subshapes of the
 remaining rows.  Q_xi is invariant under the involution omega, since its
 generating function E(u)H(u) is symmetric in E and H, and omega s_lam =
 s_lam' (Macdonald, Symmetric Functions and Hall Polynomials, III 8); so
-b_{xi,lam} = b_{xi,lam'}, and the recursion folds each tall lam onto its
-wide conjugate; a one-row xi reaches the hook rule in one step.  Closed forms:
+b_{xi,lam} = b_{xi,lam'}.  ``b_coeff`` folds a tall lam onto its wide
+conjugate before the cache lookup, so a conjugate pair shares one cache
+entry, and the recursion folds each tall subshape it meets; a one-row xi
+reaches the hook rule in one step.  Closed forms:
 the vertical-strip counts N^(s), the two-row formula, and the square-shape
 expansion of the Schur P-function at t = -1 (Aokage's values on hooks).
 """
@@ -27,17 +29,25 @@ from .partitions import (
 
 
 def b_coeff(xi, lam):
-    """Coefficient of s_lam in Q_xi, xi strict (``as_partition``); 0 if weights differ."""
-    return _b(as_partition(xi, "xi", strict=True), as_partition(lam, "lam"))
+    """Coefficient of s_lam in Q_xi, xi strict (``as_partition``); 0 if weights
+    differ.  A tall lam (l(lam) > lam_1) is folded onto its conjugate before
+    the ``_b`` lookup, b_{xi,lam} = b_{xi,lam'} (Macdonald III 8), so a tall
+    cell hits the entry of its wide conjugate; ``_conjugate`` is cached, so
+    the fold is a lookup too."""
+    xi = as_partition(xi, "xi", strict=True)
+    lam = as_partition(lam, "lam")
+    if lam and lam[0] < len(lam):
+        lam = _conjugate(lam)
+    return _b(xi, lam)
 
 
 @lru_cache(maxsize=None)
 def _b(xi, lam):
-    """b_coeff on tuples, by the vertical-strip recursion.  A tall lam
-    (l(lam) > lam_1) is folded onto its conjugate, b_{xi,lam} = b_{xi,lam'}
-    (Macdonald III 8), so both share one cache entry and the recursion runs
-    on the wide one: fewer parts of xi reach lam_1, and fewer rows are left
-    to strip."""
+    """b_coeff on tuples, by the vertical-strip recursion.  ``b_coeff`` hands
+    it a wide lam; a tall subshape met in the recursion is folded onto its
+    conjugate here, after the lookup, so it keeps an entry of its own beside
+    its conjugate's.  The recursion runs on the wide one: fewer parts of xi
+    reach lam_1, and fewer rows are left to strip."""
     if sum(xi) != sum(lam):
         return 0
     if not xi:

@@ -79,8 +79,8 @@ def _entries(n, k, xi, mu, lam):
 EXEMPT = {
     "InexactDivisionError": "an exception type",
     "LaurentPoly": "takes an exponent -> int dict, checked in test_polynomial",
-    "partitions": "takes an int n",
-    "strict_partitions": "takes an int n",
+    "partitions": "takes an int n and an int or None max_part, checked in test_enumerators_reject_bools_and_non_ints",
+    "strict_partitions": "takes an int n and an int or None max_part, checked in test_enumerators_reject_bools_and_non_ints",
     "is_partition": "a predicate: answers for any sequence",
     "is_strict_partition": "a predicate: answers for any sequence",
     "t_int": "takes an int >= 0, checked in test_t_brackets_reject_bools_non_ints_and_negatives",
@@ -188,6 +188,32 @@ def test_t_brackets_reject_bools_non_ints_and_negatives(fn, args, name):
     with pytest.raises(ValueError, match="^%s must be an int >= 0, got " % name):
         fn(*args)
     assert fn(*[0 for _ in args]) == (0 if fn is t_int else 1)
+
+
+@pytest.mark.parametrize("fn", [partitions, strict_partitions])
+def test_enumerators_reject_bools_and_non_ints(fn):
+    """An enumerator takes an int n and an int or None max_part: a bool or a
+    non-int raises a ValueError that names the argument, also after the int
+    it equals is cached (True == 1 and hashes like it), and a negative n
+    gives ()."""
+    for args in [(0,), (1,), (2,), (2, 1), (3, 0), (3, 1)]:
+        fn(*args)
+    for args, kwargs, name in [
+        ((True,), {}, "n"),
+        ((False,), {}, "n"),
+        ((2.0,), {}, "n"),
+        (("2",), {}, "n"),
+        ((), {"n": True}, "n"),
+        ((2, 1.0), {}, "max_part"),
+        ((3, False), {}, "max_part"),
+        ((3, True), {}, "max_part"),
+        ((3,), {"max_part": True}, "max_part"),
+    ]:
+        with pytest.raises(ValueError, match="^%s must be an int" % name):
+            fn(*args, **kwargs)
+    assert fn(-1) == fn(-2, 3) == ()
+    assert fn(0) == fn(0, None) == ((),)
+    assert fn(1) == ((1,),)
 
 
 def test_as_partition():

@@ -69,6 +69,14 @@ def test_power_exponent_must_be_int(n):
         T ** n
 
 
+@pytest.mark.parametrize("d", [True, False, 1.5, 2.0, "2"], ids=["True", "False", "float", "integral-float", "str"])
+def test_shift_must_be_int(d):
+    """shift takes an int d only: a float would make a float exponent that
+    prints as an int one, and a bool would shift by 0 or 1."""
+    with pytest.raises(TypeError, match=r"^LaurentPoly shift must be an int, got %s$" % re.escape(repr(d))):
+        T.shift(d)
+
+
 def test_negative_power_is_a_value_error():
     with pytest.raises(ValueError, match="negative power"):
         T ** -1

@@ -2,8 +2,9 @@
 
 import pytest
 
-from spinkostka.partitions import conjugate, is_hook, partitions, strict_partitions
+from spinkostka.partitions import _conjugate, conjugate, is_hook, partitions, strict_partitions
 from spinkostka.schur import (
+    _b,
     b_coeff,
     b_two_row,
     count_Ns,
@@ -77,6 +78,35 @@ def test_b_matches_the_unfolded_recursion():
                 assert b_coeff(xi, lam) == reference_b(xi, lam), (xi, lam)
                 cells += 1
     assert cells == 7567
+
+
+def test_a_tall_cell_hits_the_entry_of_its_wide_conjugate():
+    """b_coeff folds a tall lam (l(lam) > lam_1) onto its conjugate before
+    the _b lookup, and no other: from cold caches, asking every wide cell of
+    weight 12 misses _b exactly as often as asking _b itself; asking the tall
+    cells after them misses it never, and each equals the unfolded
+    recursion."""
+    n = 12
+    xis = strict_partitions(n)
+    wide = [lam for lam in partitions(n) if lam[0] >= len(lam)]
+    tall = [lam for lam in partitions(n) if lam[0] < len(lam)]
+    assert len(tall) == 35 and len(wide) == 42
+
+    def misses(fn, cells):
+        _b.cache_clear()
+        _conjugate.cache_clear()
+        for xi in xis:
+            for lam in cells:
+                fn(xi, lam)
+        return _b.cache_info().misses
+
+    direct = misses(_b, wide)
+    assert misses(b_coeff, wide) == direct
+    before = _b.cache_info().misses
+    for xi in xis:
+        for lam in tall:
+            assert b_coeff(xi, lam) == reference_b(xi, lam), (xi, lam)
+    assert _b.cache_info().misses == before
 
 
 def test_count_Ns_closed_vs_brute():
