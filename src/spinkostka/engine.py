@@ -151,7 +151,7 @@ def kostka_hook(n, k, mu):
     for ints 0 <= k < n and a partition mu of n (``as_partition``)."""
     mu = as_partition(mu, "mu")
     if type(n) is not int or type(k) is not int or sum(mu) != n or not 0 <= k < n:
-        raise ValueError("need ints n = |mu| and 0 <= k < n, got n=%r k=%r" % (n, k))
+        raise ValueError("need ints n = |mu| and 0 <= k < n, got n=%r k=%r mu=%r" % (n, k, mu))
     l = len(mu)
     if k > l - 1:
         return ZERO

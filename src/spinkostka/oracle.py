@@ -485,10 +485,10 @@ def _b_value(xi, lam):
     # no odd cut: the b*K path reads the full s_lam again for K_{lam,mu}
     if sum(xi) != sum(lam):
         return 0
-    value = inner(schur_s(lam), schur_q(xi)).to_fraction()
-    if value.denominator != 1:
-        raise ArithmeticError("non-integer b value %s" % value)
-    return int(value)
+    value = inner(schur_s(lam), schur_q(xi)).to_laurent()
+    if value.terms.keys() - {0}:
+        raise ArithmeticError("non-constant b value %r" % (value,))
+    return value.coeff(0)
 
 
 def oracle_kostka_foulkes(lam, mu):

@@ -113,32 +113,35 @@ def _check_counts(n, max_part):
 @lru_cache(maxsize=None, typed=True)
 def partitions(n, max_part=None):
     """All partitions of n with parts <= max_part, in reverse lex order;
-    () for a negative n."""
+    () for a negative n.  Built by ``_by_largest_part``."""
     _check_counts(n, max_part)
-    if n == 0:
-        return ((),)
-    if max_part is None or max_part > n:
-        max_part = n
-    out = []
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return _by_largest_part(partitions, n, max_part, False)
 
 
 @lru_cache(maxsize=None, typed=True)
 def strict_partitions(n, max_part=None):
     """All strict partitions of n with parts <= max_part, in reverse lex
-    order; () for a negative n."""
+    order; () for a negative n.  Built by ``_by_largest_part``."""
     _check_counts(n, max_part)
+    return _by_largest_part(strict_partitions, n, max_part, True)
+
+
+def _by_largest_part(entry, n, max_part, strict):
+    """The answers of ``entry`` at (n, max_part) by the largest part j and
+    its multiplicity m (m <= 1 when strict): (j,) * m, then an answer at
+    (n - m*j, j - 1), with j and m falling, which is reverse lex order.
+    Each level lowers the largest part, so the depth is at most that part."""
     if n == 0:
         return ((),)
-    if max_part is None or max_part > n:
-        max_part = n
+    top = n if max_part is None else min(n, max_part)
     out = []
-    for first in range(max_part, 0, -1):
-        for rest in strict_partitions(n - first, first - 1):
-            out.append((first,) + rest)
+    for j in range(top, 0, -1):
+        most = 1 if strict else n // j
+        # no part is left below 1, so j = 1 needs m = n: skip the empty calls
+        for m in range(most, 0 if j > 1 else most - 1, -1):
+            head = (j,) * m
+            for rest in entry(n - m * j, j - 1):
+                out.append(head + rest)
     return tuple(out)
 
 

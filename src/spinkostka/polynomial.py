@@ -439,30 +439,14 @@ class RatFunc:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
-
-    def eval_at(self, t0):
-        """The value at t0 as a ``Fraction``."""
-        return self.num.eval_at(t0) / self.den
-
-    def subs_neg_t(self):
-        """Substitute t -> -t."""
-        return _made(self.num.subs_neg_t(), self.den)
 
     def to_laurent(self):
         """Coerce to an integer Laurent polynomial."""
         if self.den != 1:
             raise InexactDivisionError("not an integer Laurent polynomial: %r" % (self,))
         return self.num
-
-    def to_fraction(self):
-        if self.num and self.num.terms.keys() != {0}:
-            raise InexactDivisionError("not a constant: %r" % (self,))
-        return Fraction(self.num.coeff(0), self.den)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -474,12 +458,6 @@ class RatFunc:
             return other
         den = lcm(self.den, other.den)
         return _ratfunc(_scale(self.num, den // self.den) + _scale(other.num, den // other.den), den)
-
-    def __neg__(self):
-        return _made(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_as_ratfunc(other))
 
     def __mul__(self, other):
         other = _as_ratfunc(other)

@@ -107,7 +107,7 @@ def b_two_row(n, m, lam):
     if type(n) is not int or type(m) is not int or not (1 <= m and 2 * m < n):
         raise ValueError("need ints n and m with 1 <= m < n/2, got n=%r m=%r" % (n, m))
     if sum(lam) != n:
-        raise ValueError("lam must have weight n")
+        raise ValueError("lam must have weight n, got lam=%r n=%r" % (lam, n))
     lam1 = lam[0]
     return 4 * (count_Ns(lam, n - m - lam1) - count_Ns(lam, m - lam1))
 
@@ -117,7 +117,7 @@ def g_square(r, lam):
     square shape at t = -1, by the closed forms; r an int, lam a partition."""
     lam = as_partition(lam, "lam")
     if type(r) is not int or r < 1 or sum(lam) != 2 * r:
-        raise ValueError("need an int r >= 1 and |lam| = 2r, got r=%r" % (r,))
+        raise ValueError("need an int r >= 1 and |lam| = 2r, got r=%r lam=%r" % (r, lam))
     shape = classify_shape(lam)
     if shape.kind is ShapeKind.OTHER:
         return 0

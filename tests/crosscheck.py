@@ -347,7 +347,8 @@ def g_general(mu, lam):
     total = Fraction(0)
     for key in P.coeffs:
         if key in S.coeffs:
-            total += coefficient(P, key).eval_at(-1) * coefficient(S, key).to_fraction() * z_stat(key)
+            total += P.coeffs[key].eval_at(-1) * S.coeffs[key].eval_at(-1) * z_stat(key)
+    total /= P.den * S.den
     if total.denominator != 1:
         raise ArithmeticError("non-integer g value %s" % total)
     return int(total)

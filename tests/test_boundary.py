@@ -32,6 +32,7 @@ from spinkostka import (
     t_factorial,
     t_int,
 )
+from spinkostka.oracle import oracle_b, oracle_kostka_foulkes, oracle_spin_via_bK
 from spinkostka.partitions import (
     as_partition,
     is_partition,
@@ -160,6 +161,31 @@ def test_int_arguments_reject_floats_and_bools(fn, args, name):
     raises a ValueError that names the argument."""
     with pytest.raises(ValueError, match=r"\b%s=|^%s " % (name, name)):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args, named",
+    [
+        (spin_kostka_two_part, ((3,), (2, 2)), None),
+        (oracle_b, ((3,), (2, 2)), None),
+        (oracle_kostka_foulkes, ((3,), (2, 2)), None),
+        (oracle_spin_via_bK, ((3,), (2, 2)), None),
+        (b_two_row, (5, 1, (3, 1)), ("lam=(3, 1)", "n=5")),
+        (kostka_hook, (5, 1, (3, 1)), ("mu=(3, 1)", "n=5")),
+        (g_square, (2, (3, 2)), ("lam=(3, 2)", "r=2")),
+    ],
+)
+def test_unequal_weights(fn, args, named):
+    """A cell whose partitions have unequal weights is 0; a closed form that
+    takes the weight as an int raises a ValueError naming the partition and
+    that int."""
+    if named is None:
+        assert fn(*args) == 0
+        return
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    for part in named:
+        assert part in str(exc.value), (fn, exc.value)
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--cache" in capsys.readouterr().err
     assert not memo.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["g2", "--r", "0", "--lambda", "1"])
+    assert exc.value.code == 2
+    assert "error: r must be >= 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "0"])
+    assert exc.value.code == 2
+    assert "error: n must be >= 1" in capsys.readouterr().err
 
 
 def test_table_past_the_slot_exits_2(tmp_path, capsys):

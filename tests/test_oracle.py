@@ -69,7 +69,8 @@ def test_htilde_power_sum_expansion():
     for n in range(0, 6):
         h = htilde(n)
         for lam in partitions(n):
-            want = inverse_z_t(lam).subs_neg_t() * eps(lam)
+            inv = inverse_z_t(lam)
+            want = RatFunc(inv.num.subs_neg_t(), inv.den) * eps(lam)
             assert coefficient(h, lam) == want, lam
 
 
@@ -545,6 +546,27 @@ def test_verify_relations_reports_a_broken_relation(monkeypatch):
         assert not status["rel2 (htilde* past H)"].passed, name
         assert not status["hH (htilde* through H-word, on vacuum)"].passed, name
         assert status["clifford (Q anticommutator)"].passed, name
+
+
+def test_verify_relations_reports_a_raising_relation(monkeypatch):
+    """A relation that raises becomes a failed entry reading ``error: ...``,
+    and the call still returns its report: with S-'s coefficients raising,
+    iterative2, the one relation that applies S-, fails, and the rest pass."""
+    def broken(n):
+        raise ArithmeticError("broken coefficient at n=%d" % n)
+
+    monkeypatch.setattr(oracle, "op_S_minus", OperatorSpec("S--broken", broken, broken, op_S_minus.sign))
+    try:
+        report = verify_relations(max_degree=1, seed=0, vector_degree=2)
+    finally:
+        _clear_oracle_caches()
+    name = "iterative2 (S- through Q-word, on vacuum, k >= 1)"
+    status = {r.name: r for r in report.results}
+    assert not status[name].passed
+    assert status[name].detail.startswith("error: ArithmeticError('broken coefficient at n="), status[name].detail
+    assert status["com1 (H quadratic relation)"].passed
+    assert [r.name for r in report.results if not r.passed] == [name]
+    assert not report.ok
 
 
 def test_verify_relations_quick():

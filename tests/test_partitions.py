@@ -41,6 +41,38 @@ def test_reverse_lex_order():
     assert strict_partitions(6) == ((6,), (5, 1), (4, 2), (3, 2, 1))
 
 
+def _sorted_compositions(n):
+    """Every composition of n >= 1, its parts sorted into a partition: a
+    composition is a subset of the n - 1 cut points."""
+    out = set()
+    for cuts in range(2 ** (n - 1)):
+        parts, run = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                parts.append(run)
+                run = 0
+            run += 1
+        out.add(tuple(sorted(parts + [run], reverse=True)))
+    return out
+
+
+def test_enumerators_answer_long_partitions_in_order():
+    """Each level of the recursion lowers the largest part, so 3000 ones and
+    the 601 partitions of 1200 into parts <= 2 need no deep recursion.  For
+    n <= 14 and every max_part, each enumerator lists every partition of n
+    within max_part (strict when asked) once, in reverse lex order."""
+    assert partitions(3000, 1) == ((1,) * 3000,)
+    assert len(partitions(1200, 2)) == 601
+    for n in range(15):
+        every = _sorted_compositions(n) if n else {()}
+        for max_part in [None] + list(range(-1, n + 2)):
+            fits = {lam for lam in every if max_part is None or not lam or lam[0] <= max_part}
+            for fn, valid in ((partitions, is_partition), (strict_partitions, is_strict_partition)):
+                got = fn(n, max_part)
+                assert list(got) == sorted(set(got), reverse=True), (fn, n, max_part)
+                assert set(got) == {lam for lam in fits if valid(lam)}, (fn, n, max_part)
+
+
 @given(parts_st)
 def test_conjugate_involution(lam):
     assert conjugate(conjugate(lam)) == lam
@@ -130,13 +162,13 @@ def test_z_t_sums():
             z_at_2 = Fraction(z_stat(lam))
             for part in lam:
                 z_at_2 /= 1 - 2 ** part
-            assert z_at_2 * inv.eval_at(2) == 1, lam
+            assert z_at_2 * inv.num.eval_at(2) / inv.den == 1, lam
             total = total + inv
-            signed = signed + (inv if len(lam) % 2 == 0 else -inv)
+            signed = signed + (inv if len(lam) % 2 == 0 else inv * -1)
         assert total == RatFunc(ONE - T), n
         tn = RatFunc(LaurentPoly.term(1, n))
         tn1 = RatFunc(LaurentPoly.term(1, n - 1))
-        assert signed == tn - tn1, n
+        assert signed == tn + tn1 * -1, n
 
 
 def _reconstruct(shape):
