@@ -4,17 +4,8 @@ The engine implements the vertex-operator recurrence: peeling the largest
 part mu_1 of mu pushes, for each part xi_i >= mu_1, the spin-h component
 h~_k (k = xi_i - mu_1) through H_{mu_2}...H_{mu_l} on the vacuum, and
 recurses on xi without xi_i against each partition of the result.
-
-``htilde_expand`` builds that expansion right to left.  Distributing the k
-cells of h~_k over the positions gives weight 1 to a position taking none
-and t^(c-1)(1+t) to a position taking c > 0, so the expansion is a product
-of one-position steps; after each step the suffix is straightened back to
-the partition basis and equal states merge.  The states after a suffix of
-mu depend only on that suffix and on the cap on cells used, so each engine
-keeps them per suffix, built with the largest k asked so far: every k of
-one rest, and every mu sharing a tail, reuse one sweep.  Only the first
-position runs per k, taking exactly the cells left, so a cold cell
-straightens no word that the sweep for its own k would not.
+``htilde_expand`` builds that expansion and shares its sweeps across k and
+mu (see its docstring).
 
 Two closed forms are used as fast paths: one-row xi and the column mu = 1^n.
 The leading-block factor 2 (xi_1 = mu_1) is no fast path: it is the
@@ -24,9 +15,7 @@ reaches mu_1.  Nor is a two-part mu, one expansion over a single position.
 Inside the engine every coefficient is packed into one int
 (``polynomial.encode``): the expansions, the straightened words and the
 memo of K^- values, the only store of a cell's value.  Each public ask
-decodes the packed value afresh.  Its coefficients lie in 0..2^n g^xi, so
-the engine refuses a cell whose bound does not fit the slot before
-computing it (the proof is at ``polynomial.SLOT_BITS``).
+decodes the packed value afresh, after the slot check of ``spin_kostka``.
 """
 
 from __future__ import annotations
@@ -39,25 +28,32 @@ from .straighten import Straightener
 def htilde_expand(k, mu, straightener, sweeps):
     """{lam: packed coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1.
 
-    Equivalent to summing t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau)
-    over the weak compositions tau of k in the positions of mu, but the
-    sum is built one position at a time from the right, over the states
-    (cells used, straightened suffix).
+    Distributing the k cells of h~_k over the positions of mu gives weight 1
+    to a position taking none and t^(c-1)(1+t) to a position taking c > 0:
+    the sum of t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau) over the weak
+    compositions tau of k.  It is built as a product of one-position steps,
+    from the right, over the states (cells used, straightened suffix): after
+    each step the suffix is straightened back to the partition basis and
+    equal states merge.
 
     Degree pruning: H_mu_j...H_mu_r.1 has degree mu_j + ... + mu_r, and a
     word of negative degree is 0.  A state's suffix weighs
     sum(mu[j+1:]) - used, so position j takes at most sum(mu[j:]) - used
     cells, and h~_k H_mu.1 = 0 for k > |mu|.
 
-    ``sweeps`` maps a suffix mu[j:], j >= 1, to (cap, its states built with
-    at most cap cells used); a fresh {} gives a one-shot sweep.  The walk
-    starts from the longest suffix whose entry has cap >= k, and rebuilds
-    the shorter ones with cap k.  So caps only grow, and a suffix of an entry
-    has at least the entry's cap.  Reuse under a larger cap is exact: each
-    step takes at most cap - used cells and used only grows, so the states
-    with used <= k are exactly those that cap k builds; the others are
-    skipped.  Position 0 runs per k and takes exactly the k - used cells
-    left, as a one-shot sweep does, so it straightens no extra word."""
+    Sweep reuse: the states after a suffix depend only on that suffix and
+    on the cap on cells used.  ``sweeps`` maps a suffix mu[j:], j >= 1, to
+    (cap, its states built with at most cap cells used); a fresh {} gives a
+    one-shot sweep, and an engine keeps one, so every k of one mu and every
+    mu sharing a tail reuse one sweep.  The walk starts from the longest
+    suffix whose entry has cap >= k, and rebuilds the shorter ones with cap
+    k.  So caps only grow, and a suffix of an entry has at least the entry's
+    cap.  Reuse under a larger cap is exact: each step takes at most
+    cap - used cells and used only grows, so the states with used <= k are
+    exactly those that cap k builds; the others are skipped.  Position 0
+    runs per k and takes exactly the k - used cells left, as a one-shot
+    sweep does, so a cold cell straightens no word that the sweep for its
+    own k would not."""
     if not 0 <= k <= sum(mu):
         return {}
     start, states = len(mu), {(0, ()): 1}
@@ -172,8 +168,8 @@ class SpinKostkaEngine:
 
     def spin_kostka(self, xi, mu):
         """K^-_{xi,mu}(t), xi strict (``as_partition``); 0 if weights differ.
-        ``ValueError`` if 2^n g^xi, the bound on its coefficients, does not
-        fit the slot (see ``polynomial.SLOT_BITS``)."""
+        ``ValueError`` before any work on a cell past the slot (see
+        ``polynomial.SLOT_BITS``)."""
         xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
         n = sum(xi)
         if n != sum(mu):

@@ -39,9 +39,7 @@ keys of the tail to odd ones and the tails are shared with longer mu.
 Vectors are exact and never truncated, so the basis caches are keyed on
 the shape alone, and an entry runs at any weight it is asked for.  A
 vector (``PExpansion``) holds integer ``LaurentPoly`` numerators over one
-int denominator; the operator sequences and the pairing results are
-``RatFunc`` scalars, and the relations scale vectors by ints and Laurent
-polynomials.
+int denominator; the scalars are ``RatFunc`` (see ``polynomial.RatFunc``).
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .polynomial import ONE, RF_ONE, RF_ZERO, T, LaurentPoly, RatFunc
 from .polynomial import _add_products, _count, _one_minus_tn, _ratfunc, _raw, _scale
 
 
-# -- partition statistics -----------------------------------------------
+# -- partition statistics, which only the oracle uses --------------------
 
 
 multiplicities = Counter
@@ -394,7 +392,7 @@ def apply_component(spec, m, F, odd=False):
 @lru_cache(maxsize=None)
 def hl_Q(mu):
     """H_mu1 ... H_mur . 1 for any tuple mu of ints: the Hall-Littlewood
-    Q_mu(x;t) when mu is a partition."""
+    Q_mu(x;t) when mu is a partition, which only the relations read."""
     return op_H(mu[0], hl_Q(mu[1:])) if mu else PExpansion.vacuum()
 
 

@@ -71,9 +71,9 @@ def conjugate(lam):
 @lru_cache(maxsize=None)
 def _conjugate(lam):
     """conjugate on a tuple, in O(l(lam) + lam_1): read bottom up, row i
-    (1-based) adds lam_i - lam_(i+1) columns of length i.  Memoized: the
-    b recursion folds every tall shape it meets through it, and there are
-    at most p(n) shapes of weight n."""
+    (1-based) adds lam_i - lam_(i+1) columns of length i.  Memoized for
+    the conjugate fold of ``schur.b_coeff``; there are at most p(n) shapes
+    of weight n."""
     out, below = [], 0
     for rows in range(len(lam), 0, -1):
         part = lam[rows - 1]

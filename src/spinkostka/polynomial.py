@@ -1,25 +1,16 @@
 """Exact univariate arithmetic in t.
 
-Two coefficient domains live here:
-
 * ``LaurentPoly`` -- sparse Laurent polynomials in t with arbitrary-precision
-  integer coefficients.  This is the value domain of every final output
-  (spin Kostka polynomials, straightening coefficients, t-brackets).
-* ``RatFunc`` -- num / den with an integer Laurent numerator and a positive
-  int denominator: a scalar of Q[t, 1/t], the ring the oracle computes in.
-  It is fraction-free, and since the oracle meets no pole, it takes no
-  polynomial gcd.  It holds the oracle's operator sequence values, from
-  which the term tables are built, and the pairing results; the oracle's
-  vectors hold integer numerators over one denominator of their own, so
-  no ``RatFunc`` arithmetic runs per vector coefficient.
+  integer coefficients: the value domain of every output.
+* ``RatFunc`` -- the oracle's scalars in Q[t, 1/t]; its role is set out at
+  the class.
+* ``encode``/``decode`` -- the packed int p(2^64) that the K^- engine and
+  the straightener compute with; the slot width and why it suffices are set
+  out at ``SLOT_BITS``.
+* The t-brackets [n], [n]!, [n]!! and the Gauss binomials.
 
-Both types are immutable value objects; arithmetic always returns fresh
-instances.  Values of both are canonical.
-
-The K^- engine and the straightener compute in a third form, a polynomial
-packed into one Python int by ``encode``; the engine hands its answers out
-through ``decode``.  The slot width and why it suffices are set out at
-``SLOT_BITS``.
+``LaurentPoly`` and ``RatFunc`` are immutable and canonical; arithmetic
+returns fresh instances.
 """
 
 from __future__ import annotations
@@ -43,7 +34,9 @@ class LaurentPoly:
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
+        if terms is not None:
+            if not isinstance(terms, dict):
+                raise TypeError("LaurentPoly terms must be a dict, got %r" % (terms,))
             for e, c in terms.items():
                 if type(e) is not int:
                     raise TypeError("LaurentPoly exponents must be int, got %r" % (e,))
@@ -418,19 +411,28 @@ def _scale(p, k):
 
 
 class RatFunc:
-    """num / den in Q[t, 1/t], the coefficient ring of the oracle: ``num`` an
-    integer ``LaurentPoly``, ``den`` a positive int prime to its content, so
-    each value has one form and ``==`` compares the parts.  The oracle's
-    operator coefficients lie in this ring and it pairs only under the Hall
-    form, whose Gram values are integers, so no 1 - t^n ever reaches a
-    denominator and no polynomial gcd is taken.  Not hashable.
+    """num / den in Q[t, 1/t], the oracle's scalar: ``num`` an integer
+    ``LaurentPoly``, ``den`` a positive int prime to its content, so each
+    value has one form and ``==`` compares the parts.  Not hashable.
+
+    It holds the oracle's operator sequence values, from which the term
+    tables are built, and the pairing results.  The oracle's vectors hold
+    integer numerators over one int denominator of their own, so no
+    ``RatFunc`` arithmetic runs per vector coefficient.  It is fraction-free
+    and takes no polynomial gcd: the operator coefficients lie in this ring,
+    and the oracle pairs only under the Hall form, whose Gram values are
+    integers, so no 1 - t^n ever reaches a denominator.  It keeps only what
+    the oracle, the tests' term-by-term references and ``perfbench/tracer.py``
+    use: the constructor, ``+``, ``*``, ``==``, truth, ``to_laurent``,
+    ``RF_ZERO`` and ``RF_ONE``; a caller reads ``num`` and ``den`` for
+    anything else.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
         """num / den: ``num`` an int or a ``LaurentPoly``, ``den`` a nonzero int."""
-        if not isinstance(den, int):
+        if type(den) is not int:
             raise TypeError("RatFunc denominator must be int, got %r" % (den,))
         if not den:
             raise ZeroDivisionError("zero denominator")

@@ -3,14 +3,9 @@
 b_{xi,lam} is the coefficient of the Schur function s_lam in the Schur
 Q-function Q_xi; g_{xi,lam} = b_{xi,lam} / 2^l(xi).  The recursion peels
 the largest part of lam and sums over vertical-strip subshapes of the
-remaining rows.  Q_xi is invariant under the involution omega, since its
-generating function E(u)H(u) is symmetric in E and H, and omega s_lam =
-s_lam' (Macdonald, Symmetric Functions and Hall Polynomials, III 8); so
-b_{xi,lam} = b_{xi,lam'}.  ``b_coeff`` folds a tall lam onto its wide
-conjugate before the cache lookup, so a conjugate pair shares one cache
-entry, and the recursion folds each tall subshape it meets; a one-row xi
-reaches the hook rule in one step.  Closed forms:
-the vertical-strip counts N^(s), the two-row formula, and the square-shape
+remaining rows, on the wide one of lam and its conjugate (see ``b_coeff``);
+a one-row xi reaches the hook rule in one step.  Closed forms: the
+vertical-strip counts N^(s), the two-row formula, and the square-shape
 expansion of the Schur P-function at t = -1 (Aokage's values on hooks).
 """
 
@@ -30,10 +25,18 @@ from .partitions import (
 
 def b_coeff(xi, lam):
     """Coefficient of s_lam in Q_xi, xi strict (``as_partition``); 0 if weights
-    differ.  A tall lam (l(lam) > lam_1) is folded onto its conjugate before
-    the ``_b`` lookup, b_{xi,lam} = b_{xi,lam'} (Macdonald III 8), so a tall
-    cell hits the entry of its wide conjugate; ``_conjugate`` is cached, so
-    the fold is a lookup too."""
+    differ.
+
+    The conjugate fold: Q_xi is invariant under the involution omega, since
+    its generating function E(u)H(u) is symmetric in E and H, and omega
+    s_lam = s_lam' (Macdonald, Symmetric Functions and Hall Polynomials,
+    III 8); so b_{xi,lam} = b_{xi,lam'}.  A tall lam (l(lam) > lam_1) is
+    folded onto its wide conjugate before the ``_b`` lookup, so a conjugate
+    pair shares one cache entry; ``_conjugate`` is cached, so the fold is a
+    lookup too.  ``_b`` folds each tall subshape it meets after its own
+    lookup, so that one keeps an entry beside its conjugate's.  The
+    recursion runs on the wide shape: fewer parts of xi reach lam_1, and
+    fewer rows are left to strip."""
     xi = as_partition(xi, "xi", strict=True)
     lam = as_partition(lam, "lam")
     if lam and lam[0] < len(lam):
@@ -43,11 +46,8 @@ def b_coeff(xi, lam):
 
 @lru_cache(maxsize=None)
 def _b(xi, lam):
-    """b_coeff on tuples, by the vertical-strip recursion.  ``b_coeff`` hands
-    it a wide lam; a tall subshape met in the recursion is folded onto its
-    conjugate here, after the lookup, so it keeps an entry of its own beside
-    its conjugate's.  The recursion runs on the wide one: fewer parts of xi
-    reach lam_1, and fewer rows are left to strip."""
+    """b_coeff on tuples, by the vertical-strip recursion on the wide one of
+    lam and its conjugate (the fold is set out at ``b_coeff``)."""
     if sum(xi) != sum(lam):
         return 0
     if not xi:

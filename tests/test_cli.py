@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import spinkostka
-from spinkostka import cli, goldens, schur
+from spinkostka import cli, goldens, oracle, schur
 from spinkostka.cli import (
     build_table,
     format_partition,
@@ -248,6 +248,11 @@ def test_table_rejects_an_unknown_mode():
             render_table(table, 3, fmt, "bogus")
 
 
+def test_table_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown table format 'xml'$"):
+        render_table(build_table(2), 2, "xml")
+
+
 def test_verify_tables_suite(capsys):
     assert main(["verify", "--suite", "tables"]) == 0
     out = capsys.readouterr().out
@@ -289,6 +294,22 @@ def test_verify_tables_rejects_stale_entries(capsys, monkeypatch):
 def test_verify_oracle_suite(capsys):
     assert main(["verify", "--suite", "oracle", "--max-n", "4"]) == 0
     assert "oracle: PASS" in capsys.readouterr().out
+
+
+def test_verify_oracle_rejects_a_wrong_cell(capsys, monkeypatch):
+    """An oracle that differs from the engine on one cell fails the suite
+    and names that cell."""
+    real = oracle.oracle_spin_kostka
+    monkeypatch.setattr(
+        oracle,
+        "oracle_spin_kostka",
+        lambda xi, mu: real(xi, mu) + (1 if (xi, mu) == ((3, 1), (2, 2)) else 0),
+    )
+    assert main(["verify", "--suite", "oracle", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL oracle mismatch: (3, 1) (2, 2)\n" in out
+    assert out.count("FAIL") == 2
+    assert "oracle: FAIL" in out
 
 
 def test_verify_properties_suite(capsys):

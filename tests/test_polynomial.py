@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,17 @@ def test_coefficients_must_be_int(c):
         LaurentPoly.const(c)
 
 
+@pytest.mark.parametrize("terms", [5, 0, [(1, 2)], [], "ab", "", (), 1.5])
+def test_terms_must_be_a_dict(terms):
+    with pytest.raises(TypeError, match=r"^LaurentPoly terms must be a dict, got %s$" % re.escape(repr(terms))):
+        LaurentPoly(terms)
+
+
+def test_terms_may_be_none_or_any_dict():
+    assert LaurentPoly() == LaurentPoly(None) == LaurentPoly({}) == ZERO
+    assert LaurentPoly(OrderedDict([(1, 2), (0, 0)])) == LaurentPoly({1: 2})
+
+
 @pytest.mark.parametrize("e", [1.5, 1.0, True, "2"], ids=["float", "integral-float", "bool", "str"])
 def test_exponents_must_be_int(e):
     with pytest.raises(TypeError, match="exponents must be int, got %r" % (e,)):
@@ -444,7 +456,7 @@ def test_ratfunc_content_normalized():
     assert (r.num, r.den) == (LaurentPoly({1: -1, 0: -3}), 2)
     assert RatFunc(1, 2) != RatFunc(1, 3)
     # the denominator is a nonzero int
-    for den in (2.0, Fraction(2), "2"):
+    for den in (2.0, Fraction(2), "2", True, False):
         with pytest.raises(TypeError, match=r"^RatFunc denominator must be int, got %s$" % re.escape(repr(den))):
             RatFunc(T, den)
     with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
