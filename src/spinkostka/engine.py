@@ -21,7 +21,7 @@ decodes the packed value afresh, after the slot check of ``spin_kostka``.
 from __future__ import annotations
 
 from .partitions import _dominates, as_partition, n_stat, shifted_tableaux_count
-from .polynomial import SLOT_BITS, ZERO, LaurentPoly, decode, encode, t_binomial
+from .polynomial import SLOT_BITS, ZERO, LaurentPoly, decode, t_binomial
 from .straighten import Straightener
 
 
@@ -53,9 +53,16 @@ def htilde_expand(k, mu, straightener, sweeps):
     exactly those that cap k builds; the others are skipped.  Position 0
     runs per k and takes exactly the k - used cells left, as a one-shot
     sweep does, so a cold cell straightens no word that the sweep for its
-    own k would not."""
+    own k would not; its states all end at k cells used, so they merge by
+    lam alone.  For k = 0 every position takes none: the result is mu.
+
+    The walk reads the straightener's memo itself and calls ``straighten``
+    only on a miss."""
     if not 0 <= k <= sum(mu):
         return {}
+    if not k:
+        return {mu: 1}
+    memo, straighten = straightener._memo, straightener.straighten
     start, states = len(mu), {(0, ()): 1}
     for j in range(1, len(mu)):
         entry = sweeps.get(mu[j:])
@@ -63,7 +70,7 @@ def htilde_expand(k, mu, straightener, sweeps):
             start, states = j, entry[1]
             break
     tail = sum(mu[start:])
-    for j in range(start - 1, -1, -1):
+    for j in range(start - 1, 0, -1):
         tail += mu[j]
         merged = {}
         get = merged.get
@@ -71,31 +78,56 @@ def htilde_expand(k, mu, straightener, sweeps):
             free = k - used
             if free < 0:
                 continue
-            top = min(free, tail - used)
             coeff_1t = coeff + (coeff << SLOT_BITS)
-            for take in range(free if j == 0 else 0, top + 1):
+            for take in range(min(free, tail - used) + 1):
                 weight = coeff_1t << (SLOT_BITS * (take - 1)) if take else coeff
                 word = (mu[j] - take,) + suffix
-                for lam, b in straightener.straighten(word).items():
+                words = memo.get(word)
+                if words is None:
+                    words = straighten(word)
+                for lam, b in words.items():
                     key = (used + take, lam)
                     merged[key] = get(key, 0) + weight * b
         states = {key: c for key, c in merged.items() if c}
-        if j:
-            sweeps[mu[j:]] = (k, states)
-    return {lam: coeff for (used, lam), coeff in states.items()}
+        sweeps[mu[j:]] = (k, states)
+    out = {}
+    get = out.get
+    for (used, suffix), coeff in states.items():
+        take = k - used
+        if take < 0:
+            continue
+        weight = (coeff + (coeff << SLOT_BITS)) << (SLOT_BITS * (take - 1)) if take else coeff
+        word = (mu[0] - take,) + suffix
+        words = memo.get(word)
+        if words is None:
+            words = straighten(word)
+        for lam, b in words.items():
+            out[lam] = get(lam, 0) + weight * b
+    return {lam: c for lam, c in out.items() if c}
 
 
 def spin_kostka_one_row(mu):
-    """Closed form for xi = (|mu|), mu a partition (``as_partition``)."""
-    return _one_row(as_partition(mu, "mu"))
+    """Closed form for xi = (|mu|), mu a partition (``as_partition``):
+    t^n(mu) prod_i (1 + t^(1-i)).  Its coefficients are >= 0 and sum to
+    2^l(mu), so the packed form decodes exactly for l(mu) <= 62;
+    ``ValueError`` naming mu from l(mu) = 63 on, where every mu has weight
+    >= 63 and the engine refuses xi = (|mu|) too."""
+    mu = as_partition(mu, "mu")
+    if len(mu) >= SLOT_BITS - 1:
+        raise ValueError(
+            "mu=%r: the one-row closed form has coefficients summing to 2^%d, "
+            "past the %d-bit slot" % (mu, len(mu), SLOT_BITS)
+        )
+    return decode(spin_kostka_one_row_packed(mu))
 
 
-def _one_row(mu):
-    """spin_kostka_one_row on a tuple: t^n(mu) * prod_i (1 + t^(1-i))."""
-    out = LaurentPoly({n_stat(mu): 1})
-    for i in range(1, len(mu) + 1):
-        out = out + out.shift(1 - i)
-    return out
+def spin_kostka_one_row_packed(mu):
+    """Packed spin_kostka_one_row of a partition tuple mu, as
+    t^(n(mu) - l(l-1)/2) prod_{0<=i<l} (1 + t^i), l = l(mu)."""
+    v = 1
+    for i in range(len(mu)):
+        v += v << SLOT_BITS * i
+    return v << SLOT_BITS * (n_stat(mu) - len(mu) * (len(mu) - 1) // 2)
 
 
 def spin_kostka_two_part(xi, mu):
@@ -121,21 +153,22 @@ def spin_kostka_column_packed(xi):
     times the principal specialization Q_xi(1, t, t^2, ...) (Macdonald III
     section 8), with (t;t)_xi_1 cancelled from (t;t)_n.  num = den * K in
     Z[t], and t -> 2^SLOT_BITS is a ring homomorphism, so the packed
-    num // den is exactly the packed K."""
+    num // den is exactly the packed K.  Each factor 1 +- t^j is applied as
+    v +- (v << SLOT_BITS*j), the factor 2 as v << 1."""
     num = den = 1
     for j in range(xi[0] + 1, sum(xi) + 1):
-        num *= 1 - (1 << SLOT_BITS * j)
+        num -= num << SLOT_BITS * j
     for part in xi:
-        num *= 2
+        num <<= 1
         for j in range(1, part):
-            num *= 1 + (1 << SLOT_BITS * j)
+            num += num << SLOT_BITS * j
     for part in xi[1:]:
         for j in range(1, part + 1):
-            den *= 1 - (1 << SLOT_BITS * j)
+            den -= den << SLOT_BITS * j
     for i, a in enumerate(xi):
         for b in xi[i + 1:]:
-            num *= 1 - (1 << SLOT_BITS * (a - b))
-            den *= 1 - (1 << SLOT_BITS * (a + b))
+            num -= num << SLOT_BITS * (a - b)
+            den -= den << SLOT_BITS * (a + b)
     k, r = divmod(num, den)
     if r:
         raise ArithmeticError("column closed form of xi=%r leaves a remainder" % (xi,))
@@ -203,31 +236,38 @@ class SpinKostkaEngine:
 
     def _fast_path(self, xi, mu):
         if len(xi) == 1:
-            return encode(_one_row(mu))
+            return spin_kostka_one_row_packed(mu)
         if mu[0] == 1:
             return spin_kostka_column_packed(xi)
         return None
 
-    def _expansion(self, k, rest):
-        key = (k, rest)
-        hit = self._expansions.get(key)
-        if hit is None:
-            hit = self._expansions[key] = htilde_expand(k, rest, self._straightener, self._sweeps)
-        return hit
-
     def _recurrence(self, xi, mu):
+        """The sum over parts xi_i >= mu_1 of 2 (-1)^i sum_lam c_lam
+        K^-_{xi - xi_i, lam}, with c from ``htilde_expand``: each part's sum
+        is signed once, and the 2 is applied once to the total."""
         mu1, rest = mu[0], mu[1:]
+        memo, expansions, compute = self._memo, self._expansions, self._compute
         acc = 0
         for i, part in enumerate(xi):
             if part < mu1:
                 break
             xi_hat = xi[:i] + xi[i + 1:]
-            scale = -2 if i % 2 else 2
-            for lam, coeff in self._expansion(part - mu1, rest).items():
-                sub = self._compute(xi_hat, lam)
+            k = part - mu1
+            expansion = expansions.get((k, rest))
+            if expansion is None:
+                expansion = expansions[k, rest] = htilde_expand(k, rest, self._straightener, self._sweeps)
+            term = 0
+            for lam, coeff in expansion.items():
+                sub = memo.get((xi_hat, lam))
+                if sub is None:
+                    sub = compute(xi_hat, lam)
                 if sub:
-                    acc += scale * coeff * sub
-        return acc
+                    term += coeff * sub
+            if i % 2:
+                acc -= term
+            else:
+                acc += term
+        return acc << 1
 
 
 _default_engine = SpinKostkaEngine()

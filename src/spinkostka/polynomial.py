@@ -218,14 +218,11 @@ class LaurentPoly:
         if not terms:
             return "0"
         words = []
+        get = _EXPONENT_TEXT.get
         for e in sorted(terms, reverse=True):
             c = terms[e]
-            if e == 0:
-                words.append("%d" % c)
-            elif e == 1:
-                words.append("t" if c == 1 else "-t" if c == -1 else "%d*t" % c)
-            else:
-                words.append("t^%d" % e if c == 1 else "-t^%d" % e if c == -1 else "%d*t^%d" % (c, e))
+            unit, scaled = get(e) or _exponent_text(e)
+            words.append(unit if c == 1 else "-" + unit if c == -1 else f"{c}{scaled}")
         # a word carries a sign only when negative, so "+ -" marks each negative term
         return " + ".join(words).replace("+ -", "- ")
 
@@ -234,6 +231,19 @@ class LaurentPoly:
 
     def to_json(self):
         return {str(e): c for e, c in sorted(self._terms.items())}
+
+
+# exponent -> (the word of t^e, the text after a coefficient other than +-1),
+# kept for the exponents 0 <= e < _EXPONENT_TEXT_KEPT, so it stays bounded
+_EXPONENT_TEXT = {}
+_EXPONENT_TEXT_KEPT = 1024
+
+
+def _exponent_text(e):
+    text = ("1", "") if e == 0 else ("t", "*t") if e == 1 else ("t^%d" % e, "*t^%d" % e)
+    if 0 <= e < _EXPONENT_TEXT_KEPT:
+        _EXPONENT_TEXT[e] = text
+    return text
 
 
 def _raw(terms):

@@ -65,6 +65,12 @@ where the oracle sums integer numerators over one denominator.
 ``is_palindromic`` tests a ``LaurentPoly`` for palindromic coefficients,
 a property that only the tests ask about.
 
+``reference_one_row`` is the one-row closed form t^n(mu) prod_i (1 + t^(1-i))
+as a product of ``LaurentPoly`` values, where the engine builds it packed by
+shift and add.  ``reference_str`` renders a ``LaurentPoly`` word by word with
+%-formatting, where ``LaurentPoly.__str__`` reads each exponent's text from a
+table.
+
 ``packed`` encodes the ``LaurentPoly`` values of a {lam: coefficient}
 map, the form in which the straightener and ``htilde_expand`` answer.
 
@@ -87,7 +93,7 @@ from operator import ge, gt
 
 from spinkostka.engine import SpinKostkaEngine
 from spinkostka.oracle import PExpansion, hl_Q, multiplicities, schur_q, schur_s, z_stat
-from spinkostka.partitions import as_partition, is_hook, partitions, vertical_strip_subshapes
+from spinkostka.partitions import as_partition, is_hook, n_stat, partitions, vertical_strip_subshapes
 from spinkostka.polynomial import RF_ZERO, InexactDivisionError, LaurentPoly, RatFunc, encode
 from spinkostka.schur import b_coeff
 
@@ -422,6 +428,29 @@ def is_palindromic(p):
     terms = p.terms
     seq = [terms.get(e, 0) for e in range(p.valuation(), p.degree() + 1)]
     return seq == seq[::-1]
+
+
+def reference_one_row(mu):
+    out = LaurentPoly({n_stat(mu): 1})
+    for i in range(1, len(mu) + 1):
+        out = out + out.shift(1 - i)
+    return out
+
+
+def reference_str(p):
+    terms = p.terms
+    if not terms:
+        return "0"
+    words = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        if e == 0:
+            words.append("%d" % c)
+        elif e == 1:
+            words.append("t" if c == 1 else "-t" if c == -1 else "%d*t" % c)
+        else:
+            words.append("t^%d" % e if c == 1 else "-t^%d" % e if c == -1 else "%d*t^%d" % (c, e))
+    return " + ".join(words).replace("+ -", "- ")
 
 
 def packed(terms):

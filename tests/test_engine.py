@@ -28,6 +28,7 @@ from crosscheck import (
     is_palindromic,
     package_imports,
     packed,
+    reference_one_row,
 )
 
 
@@ -99,6 +100,42 @@ def test_fast_paths_match_plain_recurrence():
         for xi in strict_partitions(n):
             for mu in partitions(n):
                 assert fast.spin_kostka(xi, mu) == plain.spin_kostka(xi, mu), (xi, mu)
+
+
+def test_plain_engines_answer_without_the_closed_forms(monkeypatch):
+    """PlainEngine and ColumnlessEngine switch the closed forms off through
+    the _fast_path seam; an engine that bypassed it would call the packed
+    helpers, which raise here, and the closed-form checks above would
+    compare the closed forms with themselves."""
+    row, column = ((5,), (2, 2, 1)), ((3, 2), (1,) * 5)
+    row_value, column_value = reference_one_row(row[1]), spin_kostka(*column)
+
+    def refuse(arg):
+        raise AssertionError("closed form called on %r" % (arg,))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "spin_kostka_one_row_packed", refuse)
+        patch.setattr(engine, "spin_kostka_column_packed", refuse)
+        assert PlainEngine().spin_kostka(*row) == row_value
+        assert PlainEngine().spin_kostka(*column) == column_value
+        with pytest.raises(AssertionError, match="closed form called"):
+            SpinKostkaEngine().spin_kostka(*row)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "spin_kostka_column_packed", refuse)
+        assert ColumnlessEngine().spin_kostka(*column) == column_value
+        with pytest.raises(AssertionError, match="closed form called"):
+            SpinKostkaEngine().spin_kostka(*column)
+
+
+def test_one_row_closed_form_matches_the_product_to_62_parts():
+    for n in range(13):
+        for mu in partitions(n):
+            assert spin_kostka_one_row(mu) == reference_one_row(mu), mu
+    for mu in [(1,) * 62, (3, 2) + (1,) * 60]:
+        assert spin_kostka_one_row(mu) == reference_one_row(mu)
+    for mu in [(1,) * 63, (2,) * 64]:
+        with pytest.raises(ValueError, match=r"^mu=\(%d, %d, .*past the 64-bit slot" % mu[:2]):
+            spin_kostka_one_row(mu)
 
 
 def test_htilde_expand():

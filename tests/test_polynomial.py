@@ -19,6 +19,8 @@ from spinkostka.polynomial import (
     SLOT_BITS,
     SLOT_LIMIT,
     ZERO,
+    _EXPONENT_TEXT,
+    _EXPONENT_TEXT_KEPT,
     _add_products,
     _over_one_minus_tn,
     _ratfunc,
@@ -30,7 +32,7 @@ from spinkostka.polynomial import (
     t_int,
 )
 
-from crosscheck import fraction_eval_at, fraction_exact_div, is_palindromic
+from crosscheck import fraction_eval_at, fraction_exact_div, is_palindromic, reference_str
 
 laurent = st.dictionaries(
     st.integers(min_value=-5, max_value=5),
@@ -348,6 +350,22 @@ def test_rendering_canonical():
     assert str(LaurentPoly({1: -1})) == "-t"
     assert str(LaurentPoly({3: -1, 2: -5, 1: 1, 0: 7, -2: -1})) == "-t^3 - 5*t^2 + t + 7 - t^-2"
     assert str(LaurentPoly({5: -12, 1: -3, -1: 1})) == "-12*t^5 - 3*t + t^-1"
+
+
+def test_str_matches_the_reference_formatter():
+    """Coefficients +-1 beside others, the exponents 0 and 1 beside negative
+    ones and ones past the kept exponent texts."""
+    rnd = random.Random(37)
+    exponents = [0, 1, -1, -2, 2, 3, -64, _EXPONENT_TEXT_KEPT - 1, _EXPONENT_TEXT_KEPT, 10**6]
+    for _ in range(2000):
+        terms = {
+            rnd.choice(exponents) if rnd.random() < 0.5 else rnd.randrange(-40, 200):
+            rnd.choice([1, -1, 2, -2, rnd.randrange(-(10**30), 10**30) or 3])
+            for _ in range(rnd.randrange(6))
+        }
+        p = LaurentPoly(terms)
+        assert str(p) == reference_str(p), terms
+    assert all(type(e) is int and 0 <= e < _EXPONENT_TEXT_KEPT for e in _EXPONENT_TEXT)
 
 
 def test_palindromicity():
