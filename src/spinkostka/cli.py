@@ -63,8 +63,8 @@ def build_table(n, mode="spin", threads=1):
     """{mu: {xi: LaurentPoly}} for all row/column pairs of weight n: the K^-
     values of the shared engine, or in mode "b" the constants b_{xi,mu}."""
     # threads remains only because perfbench/worker.py passes threads=1
-    if threads != 1:
-        raise ValueError("build_table runs serially; threads must be 1")
+    if type(threads) is not int or threads != 1:
+        raise ValueError("build_table runs serially; threads must be 1 (an int), got %r" % (threads,))
     _check_mode(mode)
     cell = spin_kostka if mode == "spin" else lambda xi, mu: LaurentPoly.const(b_coeff(xi, mu))
     table = {}

@@ -1,9 +1,11 @@
 """Partitions, strict partitions, integer vectors and their statistics.
 
-Partitions are plain tuples of weakly decreasing positive integers, stored
-without trailing zeros; the empty tuple is the empty partition.  Integer
-vectors (compositions, possibly with zero or negative entries) are plain
-tuples as well and keep their entries verbatim.
+Partitions are tuples of weakly decreasing positive integers, stored
+without trailing zeros; the empty tuple is the empty partition.  The
+enumerators return them as ``_Partition`` or ``_StrictPartition``, tuples
+marked as checked (see ``_Partition``).  Integer vectors (compositions,
+possibly with zero or negative entries) are plain tuples and keep their
+entries verbatim.
 """
 
 from __future__ import annotations
@@ -39,12 +41,32 @@ def is_strict_partition(seq):
     return prev >= 1
 
 
+class _Partition(tuple):
+    """A partition built by ``partitions``, so already checked: a tuple in
+    every respect (equality, hash, repr, memo keys), except that
+    ``as_partition`` returns it as it is.  Slices, ``+`` and ``tuple(p)``
+    give plain tuples, so nothing derived from it carries the mark."""
+
+    __slots__ = ()
+
+
+class _StrictPartition(_Partition):
+    """A strict partition built by ``strict_partitions``; see ``_Partition``."""
+
+    __slots__ = ()
+
+
 def as_partition(seq, name, strict=False):
     """``tuple(seq)`` if ``seq`` is a list or tuple of ints (not bools) forming
     a partition, strict when asked; else ``ValueError`` naming ``name`` and
     ``seq``.  The library's one validity check, made once per public call,
-    in one pass: on ints, ``part + 1 > prev`` is ``part >= prev``."""
-    if type(seq) is tuple:
+    in one pass: on ints, ``part + 1 > prev`` is ``part >= prev``.  An
+    enumerator's output was checked when it was built and is returned at
+    once: a ``_StrictPartition`` always, a ``_Partition`` unless ``strict``."""
+    cls = type(seq)
+    if cls is _StrictPartition or (cls is _Partition and not strict):
+        return seq
+    if cls is tuple:
         parts = seq
     elif isinstance(seq, (list, tuple)):
         parts = tuple(seq)
@@ -131,8 +153,9 @@ def _by_largest_part(entry, n, max_part, strict):
     its multiplicity m (m <= 1 when strict): (j,) * m, then an answer at
     (n - m*j, j - 1), with j and m falling, which is reverse lex order.
     Each level lowers the largest part, so the depth is at most that part."""
+    cls = _StrictPartition if strict else _Partition
     if n == 0:
-        return ((),)
+        return (cls(),)
     top = n if max_part is None else min(n, max_part)
     out = []
     for j in range(top, 0, -1):
@@ -141,7 +164,7 @@ def _by_largest_part(entry, n, max_part, strict):
         for m in range(most, 0 if j > 1 else most - 1, -1):
             head = (j,) * m
             for rest in entry(n - m * j, j - 1):
-                out.append(head + rest)
+                out.append(cls(head + rest))
     return tuple(out)
 
 

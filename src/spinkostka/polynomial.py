@@ -52,7 +52,7 @@ class LaurentPoly:
     def const(cls, c):
         if type(c) is not int:
             raise TypeError("LaurentPoly coefficients must be int, got %r" % (c,))
-        return _raw({0: c} if c else {})
+        return _raw({0: c}) if c else ZERO
 
     @classmethod
     def term(cls, coeff, exp):

@@ -461,7 +461,9 @@ def package_imports(path):
     """The spinkostka modules a source file imports, by their short names;
     "" stands for the package itself, whose __init__ imports the engine."""
     found = set()
-    for node in ast.walk(ast.parse(open(path).read())):
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 head, _, rest = alias.name.partition(".")

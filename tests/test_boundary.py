@@ -3,6 +3,7 @@
 
 import ast
 import glob
+import json
 import os
 from collections import namedtuple
 from functools import partial
@@ -32,8 +33,11 @@ from spinkostka import (
     t_factorial,
     t_int,
 )
-from spinkostka.oracle import oracle_b, oracle_kostka_foulkes, oracle_spin_via_bK
+from spinkostka.oracle import oracle_b, oracle_kostka_foulkes, oracle_spin_kostka, oracle_spin_via_bK
 from spinkostka.partitions import (
+    _conjugate,
+    _Partition,
+    _StrictPartition,
     as_partition,
     is_partition,
     is_strict_partition,
@@ -118,9 +122,12 @@ def valid_calls(draw):
 @given(valid_calls())
 @settings(max_examples=60, deadline=None)
 def test_every_entry_takes_lists_and_rejects_the_same_inputs(call):
+    """The partitions drawn are the enumerators' marked tuples: each entry
+    answers alike for them, their plain tuple() copies and list() copies."""
     for fn, args, slots in _entries(*call):
         as_lists = [list(a) if isinstance(a, tuple) else a for a in args]
-        assert fn(*as_lists) == fn(*args), (fn, args)
+        as_tuples = [tuple(a) if isinstance(a, tuple) else a for a in args]
+        assert fn(*as_lists) == fn(*as_tuples) == fn(*args), (fn, args)
         for pos, name, kind in slots:
             for value in _defects(list(args[pos]), kind):
                 bad = args[:pos] + (value,) + args[pos + 1:]
@@ -249,6 +256,57 @@ def test_as_partition():
     for seq in [(2, 2), (1, 3), (3, 0), (2.0,), (True,), "21", 2, None]:
         with pytest.raises(ValueError, match=r"^xi must be a strict partition of ints, got "):
             as_partition(seq, "xi", strict=True)
+
+
+def _enumerated(n):
+    """(enumerator, its mark, an answer) for every answer of both
+    enumerators at n, for max_part None and 0..n."""
+    for fn, mark in ((partitions, _Partition), (strict_partitions, _StrictPartition)):
+        for max_part in [None, *range(n + 1)]:
+            for p in fn(n, max_part):
+                yield fn, mark, p
+
+
+def test_enumerator_outputs_carry_their_check():
+    """Every answer of partitions and strict_partitions for n <= 12 carries
+    exactly its enumerator's mark, equals, hashes, prints and serializes as
+    its plain copy, and comes back from as_partition as the same object; a
+    non-strict one asked as a strict partition is checked again, as a plain
+    tuple would be."""
+    for n in range(13):
+        for fn, mark, p in _enumerated(n):
+            plain = tuple(p)
+            assert type(p) is mark and p == plain and hash(p) == hash(plain), (fn, p)
+            assert repr(p) == repr(plain) and json.dumps(p) == json.dumps(plain), (fn, p)
+            assert as_partition(p, "mu") is p
+            if mark is _StrictPartition:
+                assert as_partition(p, "xi", strict=True) is p
+            elif is_strict_partition(p):
+                again = as_partition(p, "xi", strict=True)
+                assert type(again) is tuple and again == p
+            else:
+                with pytest.raises(ValueError, match=r"^xi must be a strict partition of ints, got "):
+                    as_partition(p, "xi", strict=True)
+
+
+def test_a_marked_partition_with_a_repeat_is_refused_as_xi():
+    """The mark of partitions() does not stand for strictness: every entry
+    that takes xi still refuses (2, 2) and (1, 1, 1, 1) built by it."""
+    for xi in ((2, 2), (1, 1, 1, 1)):
+        marked = partitions(4)[partitions(4).index(xi)]
+        assert type(marked) is _Partition
+        for fn in (spin_kostka, SpinKostkaEngine().spin_kostka, b_coeff, g_coeff, oracle_spin_kostka):
+            with pytest.raises(ValueError, match=r"^xi must be a strict partition of ints, got "):
+                fn(marked, (4,))
+
+
+def test_derived_tuples_are_plain():
+    """Slices, concatenation, repetition, tuple() and _conjugate give plain
+    tuples, so nothing built from a marked partition inherits the mark."""
+    for n in range(1, 9):
+        for _, _, p in _enumerated(n):
+            derived = [p[:], p[1:], p[:-1], p + (), () + p, p + p, p * 1, tuple(p), _conjugate(p)]
+            assert all(type(d) is tuple for d in derived), p
 
 
 def _outcome(fn, *args, **kwargs):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -277,12 +278,14 @@ def test_table_json_structure(capsys):
 
 def test_table_serial_only(tmp_path):
     """Tables are built by one serial loop: there is no --threads option,
-    and build_table accepts only threads=1."""
+    and build_table accepts only the int threads=1 (True == 1 is refused,
+    as bools are everywhere)."""
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "5", "--threads", "2"])
     assert exc.value.code == 2
-    with pytest.raises(ValueError, match="threads must be 1"):
-        build_table(5, threads=2)
+    for threads in (2, 0, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match=r"threads must be 1 \(an int\), got %s$" % re.escape(repr(threads))):
+            build_table(5, threads=threads)
     assert build_table(5, threads=1) == build_table(5)
 
 

@@ -282,7 +282,7 @@ def test_json_roundtrip(a):
     assert LaurentPoly({int(e): c for e, c in a.to_json().items()}) == a
 
 
-@pytest.mark.parametrize("c", [4.9, "4", 4.0, True], ids=["float", "str", "integral-float", "bool"])
+@pytest.mark.parametrize("c", [4.9, "4", 4.0, True, 0.0, False], ids=["float", "str", "integral-float", "bool", "zero-float", "false"])
 def test_coefficients_must_be_int(c):
     with pytest.raises(TypeError, match="coefficients must be int"):
         LaurentPoly({0: 4, 1: c})
@@ -294,6 +294,13 @@ def test_coefficients_must_be_int(c):
 def test_terms_must_be_a_dict(terms):
     with pytest.raises(TypeError, match=r"^LaurentPoly terms must be a dict, got %s$" % re.escape(repr(terms))):
         LaurentPoly(terms)
+
+
+def test_const_zero_is_the_shared_zero():
+    """const(0) returns ZERO itself, safe since no code writes to a
+    ``_terms`` dict after ``_raw`` wraps it."""
+    assert LaurentPoly.const(0) is ZERO and ZERO.terms == {}
+    assert LaurentPoly.const(0) + LaurentPoly.const(3) == 3 and ZERO.is_zero()
 
 
 def test_terms_may_be_none_or_any_dict():
