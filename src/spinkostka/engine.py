@@ -135,7 +135,7 @@ def spin_kostka_two_part(xi, mu):
     (``as_partition``); 0 if weights differ."""
     xi, mu = as_partition(xi, "xi", strict=True), as_partition(mu, "mu")
     if len(mu) > 2:
-        raise ValueError("two-part closed form needs l(mu) <= 2")
+        raise ValueError("two-part closed form needs l(mu) <= 2, got mu=%r" % (mu,))
     if sum(xi) != sum(mu):
         return ZERO
     if xi == mu:

@@ -107,15 +107,17 @@ class PExpansion:
     """Element of the symmetric-function ring in the p-basis: the sum over
     lam of coeffs[lam] / den * p_lam, with nonzero integer ``LaurentPoly``
     numerators keyed by partition over one positive int ``den``.  Exact,
-    with no truncation; treated as immutable after construction.  The
+    with no truncation; treated as immutable after construction, so
+    ``inner`` caches its packed views on it (``_view``).  The
     constructor makes it canonical, with den prime to the numerators'
     coefficients taken together, so each vector has one form and ``==``
     compares the parts."""
 
-    __slots__ = ("coeffs", "den")
+    __slots__ = ("coeffs", "den", "_views")
 
     def __init__(self, coeffs, den=1):
         self.coeffs, self.den = _reduced({lam: c for lam, c in coeffs.items() if c}, den)
+        self._views = None
 
     @classmethod
     def vacuum(cls):
@@ -169,7 +171,7 @@ def _reduced(coeffs, den):
 def _pexp(coeffs, den):
     """A ``PExpansion`` from parts already in canonical form."""
     F = PExpansion.__new__(PExpansion)
-    F.coeffs, F.den = coeffs, den
+    F.coeffs, F.den, F._views = coeffs, den, None
     return F
 
 
@@ -328,11 +330,11 @@ def _creation_row(seq, r, base, odd):
     return den, [(tuple(sorted(base + rho, reverse=True)), ac) for rho, ac in terms]
 
 
-# The two kernels, apply_component and inner, sum integer Laurent numerators
-# (dicts exponent -> int, through ``polynomial._add_products``) over one
-# denominator per call, the product of the denominators of their input
-# vectors and the lcms of those of the term tables they read, and reduce the
-# result once.
+# The two kernels, apply_component and inner, sum over one denominator per
+# call, the product of the denominators of their input vectors and the lcms
+# of those of the term tables they read, and reduce the result once.
+# apply_component sums integer Laurent numerators (dicts exponent -> int,
+# through ``polynomial._add_products``); inner sums packed ints.
 
 
 def apply_component(spec, m, F, odd=False):
@@ -434,15 +436,89 @@ def htilde(n):
 
 def inner(F, G):
     """<F, G> under the canonical (Hall) form, with the integer Gram values
-    z_lam: the numerators' products summed over F.den * G.den and made a
-    ``RatFunc`` once."""
-    acc, g = {}, G.coeffs
-    for lam, a in F.coeffs.items():
-        b = g.get(lam)
-        if b is not None:
-            z = z_stat(lam)
-            _add_products(acc, a._terms.items(), [(e, v * z) for e, v in b._terms.items()])
-    return _ratfunc(_raw({e: c for e, c in acc.items() if c}), F.den * G.den)
+    z_lam: sum over the shared keys lam of z_lam * a_lam * b_lam, over
+    F.den * G.den, made a ``RatFunc`` once.
+
+    A packed dot product.  Each vector caches a view per width w
+    (``_view``): its lowest exponent o, and per key the numerator packed as
+    the one int a(2^w) / 2^(w o), with z_lam, its max |coefficient| and its
+    term count.  Per shared key the pairing takes one lookup and one big-int
+    product, z_lam folded into the operand with fewer terms; the sum is
+    unpacked once, from the exponent o_F + o_G.  The pack and unpack are the
+    oracle's own, not ``polynomial.encode``/``decode``, so that a fault in
+    the engine's decoding cannot hide in its check.
+
+    Exactness.  t -> 2^w is a ring homomorphism Z[t] -> Z and ints are
+    exact, so the sum is exactly P(2^w) for P the numerator of the pairing
+    over t^(o_F + o_G), whatever the width; only the unpacking needs a
+    bound.  It reads the balanced base-2^w digits, which are P's
+    coefficients when each has absolute value below 2^(w - 1).  A
+    coefficient of a_lam * b_lam sums at most min(len a, len b) products,
+    each at most max|a| * max|b|, so every coefficient of P is at most
+    bound = sum_lam z_lam * min(len a, len b) * max|a| * max|b|.  The width
+    is the least multiple of 64 with bound < 2^(w - 1): the sum is taken at
+    64 bits with the bound beside it, and again at that width when the
+    bound does not fit."""
+    w = 64
+    while True:
+        f_low, f = _view(F, w)
+        g_low, g = _view(G, w)
+        if len(f) > len(g):
+            f, g = g, f
+        get = g.get
+        total = bound = 0
+        for lam, (a, z, a_max, a_len) in f.items():
+            hit = get(lam)
+            if hit is not None:
+                b, _, b_max, b_len = hit
+                if a_len > b_len:
+                    a, b, a_len = b, a, b_len
+                total += a * z * b
+                bound += z * a_len * a_max * b_max
+        need = 64 * ((bound.bit_length() + 64) // 64)
+        if need == w:
+            return _ratfunc(_unpack(total, w, f_low + g_low), F.den * G.den)
+        w = need
+
+
+def _view(F, w):
+    """(o, {lam: (packed, z_lam, max |coefficient|, term count)}), F's
+    pairing view at width w (see ``inner``), o the lowest exponent of F's
+    numerators (0 for the zero vector); built on first use and cached on F,
+    which is immutable."""
+    views = F._views
+    if views is None:
+        views = F._views = {}
+    view = views.get(w)
+    if view is None:
+        nums = F.coeffs
+        low = min([min(c._terms) for c in nums.values()], default=0)
+        view = views[w] = (low, {lam: _pack(c._terms, w, low, z_stat(lam)) for lam, c in nums.items()})
+    return view
+
+
+def _pack(terms, w, low, z):
+    """The view entry of one numerator: its terms packed as the signed int
+    sum_e c_e 2^(w (e - low)), then z, max |c_e| and the term count."""
+    return sum(c << w * (e - low) for e, c in terms.items()), z, max(map(abs, terms.values())), len(terms)
+
+
+def _unpack(v, w, e):
+    """The ``LaurentPoly`` whose balanced base-2^w digits are those of v,
+    the lowest at t^e, given that each has absolute value below 2^(w - 1)."""
+    terms = {}
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    while v:
+        c = v & mask
+        v >>= w
+        if c:
+            if c >= half:
+                # a negative digit borrows one from the slots above it
+                c -= mask + 1
+                v += 1
+            terms[e] = c
+        e += 1
+    return _raw(terms)
 
 
 def inner_at_minus_one(F, G):

@@ -126,7 +126,7 @@ class LaurentPoly:
         if type(n) is not int:
             raise TypeError("LaurentPoly power must be an int, got %r" % (n,))
         if n < 0:
-            raise ValueError("negative power of a LaurentPoly")
+            raise ValueError("negative power of a LaurentPoly, got n=%d" % n)
         result = ONE
         base = self
         while n:
@@ -158,19 +158,19 @@ class LaurentPoly:
         den = _dense(divisor)
         top = len(den) - 1
         if len(num) <= top:
-            raise InexactDivisionError("degree of dividend below divisor")
+            raise InexactDivisionError("degree of dividend below divisor: (%s) / (%s)" % (self, divisor))
         lead = den[-1]
         out = {}
         for i in range(len(num) - len(den), -1, -1):
             q, r = divmod(num[i + top], lead)
             if r:
-                raise InexactDivisionError("non-integer quotient coefficient")
+                raise InexactDivisionError("non-integer quotient coefficient: (%s) / (%s)" % (self, divisor))
             if q:
                 out[i + sv - dv] = q
                 for j, d in enumerate(den):
                     num[i + j] -= q * d
         if any(num[:top]):
-            raise InexactDivisionError("inexact polynomial division")
+            raise InexactDivisionError("inexact polynomial division: (%s) / (%s)" % (self, divisor))
         return _raw(out)
 
     # -- queries used by the engine and CLI -----------------------------

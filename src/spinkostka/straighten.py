@@ -43,7 +43,7 @@ from .polynomial import LaurentPoly, T, encode
 def step_coeff(gap, a):
     """Coefficient of the move sending (x, x+gap) to (x+gap-a, x+a)."""
     if gap <= 0:
-        raise ValueError("gap must be positive")
+        raise ValueError("gap must be positive, got gap=%r" % (gap,))
     if not 0 <= a <= gap // 2:
         raise ValueError("move amount a=%d out of range for gap=%d" % (a, gap))
     if a == 0:

@@ -44,6 +44,8 @@ from spinkostka.partitions import (
     partitions,
     strict_partitions,
 )
+from spinkostka.polynomial import ONE, T, InexactDivisionError
+from spinkostka.straighten import step_coeff
 
 from crosscheck import (
     reference_as_partition,
@@ -221,6 +223,28 @@ def test_t_brackets_reject_bools_non_ints_and_negatives(fn, args, name):
     with pytest.raises(ValueError, match="^%s must be an int >= 0, got " % name):
         fn(*args)
     assert fn(*[0 for _ in args]) == (0 if fn is t_int else 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: spin_kostka_two_part((4, 2), (3, 2, 1)), ValueError, "got mu=(3, 2, 1)"),
+        (lambda: step_coeff(-2, 0), ValueError, "got gap=-2"),
+        (lambda: T ** -3, ValueError, "negative power of a LaurentPoly, got n=-3"),
+        (lambda: ONE.exact_div(T + ONE), InexactDivisionError, ": (1) / (t + 1)"),
+        (lambda: (T + ONE).exact_div(2 * T + 2), InexactDivisionError, ": (t + 1) / (2*t + 2)"),
+        (lambda: (T + ONE).exact_div(T - ONE), InexactDivisionError, ": (t + 1) / (t - 1)"),
+    ],
+    ids=["two-part", "step_coeff", "pow", "exact_div-degree", "exact_div-coefficient", "exact_div-remainder"],
+)
+def test_errors_name_their_input(call, error, message):
+    """A refused argument is named in the error: the mu of the two-part
+    closed form, the gap of a straightening move, the exponent of a power,
+    and both polynomials of an inexact division, at each of its three
+    checks."""
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value).endswith(message), str(raised.value)
 
 
 @pytest.mark.parametrize("fn", [partitions, strict_partitions])

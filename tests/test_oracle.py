@@ -20,7 +20,7 @@ from crosscheck import (
     t_form_spin_kostka,
     vector,
 )
-from spinkostka import oracle
+from spinkostka import oracle, spin_kostka
 from spinkostka.oracle import (
     OperatorSpec,
     PExpansion,
@@ -339,21 +339,70 @@ def test_kernels_return_canonical_coefficients():
 
 
 def test_inner_matches_the_term_by_term_reference():
-    """inner sums integer numerators over one denominator; reference_inner
-    sums RatFunc products term by term.  They agree on random vectors of
-    mixed weight and on every pair of basis vectors Q'_mu, Q_xi and s_lam
-    of weight <= 6."""
+    """inner sums packed numerators over one denominator; reference_inner
+    sums RatFunc products term by term.  They agree, and inner(F, G) equals
+    inner(G, F), on random vectors of mixed weight, with small coefficients
+    and with coefficients of 2^40 to 2^70 that force a width past 64 bits;
+    on results with a coefficient of +-2^63, which needs 65 signed bits; on
+    vectors at different valuations with negative exponents; on disjoint
+    supports and on a pairing that cancels to 0; and on every pair of basis
+    vectors Q'_mu, Q_xi and s_lam of weight <= 6."""
     rng = random.Random(31)
     vectors = [PExpansion.vacuum(), PExpansion.zero()] + [_random_vector(rng) for _ in range(4)]
+    vectors += [_wide_vector(rng) for _ in range(4)]
+    top = PExpansion({(1,): LaurentPoly({0: 2**62, 1: 1}), (2,): LaurentPoly({0: 2**61, 1: 1})})
+    up, down = PExpansion({(1,): LaurentPoly.const(2)}), PExpansion({(2,): LaurentPoly.const(-2)})
+    vectors += [
+        top,
+        up,
+        down,
+        PExpansion({(1,): LaurentPoly({-3: 1, 2: -2}), (2, 1): LaurentPoly({4: 5})}),
+        PExpansion({(1,): LaurentPoly({-1: 3, 5: 1}), (2, 1): LaurentPoly({-6: -1}), (3,): ONE}, 2),
+        PExpansion({(1,): ONE, (2,): ONE}),
+        PExpansion({(1,): LaurentPoly.const(2), (2,): LaurentPoly.const(-1)}),
+        PExpansion({(3,): LaurentPoly({-2: 7})}),
+    ]
+    wide = 0
     for F in vectors:
         for G in vectors:
-            assert inner(F, G) == reference_inner(F, G)
+            want = reference_inner(F, G)
+            assert inner(F, G) == want
+            assert inner(G, F) == want
+            wide += max(map(abs, want.num.coefficients()), default=0) >= 2**63
+    assert wide
+    # each bound is z_lam * min(2, 1) * (2^62 / z_lam) * 2 = 2^63, so the
+    # pairing is read at 128 bits, and the term beside it keeps its value
+    assert inner(top, up) == RatFunc(LaurentPoly({0: 2**63, 1: 2}))
+    assert inner(top, down) == RatFunc(LaurentPoly({0: -(2**63), 1: -4}))
+    # disjoint supports, and z_(1) * 1 * 2 + z_(2) * 1 * (-1) = 0
+    assert inner(vectors[-1], vectors[-2]) == 0
+    assert inner(vectors[-3], vectors[-2]) == 0
     basis = [f(lam) for n in range(7) for lam in partitions(n) for f in (hl_Q_prime, schur_s)]
     basis += [schur_q(xi) for n in range(7) for xi in strict_partitions(n)]
     assert len(basis) == 74
     for F in basis:
         for G in basis:
             assert inner(F, G) == reference_inner(F, G)
+
+
+def _wide_vector(rng):
+    """A p-expansion over five partitions of mixed weights <= 5, whose
+    numerators have three terms at exponents from -4 to 6, with
+    coefficients of 2^40 to 2^70 in absolute value."""
+    pool = [lam for d in range(6) for lam in partitions(d)]
+    coeffs = {}
+    for lam in rng.sample(pool, 5):
+        coeffs[lam] = LaurentPoly({e: rng.choice((-1, 1)) * rng.randrange(2**40, 2**70) for e in rng.sample(range(-4, 7), 3)})
+    return PExpansion(coeffs, rng.randint(1, 4))
+
+
+def test_a_weight_13_cell_read_past_64_bits_matches_the_engine():
+    """K^-_{(13),(2^4,1^5)} is one of the 70 cells of weight 13 whose
+    pairing bound passes 2^63 (no cell of lower weight has one), so its
+    pairing is read at 128 bits; it is still the engine's."""
+    xi, mu = (13,), (2, 2, 2, 2, 1, 1, 1, 1, 1)
+    assert oracle_spin_kostka(xi, mu) == spin_kostka(xi, mu)
+    assert 128 in oracle._hl_Q_prime_odd(mu)._views
 
 
 def test_same_named_specs_keep_their_own_coefficients():
