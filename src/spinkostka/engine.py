@@ -4,8 +4,8 @@ The engine implements the vertex-operator recurrence: peeling the largest
 part mu_1 of mu pushes, for each part xi_i >= mu_1, the spin-h component
 h~_k (k = xi_i - mu_1) through H_{mu_2}...H_{mu_l} on the vacuum, and
 recurses on xi without xi_i against each partition of the result.
-``htilde_expand`` builds that expansion and shares its sweeps across k and
-mu (see its docstring).
+``htilde_expand`` builds that expansion by a recursion over the positions of
+mu, memoized per (k, suffix) (see its docstring).
 
 Two closed forms are used as fast paths: one-row xi and the column mu = 1^n.
 The leading-block factor 2 (xi_1 = mu_1) is no fast path: it is the
@@ -25,85 +25,59 @@ from .polynomial import SLOT_BITS, ZERO, LaurentPoly, decode, t_binomial
 from .straighten import Straightener
 
 
-def htilde_expand(k, mu, straightener, sweeps):
-    """{lam: packed coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1.
+def htilde_expand(k, mu, straightener, memo):
+    """{lam: packed coefficient} with h~_k H_mu.1 = sum of coefficient * H_lam.1,
+    stored as memo[k, mu]; {} for k outside 0..|mu|, stored nowhere.
 
-    Distributing the k cells of h~_k over the positions of mu gives weight 1
-    to a position taking none and t^(c-1)(1+t) to a position taking c > 0:
-    the sum of t^(k-l(tau)) (1+t)^l(tau) * straighten(mu - tau) over the weak
-    compositions tau of k.  It is built as a product of one-position steps,
-    from the right, over the states (cells used, straightened suffix): after
-    each step the suffix is straightened back to the partition basis and
-    equal states merge.
+    Distributing the k cells of h~_k over the positions of mu gives weight
+    w(0) = 1 to a position taking none and w(c) = t^(c-1)(1+t) to a position
+    taking c > 0.  So, one position at a time from the left,
 
-    Degree pruning: H_mu_j...H_mu_r.1 has degree mu_j + ... + mu_r, and a
-    word of negative degree is 0.  A state's suffix weighs
-    sum(mu[j+1:]) - used, so position j takes at most sum(mu[j:]) - used
-    cells, and h~_k H_mu.1 = 0 for k > |mu|.
+        h~_k H_mu.1 = sum over take of w(take) H_(mu_0 - take) h~_(k-take) H_mu[1:].1,
 
-    Sweep reuse: the states after a suffix depend only on that suffix and
-    on the cap on cells used.  ``sweeps`` maps a suffix mu[j:], j >= 1, to
-    (cap, its states built with at most cap cells used); a fresh {} gives a
-    one-shot sweep, and an engine keeps one, so every k of one mu and every
-    mu sharing a tail reuse one sweep.  The walk starts from the longest
-    suffix whose entry has cap >= k, and rebuilds the shorter ones with cap
-    k.  So caps only grow, and a suffix of an entry has at least the entry's
-    cap.  Reuse under a larger cap is exact: each step takes at most
-    cap - used cells and used only grows, so the states with used <= k are
-    exactly those that cap k builds; the others are skipped.  Position 0
-    runs per k and takes exactly the k - used cells left, as a one-shot
-    sweep does, so a cold cell straightens no word that the sweep for its
-    own k would not; its states all end at k cells used, so they merge by
-    lam alone.  For k = 0 every position takes none: the result is mu.
+    and each term sigma of the inner expansion gives the word
+    (mu_0 - take,) + sigma, straightened back to the partition basis.  For
+    k = 0 every position takes none: the result is mu.
 
-    The walk reads the straightener's memo itself and calls ``straighten``
-    only on a miss."""
+    Each (k, suffix) is computed once: the inner expansion is read from
+    ``memo`` and computed by this function (through the module global, so a
+    wrapper sees every computed entry) only on a miss, and the caller reads
+    ``memo`` before it calls too.  An engine passes its one memo, so every k
+    of one mu and every mu sharing a tail reuse the same entries, whatever
+    order they are asked in.
+
+    H_mu.1 has degree |mu|, and a word of negative degree is 0, so
+    h~_k H_mu.1 = 0 for k > |mu|.  take therefore starts at
+    max(0, k - |mu[1:]|): a smaller take only adds the empty terms of
+    h~_(k-take) H_mu[1:].1 with k - take > |mu[1:]|, so the bound prunes and
+    changes no value.
+
+    The recursion reads the straightener's memo itself and calls
+    ``straighten`` only on a miss."""
     if not 0 <= k <= sum(mu):
         return {}
     if not k:
-        return {mu: 1}
-    memo, straighten = straightener._memo, straightener.straighten
-    start, states = len(mu), {(0, ()): 1}
-    for j in range(1, len(mu)):
-        entry = sweeps.get(mu[j:])
-        if entry is not None and entry[0] >= k:
-            start, states = j, entry[1]
-            break
-    tail = sum(mu[start:])
-    for j in range(start - 1, 0, -1):
-        tail += mu[j]
-        merged = {}
-        get = merged.get
-        for (used, suffix), coeff in states.items():
-            free = k - used
-            if free < 0:
-                continue
-            coeff_1t = coeff + (coeff << SLOT_BITS)
-            for take in range(min(free, tail - used) + 1):
-                weight = coeff_1t << (SLOT_BITS * (take - 1)) if take else coeff
-                word = (mu[j] - take,) + suffix
-                words = memo.get(word)
-                if words is None:
-                    words = straighten(word)
-                for lam, b in words.items():
-                    key = (used + take, lam)
-                    merged[key] = get(key, 0) + weight * b
-        states = {key: c for key, c in merged.items() if c}
-        sweeps[mu[j:]] = (k, states)
+        memo[k, mu] = out = {mu: 1}
+        return out
+    head, rest = mu[0], mu[1:]
+    words_memo, straighten = straightener._memo, straightener.straighten
     out = {}
     get = out.get
-    for (used, suffix), coeff in states.items():
-        take = k - used
-        if take < 0:
-            continue
-        weight = (coeff + (coeff << SLOT_BITS)) << (SLOT_BITS * (take - 1)) if take else coeff
-        word = (mu[0] - take,) + suffix
-        words = memo.get(word)
-        if words is None:
-            words = straighten(word)
-        for lam, b in words.items():
-            out[lam] = get(lam, 0) + weight * b
-    return {lam: c for lam, c in out.items() if c}
+    for take in range(max(0, k - sum(rest)), k + 1):
+        inner = memo.get((k - take, rest))
+        if inner is None:
+            inner = htilde_expand(k - take, rest, straightener, memo)
+        for sigma, coeff in inner.items():
+            if take:
+                coeff = (coeff + (coeff << SLOT_BITS)) << SLOT_BITS * (take - 1)
+            word = (head - take,) + sigma
+            words = words_memo.get(word)
+            if words is None:
+                words = straighten(word)
+            for lam, b in words.items():
+                out[lam] = get(lam, 0) + coeff * b
+    memo[k, mu] = out = {lam: c for lam, c in out.items() if c}
+    return out
 
 
 def spin_kostka_one_row(mu):
@@ -190,13 +164,11 @@ def kostka_hook(n, k, mu):
 
 class SpinKostkaEngine:
     """Memoized recurrence engine.  Instances are cheap; each owns its memo
-    tables (packed values, h~_k expansions and their sweep states per
-    suffix)."""
+    tables (packed values, and h~_k expansions per (k, suffix of mu))."""
 
     def __init__(self):
         self._memo = {}
         self._expansions = {}
-        self._sweeps = {}
         self._straightener = Straightener()
 
     def spin_kostka(self, xi, mu):
@@ -255,7 +227,7 @@ class SpinKostkaEngine:
             k = part - mu1
             expansion = expansions.get((k, rest))
             if expansion is None:
-                expansion = expansions[k, rest] = htilde_expand(k, rest, self._straightener, self._sweeps)
+                expansion = htilde_expand(k, rest, self._straightener, expansions)
             term = 0
             for lam, coeff in expansion.items():
                 sub = memo.get((xi_hat, lam))

@@ -16,6 +16,7 @@ returns fresh instances.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 
@@ -379,13 +380,20 @@ def t_double_factorial(n):
 
 
 def t_binomial(n, k):
-    """Gauss t-binomial [n]! / ([k]! [n-k]!), built as the product over
-    i <= min(k, n - k) of (1 - t^(n-i+1)) / (1 - t^i); each partial product
-    is the t-binomial [n, i], so every division is exact."""
+    """Gauss t-binomial [n]! / ([k]! [n-k]!).  The arguments are checked
+    before the cache is read, so a bool never reaches the entry of an int."""
     _count("n", n)
     _count("k", k)
     if k > n:
         raise ValueError("t-binomial needs k <= n, got n=%d k=%d" % (n, k))
+    return _t_binomial(n, k)
+
+
+@lru_cache(maxsize=None)
+def _t_binomial(n, k):
+    """[n, k] for ints 0 <= k <= n, built as the product over
+    i <= min(k, n - k) of (1 - t^(n-i+1)) / (1 - t^i); each partial product
+    is the t-binomial [n, i], so every division is exact."""
     out = ONE
     for i in range(1, min(k, n - k) + 1):
         out = _over_one_minus_tn(out * _one_minus_tn(n - i + 1), i)

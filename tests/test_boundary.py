@@ -225,6 +225,19 @@ def test_t_brackets_reject_bools_non_ints_and_negatives(fn, args, name):
     assert fn(*[0 for _ in args]) == (0 if fn is t_int else 1)
 
 
+def test_t_binomial_checks_its_arguments_before_its_cache():
+    """[n, k] is cached per (n, k), and True == 1 hashes alike, so a bool
+    must be refused before the lookup: after the int forms are cached, the
+    bool forms still raise, through t_binomial and through kostka_hook."""
+    assert t_binomial(1, 0) == t_binomial(1, 1) == 1
+    assert kostka_hook(2, 1, (1, 1)) == 1
+    for args, name in [((True, 0), "n"), ((1, False), "k"), ((1, True), "k")]:
+        with pytest.raises(ValueError, match="^%s must be an int >= 0, got " % name):
+            t_binomial(*args)
+    with pytest.raises(ValueError, match="need ints"):
+        kostka_hook(2, True, (1, 1))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

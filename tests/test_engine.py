@@ -164,28 +164,75 @@ def _htilde_by_weak_compositions(k, mu, straightener):
 
 def test_htilde_expand_matches_weak_composition_sum():
     """k runs past |mu|, where the expansion is empty.  Each expansion is
-    checked without a memo (a fresh {} per call), then through one suffix
-    memo that every mu shares: the partitions of n <= 8 share tails, as
-    (3, 1, 1), (2, 1, 1) and (1, 1, 1) do.  Per mu, k first ascends, so a larger k rebuilds the
-    entries, then descends, so a smaller k reuses them filtered by cells
-    used.  The reference sum straightens with ``ReferenceStraightener``."""
-    ours, ref = Straightener(), ReferenceStraightener("leftmost", "table")
-    sweeps = {}
+    checked without a memo (a fresh {} per call), then through one
+    (k, suffix) memo and one straightener that every mu shares: the
+    partitions of n <= 8 share tails, as (3, 1, 1), (2, 1, 1) and (1, 1, 1)
+    do.  Per mu, k first ascends, which computes every (k, suffix) entry
+    once, then descends, which must find them all: it adds no memo entry
+    and straightens no word.  A k > |mu| returns {} and stores nothing.  The
+    reference sum straightens with ``ReferenceStraightener``."""
+    ours, shared, ref = Straightener(), Straightener(), ReferenceStraightener("leftmost", "table")
+    straightened = []
+    original = shared.straighten
+
+    def counted(nu):
+        straightened.append(nu)
+        return original(nu)
+
+    shared.straighten = counted
+    memo = {}
     for n in range(9):
         for mu in partitions(n):
             ks = range(max(6, n + 2))
             want = {k: packed(_htilde_by_weak_compositions(k, mu, ref)) for k in ks}
             for k in ks:
                 assert htilde_expand(k, mu, ours, {}) == want[k], (k, mu)
-            for k in list(ks) + list(reversed(ks)):
-                assert htilde_expand(k, mu, ours, sweeps) == want[k], (k, mu, "memo")
-    assert sweeps[(1, 1)][0] == 8  # the largest k <= |mu|; a larger k returns at once
+            for k in ks:
+                assert htilde_expand(k, mu, shared, memo) == want[k], (k, mu, "memo")
+                assert ((k, mu) in memo) == (k <= n), (k, mu)
+            entries, calls = len(memo), len(straightened)
+            for k in reversed(ks):
+                assert htilde_expand(k, mu, shared, memo) == want[k], (k, mu, "memo, descending")
+            assert (len(memo), len(straightened)) == (entries, calls), mu
+    assert straightened  # the counter saw the ascending passes' words
+
+
+def test_each_stored_expansion_is_computed_once_and_exact(monkeypatch):
+    """Every entry that a weight-8 table leaves in an engine's expansion
+    memo, the inner (k, suffix) levels of the recursion too, equals the
+    weak-composition sum under ``ReferenceStraightener``; and a counting
+    wrapper on the module's ``htilde_expand`` sees one call per stored
+    entry, the recursion's own calls among them."""
+    calls, inner = [], []
+    depth = 0
+    original = engine.htilde_expand
+
+    def counted(k, mu, straightener, memo):
+        nonlocal depth
+        (inner if depth else calls).append((k, mu))
+        depth += 1
+        try:
+            return original(k, mu, straightener, memo)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(engine, "htilde_expand", counted)
+    eng = SpinKostkaEngine()
+    for mu in partitions(8):
+        for xi in strict_partitions(8):
+            eng.spin_kostka(xi, mu)
+    stored = eng._expansions
+    assert inner and calls
+    assert sorted(calls + inner) == sorted(stored)
+    ref = ReferenceStraightener("leftmost", "table")
+    for (k, mu), expansion in stored.items():
+        assert expansion == packed(_htilde_by_weak_compositions(k, mu, ref)), (k, mu)
 
 
 def test_the_engine_holds_no_decoded_answers():
     """The packed memo is the only per-cell store: each ask decodes afresh,
     so two asks of one cell give equal but distinct values."""
-    tables = {"_memo", "_expansions", "_sweeps", "_straightener"}
+    tables = {"_memo", "_expansions", "_straightener"}
     eng = SpinKostkaEngine()
     assert set(vars(eng)) == tables
     first, second = eng.spin_kostka((3, 1), (2, 2)), eng.spin_kostka((3, 1), (2, 2))
@@ -196,8 +243,8 @@ def test_the_engine_holds_no_decoded_answers():
 
 def test_memo_order_cannot_change_a_value():
     """Every weight-10 cell on a fresh engine equals the same cell from one
-    engine asked in reverse table order, whose suffix memo then serves
-    each rest from entries that other cells built, under other caps."""
+    engine asked in reverse table order, whose (k, suffix) memo then serves
+    each rest from entries that other cells built, in another order."""
     cells = [(xi, mu) for mu in partitions(10) for xi in strict_partitions(10)]
     shared = SpinKostkaEngine()
     reverse = {cell: shared.spin_kostka(*cell) for cell in reversed(cells)}
